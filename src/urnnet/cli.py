@@ -28,18 +28,13 @@ from .dynamics import (
 )
 from .errors import (
     EigenConvergenceError,
-    EnumerationTooLargeError,
-    InsufficientCheckpointsError,
     InvalidParamsError,
     NonDiagonalizableError,
     NotCriticalRegimeError,
-    NotRegularError,
-    PolyaTypeError,
     SingularLimitSystemError,
     SingularMatrixError,
     SingularSylvesterError,
     UrnNetError,
-    WrongRegimeError,
     ZeroInDegreeError,
 )
 from .graph import DirectedGraph, generate_graph
@@ -61,14 +56,6 @@ _FAMILY_ALIASES = {
     "erdos_renyi_min_indegree": "erdos_renyi_min_indegree",
 }
 
-_USAGE_ERRORS = (
-    InvalidParamsError,
-    EnumerationTooLargeError,
-    InsufficientCheckpointsError,
-    PolyaTypeError,
-    WrongRegimeError,
-    NotRegularError,
-)
 _NUMERICAL_ERRORS = (
     SingularMatrixError,
     SingularSylvesterError,
@@ -100,10 +87,7 @@ def _load_graph(args) -> DirectedGraph:
 
 def _load_scheme(args, n: int):
     if getattr(args, "hetero", None):
-        with open(args.hetero, "r", encoding="ascii") as fh:
-            rows = json.load(fh)
-        mats = tuple(ReplacementMatrix(int(r["a"]), int(r["b"]), int(r["m"])) for r in rows)
-        return HeterogeneousScheme(mats)
+        return fileio.read_hetero_scheme(args.hetero)
     if getattr(args, "polya", False):
         return ReplacementMatrix(1, 1, 1)
     if args.a is None or args.b is None:
@@ -188,19 +172,28 @@ def cmd_predict(args) -> int:
     alpha, beta = _normalized_params(args, scheme)
 
     if not g.has_positive_in_degrees() and args.allow_violations:
-        a_tilde = g.weighted_adjacency(allow_zero_in_degree=True)
-        eq = theory.equilibrium_via_inverse(alpha, beta, a_tilde)
+        if scheme is None:
+            raise InvalidParamsError(
+                "--allow-violations needs an integer rule (--a/--b/--m or --polya)"
+            )
+        # Unreinforced urns keep their initial fractions, and those feed the
+        # limits of everything downstream of them.
+        limit = theory.heterogeneous_limit(
+            g,
+            HeterogeneousScheme((scheme,) * g.n),
+            frozen_fractions=_initial_state(args, g.n).fractions(),
+        )
         reinforced = (g.in_degrees() > 0).tolist()
         report = {
             "regime": None,
             "n": g.n,
             "alpha": alpha,
             "beta": beta,
-            "equilibrium": [float(v) for v in eq],
+            "equilibrium": [float(v) for v in limit],
             "reinforced": reinforced,
             "notes": [
-                "graph has unreinforced vertices: formula limits reported; "
-                "urns at unreinforced vertices keep their initial fractions"
+                "graph has unreinforced vertices: they keep their initial fractions, "
+                "and the limits of the reinforced vertices follow from those"
             ],
         }
     else:
@@ -403,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="normalized b/m (theory-only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-violations", action="store_true",
-                   help="report formula limits on graphs with unreinforced vertices")
-    p.add_argument("--initial", help="JSON initial state (fixes unreinforced urns for --hetero)")
+                   help="predict on graphs with unreinforced vertices, whose urns stay frozen")
+    p.add_argument("--initial", help="JSON initial state (fixes the frozen urns' fractions)")
     p.add_argument("--out", help="write the report as JSON")
     p.set_defaults(func=cmd_predict)
 
@@ -468,23 +461,22 @@ def _config_argv(path: str, command: str) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config FILE injects defaults; explicit flags afterwards override.
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            print("error: --config needs a file path", file=sys.stderr)
-            return 2
-        path = argv[i + 1]
-        rest = argv[:i] + argv[i + 2 :]
-        if not rest:
-            print("usage: urnnet COMMAND [--config FILE] [flags]", file=sys.stderr)
-            return 2
-        command, tail = rest[0], rest[1:]
-        argv = [command] + _config_argv(path, command) + tail
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # --config FILE injects defaults; explicit flags afterwards override.
+        if "--config" in argv:
+            i = argv.index("--config")
+            if i + 1 >= len(argv):
+                print("error: --config needs a file path", file=sys.stderr)
+                return 2
+            path = argv[i + 1]
+            rest = argv[:i] + argv[i + 2 :]
+            if not rest:
+                print("usage: urnnet COMMAND [--config FILE] [flags]", file=sys.stderr)
+                return 2
+            command, tail = rest[0], rest[1:]
+            argv = [command] + _config_argv(path, command) + tail
+
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ZeroInDegreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -492,10 +484,8 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UrnNetError as exc:
+    except (UrnNetError, OSError) as exc:
+        # usage and configuration errors, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,10 +106,6 @@ def scheme_vectors(scheme, n: int):
     raise InvalidParamsError(f"unsupported scheme type {type(scheme).__name__}")
 
 
-def scheme_is_polya(scheme) -> bool:
-    return scheme.is_polya()
-
-
 @dataclass(frozen=True)
 class UrnState:
     """Ball counts of every urn at one time step."""

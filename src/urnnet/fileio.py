@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .dynamics import UrnState
+from .dynamics import HeterogeneousScheme, ReplacementMatrix, UrnState
 from .errors import InvalidParamsError
 from .graph import DirectedGraph
 
@@ -26,7 +26,10 @@ def write_edge_list(g: DirectedGraph, path) -> None:
 
 def read_edge_list(path) -> DirectedGraph:
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError as exc:
+            raise InvalidParamsError(f"{path}: not an ASCII edge list ({exc.reason})") from exc
     if len(tokens) < 2:
         raise InvalidParamsError(f"{path}: missing 'n m' header")
     try:
@@ -40,6 +43,14 @@ def read_edge_list(path) -> DirectedGraph:
     if len(edges) != m:
         raise InvalidParamsError(f"{path}: duplicate edges in list")
     return DirectedGraph(n_vertices=n, edges=edges)
+
+
+def _load_json(path):
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidParamsError(f"{path}: malformed JSON ({exc})") from exc
 
 
 def graph_to_json(g: DirectedGraph) -> dict:
@@ -62,8 +73,7 @@ def write_graph_json(g: DirectedGraph, path) -> None:
 
 
 def read_graph_json(path) -> DirectedGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return graph_from_json(json.load(fh))
+    return graph_from_json(_load_json(path))
 
 
 def read_graph(path) -> DirectedGraph:
@@ -82,14 +92,26 @@ def write_initial_state(state: UrnState, path) -> None:
 
 
 def read_initial_state(path) -> UrnState:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+    payload = _load_json(path)
     try:
         white = np.array([int(x) for x in payload["white"]], dtype=np.int64)
         black = np.array([int(x) for x in payload["black"]], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParamsError(f"bad initial state JSON: {exc}") from exc
     return UrnState(white=white, black=black, time=0)
+
+
+def read_hetero_scheme(path) -> HeterogeneousScheme:
+    """JSON list with one {"a": .., "b": .., "m": ..} record of integers per vertex."""
+    rows = _load_json(path)
+    try:
+        values = [tuple(row[k] for k in "abm") for row in rows]
+    except (KeyError, TypeError) as exc:
+        raise InvalidParamsError(f"{path}: every record needs keys a, b, m ({exc!r})") from exc
+    for abm in values:
+        if not all(type(v) is int for v in abm):
+            raise InvalidParamsError(f"{path}: a, b, m must be integers, got {list(abm)}")
+    return HeterogeneousScheme(tuple(ReplacementMatrix(*abm) for abm in values))
 
 
 def format_config(config: dict) -> str:

@@ -20,7 +20,6 @@ import numpy as np
 from .dynamics import (
     UrnState,
     geometric_checkpoints,
-    scheme_is_polya,
     scheme_vectors,
     simulate_runs,
 )
@@ -248,7 +247,7 @@ def run_ensemble(
         sum_outer,
         master_seed,
         initial,
-        scheme_is_polya(scheme),
+        scheme.is_polya(),
         g.is_regular_undirected(),
         snapshots,
         snapshot_totals,

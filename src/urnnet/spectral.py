@@ -30,9 +30,6 @@ DIAGONALIZABILITY_COND_MAX = 1e8
 #: inversion is refused above this condition estimate
 INVERSION_COND_MAX = 1e13
 
-#: largest n for which the Lyapunov equation is solved as an n^2 x n^2 system
-KRON_SOLVE_MAX_N = 64
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -92,29 +89,23 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=lam[order])
 
 
-def _eig_with_condition(m: np.ndarray):
-    try:
-        lam, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-    cond = np.linalg.cond(v)
-    return lam, v, float(cond)
-
-
-def lyapunov_solve(a: np.ndarray, q: np.ndarray, method: str = "auto") -> np.ndarray:
+def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T S + S A = Q for symmetric Q.
 
     Solvable iff no two eigenvalues of A sum to zero (always true when all
-    real parts are positive).  Small systems are solved directly as the
-    vectorized n^2 x n^2 linear system; larger ones via eigendecomposition.
+    real parts are positive).  Uses the Schur-based Bartels-Stewart method
+    (scipy's `solve_continuous_lyapunov`), which costs O(n^3) and needs no
+    eigenvector basis, so defective A (Jordan blocks) solve like any other.
     """
+    # scipy.linalg takes longer to import than the whole package; only the
+    # callers of this function pay for it.
+    from scipy.linalg import solve_continuous_lyapunov
+
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise InvalidParamsError("A and Q must be square with equal shape")
-    if method not in ("auto", "kron", "eig"):
-        raise InvalidParamsError(f"unknown method {method!r}")
 
     lam = np.linalg.eigvals(a)
     pair_sums = np.abs(lam[:, None] + lam[None, :])
@@ -124,19 +115,7 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray, method: str = "auto") -> np.nda
             f"eigenvalue pair sums reach {pair_sums.min():.3e}; equation is singular"
         )
 
-    if method == "kron" or (method == "auto" and n <= KRON_SOLVE_MAX_N):
-        ident = np.eye(n)
-        op = np.kron(ident, a.T) + np.kron(a.T, ident)
-        s = np.linalg.solve(op, q.flatten(order="F")).reshape((n, n), order="F")
-    else:
-        lam, v, cond = _eig_with_condition(a)
-        if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_MAX:
-            raise NonDiagonalizableError(f"eigenvector condition {cond:.3e}")
-        # A^T S + S A = Q  <=>  L T + T L = V^T Q V  with  T = V^T S V.
-        g = v.T @ q @ v
-        t = g / (lam[:, None] + lam[None, :])
-        v_inv = np.linalg.inv(v)
-        s = (v_inv.T @ t @ v_inv).real
+    s = solve_continuous_lyapunov(a.T, q)
     return 0.5 * (s + s.T)
 
 
@@ -168,9 +147,17 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     if h.shape != (n, n) or gamma.shape != (n, n):
         raise InvalidParamsError("H and Gamma must be square with equal shape")
 
-    lam, v, cond = _eig_with_condition(h)
+    try:
+        lam, v = np.linalg.eig(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+    cond = float(np.linalg.cond(v))
     if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_MAX:
-        raise NonDiagonalizableError(f"eigenvector condition {cond:.3e}")
+        raise NonDiagonalizableError(
+            f"eigenvector condition {cond:.3e}: H is numerically defective, and a "
+            "Jordan block on Re = 1/2 changes the sqrt(t / log t) scaling by extra "
+            "powers of log t, so the log-averaged Gram limit does not apply"
+        )
     mu = lam - 0.5
     if np.any(mu.real < -UNIT_EIGENVALUE_TOL):
         raise InvalidParamsError("an eigenvalue of H has real part below 1/2")

@@ -148,7 +148,7 @@ def clt_covariance_regular_closed_form(
 
 
 def clt_covariance_critical(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of sqrt(t log t) (Z_t - c 1) on the critical line.
+    """Asymptotic covariance of sqrt(t / log t) (Z_t - c 1) on the critical line.
 
     For an undirected d-regular graph on N vertices this reduces to
     C(alpha, beta) / N times the all-ones matrix.
@@ -199,23 +199,6 @@ def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
     if lam2 < 0.5:
         return RateClass(kind=RATE_T_INV, exponent=-1.0, lambda2=lam2)
     return RateClass(kind=RATE_T_POW, exponent=2.0 * lam2 - 2.0, lambda2=lam2)
-
-
-def equilibrium_via_inverse(
-    alpha: float, beta: float, a_tilde: np.ndarray
-) -> np.ndarray:
-    """Equilibrium by explicit inversion: (1-beta) 1 (I - (alpha+beta-1) A~)^(-1).
-
-    Matches c 1 whenever the columns of A~ all sum to one; also usable on
-    graphs with unreinforced vertices, where it reports the formal
-    limit values instead."""
-    _check_params(alpha, beta)
-    if is_polya_params(alpha, beta):
-        raise PolyaTypeError("equilibrium formula needs alpha + beta != 2")
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    n = a_tilde.shape[0]
-    k = alpha + beta - 1.0
-    return (1.0 - beta) * np.ones(n) @ spectral.invert(np.eye(n) - k * a_tilde)
 
 
 def heterogeneous_limit(

@@ -135,7 +135,7 @@ def verify_clt_critical(
     tol_rel: float = 0.20,
     initial: UrnState | None = None,
 ) -> dict:
-    """Empirical sqrt(t log t)-scaled covariance on the critical line."""
+    """Empirical sqrt(t / log t)-scaled covariance on the critical line."""
     if initial is None:
         initial = default_initial_state(g.n)
     alpha, beta = scheme.alpha, scheme.beta

@@ -100,6 +100,48 @@ def test_predict_violations_allowed(tmp_path):
     assert report["reinforced"] == [True, False, False, False, False]
 
 
+def test_predict_violations_homogeneous_in_star(tmp_path):
+    # Unreinforced leaves keep their initial 1/2; the centre, fed only by
+    # them, tends to (1/2 (a + b - m) + m - b) / m = 1/2 for a = b = 1, m = 4.
+    graph = tmp_path / "instar.edges"
+    _write_in_star(graph)
+    out = tmp_path / "report.json"
+    code = run_cli(
+        "predict", "--graph", str(graph), "--a", "1", "--b", "1", "--m", "4",
+        "--allow-violations", "--out", str(out),
+    )
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["equilibrium"] == pytest.approx([0.5] * 5, abs=1e-12)
+    # normalized parameters name no integer rule to run the limit system on
+    assert run_cli(
+        "predict", "--graph", str(graph), "--alpha", "0.25", "--beta", "0.25",
+        "--allow-violations",
+    ) == 2
+
+
+def test_predict_violations_agree_with_simulation(tmp_path):
+    # Leaves frozen at 1/4 send the centre to (1/4 * -2 + 3) / 4 = 0.625.
+    graph = tmp_path / "instar.edges"
+    _write_in_star(graph)
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps({"white": [1] * 5, "black": [1, 3, 3, 3, 3]}))
+    flags = [
+        "--graph", str(graph), "--a", "1", "--b", "1", "--m", "4",
+        "--initial", str(initial), "--allow-violations",
+    ]
+    report_path, ens_path = tmp_path / "report.json", tmp_path / "ens.json"
+    assert run_cli("predict", *flags, "--out", str(report_path)) == 0
+    assert run_cli(
+        "simulate", *flags, "--horizon", "2000", "--runs", "64", "--seed", "3",
+        "--checkpoints", "final", "--out", str(ens_path),
+    ) == 0
+    predicted = json.loads(report_path.read_text())["report"]["equilibrium"]
+    simulated = json.loads(ens_path.read_text())["result"]["mean_Z"][-1]
+    assert predicted == pytest.approx([0.625] + [0.25] * 4, abs=1e-12)
+    assert simulated == pytest.approx(predicted, abs=0.01)
+
+
 def test_predict_fractional_params(tmp_path):
     graph = tmp_path / "c5.edges"
     run_cli("generate", "--family", "cycle-undirected", "--n", "5", "--out", str(graph))
@@ -267,3 +309,60 @@ def test_missing_scheme_exit_2(tmp_path):
     graph = tmp_path / "c2.edges"
     run_cli("generate", "--family", "cycle-directed", "--n", "2", "--out", str(graph))
     assert run_cli("simulate", "--graph", str(graph), "--horizon", "5") == 2
+
+
+def _bad_input_argv(tmp_path, case):
+    """Command line for one malformed-input case."""
+    graph = tmp_path / "c2.edges"
+    write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    predict = ["predict", "--graph", str(graph)]
+    simulate = ["simulate", "--graph", str(graph), "--polya", "--horizon", "5"]
+    if case == "missing-graph":
+        return ["predict", "--graph", missing, "--polya"]
+    if case == "directory-graph":
+        return ["predict", "--graph", str(tmp_path), "--polya"]
+    if case == "missing-initial":
+        return simulate + ["--initial", missing]
+    if case == "missing-hetero":
+        return predict + ["--hetero", missing]
+    if case == "missing-config":
+        return ["simulate", "--config", missing]
+    if case == "binary-graph":
+        binary = tmp_path / "binary.edges"
+        binary.write_bytes(b"\xff\xfe 2 1\n")
+        return ["predict", "--graph", str(binary), "--polya"]
+    text = {
+        "hetero-no-a": '[{"b": 1, "m": 2}, {"a": 1, "b": 1, "m": 2}]',
+        "hetero-no-b": '[{"a": 1, "m": 2}, {"a": 1, "b": 1, "m": 2}]',
+        "hetero-no-m": '[{"a": 1, "b": 1}, {"a": 1, "b": 1, "m": 2}]',
+        "hetero-float": '[{"a": 1.5, "b": 1, "m": 2}, {"a": 1, "b": 1, "m": 2}]',
+        "hetero-string": '[{"a": "1", "b": 1, "m": 2}, {"a": 1, "b": 1, "m": 2}]',
+        "hetero-not-records": "[1, 2]",
+        "hetero-json": '[{"a": 1, "b": 1, "m": 2}',
+        "initial-json": '{"white": [1, 1], "black": [1, 1',
+        "graph-json": '{"n": 2, "edges": [[1, 2], [2, 1]',
+    }[case]
+    bad.write_text(text)
+    if case.startswith("hetero"):
+        return predict + ["--hetero", str(bad)]
+    if case == "initial-json":
+        return simulate + ["--initial", str(bad)]
+    return ["predict", "--graph", str(bad), "--polya"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing-graph", "directory-graph", "missing-initial", "missing-hetero",
+        "missing-config", "binary-graph", "hetero-no-a", "hetero-no-b", "hetero-no-m", "hetero-float",
+        "hetero-string", "hetero-not-records", "hetero-json", "initial-json", "graph-json",
+    ],
+)
+def test_bad_input_files_exit_2(tmp_path, capsys, case):
+    argv = _bad_input_argv(tmp_path, case)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

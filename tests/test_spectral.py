@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from urnnet import spectral
+from urnnet import spectral, theory
 from urnnet.errors import (
     InvalidParamsError,
     NonDiagonalizableError,
@@ -12,7 +12,7 @@ from urnnet.errors import (
     SingularMatrixError,
     SingularSylvesterError,
 )
-from urnnet.graph import generate_graph
+from urnnet.graph import DirectedGraph, generate_graph
 
 
 def test_identity_spectrum():
@@ -104,12 +104,40 @@ def _random_stable(n, rng):
     return a + shift * np.eye(n)
 
 
-@pytest.mark.parametrize("n", [2, 5, 9])
-def test_lyapunov_residual_and_scipy_oracle(n):
+def _path_with_loops(n):
+    edges = {(i, i) for i in range(1, n + 1)} | {(i, i + 1) for i in range(1, n)}
+    return DirectedGraph(n_vertices=n, edges=frozenset(edges))
+
+
+def _shifted_drift(a_tilde):
+    """H - I/2 and A~^T A~ for alpha = beta = 1/4, as clt_covariance builds them."""
+    n = a_tilde.shape[0]
+    return theory.drift_matrix(0.25, 0.25, a_tilde) - 0.5 * np.eye(n), a_tilde.T @ a_tilde
+
+
+def _random_case(n):
     rng = np.random.default_rng(n)
     a = _random_stable(n, rng)
     q0 = rng.standard_normal((n, n))
-    q = q0 @ q0.T
+    return a, q0 @ q0.T
+
+
+LYAPUNOV_CASES = {
+    **{str(n): lambda n=n: _random_case(n) for n in (2, 5, 9, 64, 65, 200)},
+    # H - I/2 is one Jordan block at 3/4 plus the eigenvalue 1: defective
+    **{
+        f"path{n}": lambda n=n: _shifted_drift(_path_with_loops(n).weighted_adjacency())
+        for n in (64, 65)
+    },
+    "er40": lambda: _shifted_drift(
+        generate_graph("erdos_renyi_min_indegree", {"n": 40, "p": 0.1}, seed=3).weighted_adjacency()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LYAPUNOV_CASES)
+def test_lyapunov_residual_and_scipy_oracle(case):
+    a, q = LYAPUNOV_CASES[case]()
     s = spectral.lyapunov_solve(a, q)
     residual = np.linalg.norm(a.T @ s + s @ a - q)
     assert residual <= 1e-10 * max(1.0, np.linalg.norm(q))
@@ -119,14 +147,19 @@ def test_lyapunov_residual_and_scipy_oracle(n):
     assert np.allclose(s, oracle, atol=1e-9)
 
 
-def test_lyapunov_methods_agree():
-    rng = np.random.default_rng(42)
-    a = _random_stable(6, rng)
-    q0 = rng.standard_normal((6, 6))
-    q = q0 @ q0.T
-    s_kron = spectral.lyapunov_solve(a, q, method="kron")
-    s_eig = spectral.lyapunov_solve(a, q, method="eig")
-    assert np.allclose(s_kron, s_eig, atol=1e-9)
+def test_defective_path_lyapunov_inputs():
+    a, _ = LYAPUNOV_CASES["path65"]()
+    lam = np.linalg.eigvals(a)
+    assert np.sum(np.abs(lam - 0.75) <= 1e-12) == 64
+    # a single eigenvector for the 64-fold eigenvalue: one Jordan block
+    assert np.linalg.matrix_rank(a - 0.75 * np.eye(65)) == 64
+
+
+def test_clt_covariance_on_defective_path():
+    a_tilde = _path_with_loops(65).weighted_adjacency()
+    sigma = theory.clt_covariance(0.25, 0.25, a_tilde)
+    assert sigma.shape == (65, 65)
+    assert np.all(np.isfinite(sigma))
 
 
 def test_lyapunov_singular_pair_detected():

@@ -83,13 +83,17 @@ class TestConsensus:
 
     @pytest.mark.parametrize("family,params", ALL_FAMILIES)
     def test_explicit_inverse_matches(self, family, params):
-        a_tilde = generate_graph(family, params, seed=6).weighted_adjacency()
+        g = generate_graph(family, params, seed=6)
+        a_tilde = g.weighted_adjacency()
         alpha, beta = 0.25, 0.5
         c = theory.consensus_equilibrium(alpha, beta)
-        eq = theory.equilibrium_via_inverse(alpha, beta, a_tilde)
-        assert np.abs(eq - c).max() <= 1e-10
+        k = alpha + beta - 1.0
+        explicit = (1.0 - beta) * np.linalg.solve((np.eye(g.n) - k * a_tilde).T, np.ones(g.n))
+        assert np.abs(explicit - c).max() <= 1e-10
+        scheme = HeterogeneousScheme((ReplacementMatrix(1, 2, 4),) * g.n)
+        assert np.abs(theory.heterogeneous_limit(g, scheme) - c).max() <= 1e-10
 
-    @pytest.mark.parametrize("r", [-0.99, -0.5, 0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("r",[-0.99, -0.5, 0.0, 0.5, 0.99])
     def test_shifted_adjacency_invertible_inside_unit_interval(self, r):
         a_tilde = generate_graph("star_undirected", {"n": 5}).weighted_adjacency()
         inv = spectral.invert(r * a_tilde - np.eye(5))
