@@ -273,7 +273,12 @@ def simulate_runs(
     """Run a batch of independent trajectories in lockstep.
 
     Each run index gets its own stream; per-run results are identical to
-    driving `step` with `make_stream(master_seed, run_index)`.  Checkpoints
+    driving `step` with `make_stream(master_seed, run_index)`.  The batch
+    builds one generator and re-keys its Philox bit generator for every run
+    and random block: key (master_seed, run_index), counter at the run's
+    next unused draw.  Blocks shorter than the horizon hold a multiple of 4
+    steps, so every block starts on a counter boundary (Philox yields 4
+    doubles per counter value) and no draw is skipped or repeated.  Checkpoints
     accumulate sums of Z and of Z^T Z across the batch; snapshot times store
     exact white counts per run.  With a reference path (shape (horizon+1, n)),
     the running sup-norm deviation from it is tracked per run from
@@ -297,6 +302,8 @@ def simulate_runs(
         raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
 
     run_indices = [int(r) for r in run_indices]
+    if any(not (0 <= r < 2**64) for r in run_indices):
+        raise InvalidParamsError("run index must fit in 64 bits")
     n_runs = len(run_indices)
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     snapshot_set = set(int(t) for t in snapshot_times)
@@ -338,15 +345,25 @@ def simulate_runs(
     if horizon == 0 or n_runs == 0:
         return out
 
-    streams = [make_stream(master_seed, r) for r in run_indices]
+    gen = make_stream(master_seed, run_indices[0])
+    bitgen = gen.bit_generator
+    rekey = bitgen.state
+    key, counter = [int(master_seed), 0], [0, 0, 0, 0]
+    rekey["state"] = {"key": key, "counter": counter}
+    rekey["buffer_pos"] = 4  # empty buffer: the next draw starts a new counter
     block = max(1, min(horizon, _BLOCK_DOUBLES // max(1, n_runs * n)))
+    if block < horizon:
+        block = min(horizon, max(4, block - block % 4))
     uniforms = np.empty((n_runs, block, n))
 
     t = 0
     while t < horizon:
         this_block = min(block, horizon - t)
-        for i in range(n_runs):
-            streams[i].random(out=uniforms[i, :this_block, :])
+        counter[0] = t * n // 4
+        for i, r in enumerate(run_indices):
+            key[1] = r
+            bitgen.state = rekey
+            gen.random(out=uniforms[i, :this_block, :])
         for s in range(this_block):
             drew_white = uniforms[:, s, :] < (w / totals)
             w += base_w + drew_white.astype(float) @ bonus

@@ -7,6 +7,7 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -57,13 +58,24 @@ def graph_to_json(g: DirectedGraph) -> dict:
     return {"n": g.n_vertices, "edges": [[i, j] for i, j in g.sorted_edges()]}
 
 
+def _integers(values, what: str) -> list:
+    """`values` as a list, refusing anything but JSON integers (booleans too),
+    so that 2.7 or true is an error rather than a silently truncated 2 or 1."""
+    values = list(values)
+    if not all(type(v) is int for v in values):
+        raise InvalidParamsError(f"{what} must be integers, got {values}")
+    return values
+
+
 def graph_from_json(payload: dict) -> DirectedGraph:
     try:
-        n = int(payload["n"])
-        edges = frozenset((int(i), int(j)) for i, j in payload["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges = payload["n"], [tuple(e) for e in payload["edges"]]
+    except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"bad graph JSON: {exc}") from exc
-    return DirectedGraph(n_vertices=n, edges=edges)
+    if any(len(e) != 2 for e in edges):
+        raise InvalidParamsError("bad graph JSON: every edge needs two vertices")
+    _integers([n, *itertools.chain(*edges)], "bad graph JSON: n and edge vertices")
+    return DirectedGraph(n_vertices=n, edges=frozenset(edges))
 
 
 def write_graph_json(g: DirectedGraph, path) -> None:
@@ -94,9 +106,11 @@ def write_initial_state(state: UrnState, path) -> None:
 def read_initial_state(path) -> UrnState:
     payload = _load_json(path)
     try:
-        white = np.array([int(x) for x in payload["white"]], dtype=np.int64)
-        black = np.array([int(x) for x in payload["black"]], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+        white, black = (
+            np.array(_integers(payload[k], f"bad initial state JSON: {k}"), dtype=np.int64)
+            for k in ("white", "black")
+        )
+    except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"bad initial state JSON: {exc}") from exc
     return UrnState(white=white, black=black, time=0)
 
@@ -109,8 +123,7 @@ def read_hetero_scheme(path) -> HeterogeneousScheme:
     except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"{path}: every record needs keys a, b, m ({exc!r})") from exc
     for abm in values:
-        if not all(type(v) is int for v in abm):
-            raise InvalidParamsError(f"{path}: a, b, m must be integers, got {list(abm)}")
+        _integers(abm, f"{path}: a, b, m")
     return HeterogeneousScheme(tuple(ReplacementMatrix(*abm) for abm in values))
 
 

@@ -8,8 +8,8 @@ fixed index order, which makes results identical for any worker count.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -390,6 +390,12 @@ def brute_force_distribution(
 
     Probabilities are exact rationals and sum to one.  Feasible only while
     n * horizon stays small (2^(n*horizon) draw sequences).
+
+    Ball totals are the same on every path, so each step's draw
+    probabilities share the denominator prod_i T_i(t).  States therefore
+    carry integer weights (products of the numerators w_i and T_i - w_i)
+    over one common denominator, and each step convolves the urns' draws
+    vertex by vertex, merging paths that reach the same partial state.
     """
     n = g.n
     if n * horizon > BRUTE_FORCE_MAX_BITS:
@@ -400,35 +406,48 @@ def brute_force_distribution(
         raise InvalidParamsError("graph has unreinforced vertices (pass the flag to allow)")
     a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
     adj = g.adjacency()
-    inflow = m_vec @ adj
+    inflow = [int(x) for x in m_vec @ adj]
+    # white balls vertex j adds to every urn when it draws white / black
+    sends = [
+        (
+            tuple(int(a_vec[j]) if adj[j, i] else 0 for i in range(n)),
+            tuple(int(m_vec[j] - b_vec[j]) if adj[j, i] else 0 for i in range(n)),
+        )
+        for j in range(n)
+    ]
 
-    states = {tuple(int(x) for x in initial.white): Fraction(1)}
-    totals = initial.totals().copy()
+    states = {tuple(int(x) for x in initial.white): 1}
+    totals = [int(x) for x in initial.totals()]
+    denom = 1
     for _ in range(horizon):
         nxt: dict = {}
-        for w, prob in states.items():
-            z = [Fraction(w[i], int(totals[i])) for i in range(n)]
-            for draws in itertools.product((1, 0), repeat=n):
-                p_draw = prob
-                for i, d in enumerate(draws):
-                    p_draw *= z[i] if d else 1 - z[i]
-                    if p_draw == 0:
-                        break
-                if p_draw == 0:
-                    continue
-                sent = [int(a_vec[j]) if d else int(m_vec[j] - b_vec[j]) for j, d in enumerate(draws)]
-                w_next = tuple(
-                    w[i] + sum(sent[j] for j in range(n) if adj[j, i]) for i in range(n)
-                )
-                nxt[w_next] = nxt.get(w_next, Fraction(0)) + p_draw
+        for w, weight in states.items():
+            partial = {w: weight}
+            for j, (if_white, if_black) in enumerate(sends):
+                # draw numerators; a zero one is an impossible branch
+                branches = [(if_white, w[j]), (if_black, totals[j] - w[j])]
+                merged: dict = {}
+                for acc, wt in partial.items():
+                    for add, p in branches:
+                        if p:
+                            key = tuple(map(operator.add, acc, add))
+                            merged[key] = merged.get(key, 0) + wt * p
+                partial = merged
+            for key, wt in partial.items():
+                nxt[key] = nxt.get(key, 0) + wt
         states = nxt
-        totals = totals + inflow
+        denom *= math.prod(totals)
+        totals = [t + f for t, f in zip(totals, inflow)]
 
+    totals = np.array(totals, dtype=np.int64)
     out = []
     for w in sorted(states):
         white = np.array(w, dtype=np.int64)
         out.append(
-            (UrnState(white=white, black=totals - white, time=horizon), states[w])
+            (
+                UrnState(white=white, black=totals - white, time=horizon),
+                Fraction(states[w], denom),
+            )
         )
     return out
 

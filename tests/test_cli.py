@@ -343,11 +343,18 @@ def _bad_input_argv(tmp_path, case):
         "hetero-json": '[{"a": 1, "b": 1, "m": 2}',
         "initial-json": '{"white": [1, 1], "black": [1, 1',
         "graph-json": '{"n": 2, "edges": [[1, 2], [2, 1]',
+        # numbers that int() would truncate into a valid input
+        "graph-float-n": '{"n": 2.7, "edges": [[1, 2], [2, 1]]}',
+        "graph-bool-n": '{"n": true, "edges": [[1, 1]]}',
+        "graph-float-edge": '{"n": 2, "edges": [[1.0, 2], [2, 1]]}',
+        "graph-string-edge": '{"n": 2, "edges": [["1", 2], [2, 1]]}',
+        "initial-float": '{"white": [1.9, 1], "black": [1, 1]}',
+        "initial-bool": '{"white": [1, 1], "black": [true, 1]}',
     }[case]
     bad.write_text(text)
     if case.startswith("hetero"):
         return predict + ["--hetero", str(bad)]
-    if case == "initial-json":
+    if case.startswith("initial"):
         return simulate + ["--initial", str(bad)]
     return ["predict", "--graph", str(bad), "--polya"]
 
@@ -358,6 +365,8 @@ def _bad_input_argv(tmp_path, case):
         "missing-graph", "directory-graph", "missing-initial", "missing-hetero",
         "missing-config", "binary-graph", "hetero-no-a", "hetero-no-b", "hetero-no-m", "hetero-float",
         "hetero-string", "hetero-not-records", "hetero-json", "initial-json", "graph-json",
+        "graph-float-n", "graph-bool-n", "graph-float-edge", "graph-string-edge",
+        "initial-float", "initial-bool",
     ],
 )
 def test_bad_input_files_exit_2(tmp_path, capsys, case):

@@ -1,0 +1,131 @@
+"""Randomized differential tests: each fast path against its exact reference.
+
+The batched float64 engine must reproduce `step` driven by the run's own
+stream, draw for draw, and the integer-weight enumerator must return the
+same exact law as a plain Fraction enumeration over every draw vector.
+"""
+
+import itertools
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from urnnet import dynamics
+from urnnet.dynamics import (
+    HeterogeneousScheme,
+    ReplacementMatrix,
+    UrnState,
+    make_stream,
+    scheme_vectors,
+    simulate_runs,
+    step,
+)
+from urnnet.graph import DirectedGraph
+from urnnet.montecarlo import brute_force_distribution
+
+
+@st.composite
+def urn_problems(draw, max_n=6):
+    """A random graph (zero in-degree and self-loops included), a homogeneous
+    or heterogeneous rule, and initial urns that may be all white or all
+    black."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(1, n)
+    g = DirectedGraph(n, draw(st.frozensets(st.tuples(vertex, vertex), max_size=n * n)))
+    rule = st.integers(1, 4).flatmap(
+        lambda m: st.builds(ReplacementMatrix, st.integers(0, m), st.integers(0, m), st.just(m))
+    )
+    if draw(st.booleans()):
+        scheme = draw(rule)
+    else:
+        scheme = HeterogeneousScheme(tuple(draw(rule) for _ in range(n)))
+    white = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    black = [draw(st.integers(0 if w else 1, 3)) for w in white]
+    return g, scheme, UrnState(np.array(white), np.array(black))
+
+
+run_index_sets = st.lists(
+    st.one_of(st.integers(0, 63), st.integers(2**63, 2**64 - 1)),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=urn_problems(),
+    horizon=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
+    runs=run_index_sets,
+    block_doubles=st.integers(1, 64),
+)
+def test_engine_equals_exact_steps(problem, horizon, seed, runs, block_doubles):
+    g, scheme, init = problem
+    # a small block budget makes the horizon span several random blocks
+    with mock.patch.object(dynamics, "_BLOCK_DOUBLES", block_doubles):
+        out = simulate_runs(
+            g, scheme, init, horizon, seed, runs,
+            snapshot_times=range(horizon + 1), allow_zero_in_degree=True,
+        )
+    for i, r in enumerate(runs):
+        rng = make_stream(seed, r)
+        state = init
+        for t in range(1, horizon + 1):
+            state = step(state, g, scheme, rng, allow_zero_in_degree=True)
+            assert np.array_equal(out.snapshots[t][i], state.white), (r, t)
+            assert np.array_equal(out.snapshot_totals[t], state.totals())
+
+
+def reference_distribution(g, scheme, initial, horizon):
+    """Exact law by enumerating every draw vector with Fraction products."""
+    n = g.n
+    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
+    adj = g.adjacency()
+    inflow = m_vec @ adj
+
+    states = {tuple(int(x) for x in initial.white): Fraction(1)}
+    totals = initial.totals().copy()
+    for _ in range(horizon):
+        nxt: dict = {}
+        for w, prob in states.items():
+            z = [Fraction(w[i], int(totals[i])) for i in range(n)]
+            for draws in itertools.product((1, 0), repeat=n):
+                p_draw = prob
+                for i, d in enumerate(draws):
+                    p_draw *= z[i] if d else 1 - z[i]
+                    if p_draw == 0:
+                        break
+                if p_draw == 0:
+                    continue
+                sent = [
+                    int(a_vec[j]) if d else int(m_vec[j] - b_vec[j]) for j, d in enumerate(draws)
+                ]
+                w_next = tuple(
+                    w[i] + sum(sent[j] for j in range(n) if adj[j, i]) for i in range(n)
+                )
+                nxt[w_next] = nxt.get(w_next, Fraction(0)) + p_draw
+        states = nxt
+        totals = totals + inflow
+
+    out = []
+    for w in sorted(states):
+        white = np.array(w, dtype=np.int64)
+        out.append((UrnState(white=white, black=totals - white, time=horizon), states[w]))
+    return out
+
+
+def as_rows(dist):
+    return [(s.white.tolist(), s.black.tolist(), s.time, p) for s, p in dist]
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=urn_problems(max_n=4), horizon=st.integers(0, 3))
+def test_enumeration_equals_fraction_reference(problem, horizon):
+    g, scheme, init = problem
+    dist = brute_force_distribution(g, scheme, init, horizon, allow_zero_in_degree=True)
+    assert all(type(p) is Fraction and p > 0 for _, p in dist)
+    assert as_rows(dist) == as_rows(reference_distribution(g, scheme, init, horizon))

@@ -242,6 +242,16 @@ def test_make_stream_validation():
         make_stream(0, run_index=2**64)
 
 
+@pytest.mark.parametrize("run_index", [-1, 2**64])
+def test_simulate_runs_rejects_run_index_outside_64_bits(run_index):
+    g = two_cycle()
+    init = default_initial_state(2)
+    with pytest.raises(InvalidParamsError):
+        simulate_runs(g, ReplacementMatrix(1, 1, 1), init, 5, 0, [run_index])
+    with pytest.raises(InvalidParamsError):
+        simulate_runs(g, ReplacementMatrix(1, 1, 1), init, 5, 0, [0, 3, run_index])
+
+
 def test_friedman_consensus_single_run():
     # A single long run settles near 1/2 under a = b = 0.  The graph must
     # not be bipartite-like: with a + b = 0 an adjacency eigenvalue at -1
