@@ -230,8 +230,7 @@ def cmd_simulate(args) -> int:
     checkpoints = record_times(args.horizon, policy)
     result = run_ensemble(
         g, scheme, initial, args.horizon, args.runs, args.seed,
-        checkpoints=checkpoints, threads=args.threads,
-        allow_zero_in_degree=args.allow_violations,
+        checkpoints=checkpoints, allow_zero_in_degree=args.allow_violations,
     )
     out = args.out or "ensemble.json"
     fileio.write_ensemble_json(out, result, config, __version__)
@@ -410,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", help="JSON initial state file")
     p.add_argument("--checkpoints", choices=("every", "geometric", "final"), default="geometric")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--allow-violations", action="store_true")
     p.add_argument("--out", help="trajectory (runs=1) or ensemble JSON output path")
     p.add_argument("--summary-out", help="per-checkpoint summary CSV (ensembles)")
@@ -447,6 +445,9 @@ def _config_argv(path: str, command: str) -> list:
     """Turn an embedded/flat config file into argv tokens for `command`."""
     cfg = fileio.read_config_file(path)
     cfg.pop("command", None)
+    # configs written by 0.1.0 carry the removed --threads flag; the worker
+    # count never changed the output, so dropping it reruns them unchanged
+    cfg.pop("threads", None)
     argv = []
     for key, value in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")

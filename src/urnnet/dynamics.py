@@ -16,6 +16,7 @@ never depend on batching or execution order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +43,12 @@ class ReplacementMatrix:
     m: int
 
     def __post_init__(self):
+        for name in ("a", "b", "m"):
+            value = getattr(self, name)
+            # bool is an Integral, but True as a ball count is a caller's mistake
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m < 1:
             raise InvalidParamsError("m must be a positive integer")
         if not (0 <= self.a <= self.m and 0 <= self.b <= self.m):
@@ -115,10 +122,12 @@ class UrnState:
     time: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.white, dtype=np.int64)
-        b = np.asarray(self.black, dtype=np.int64)
+        w, b = np.asarray(self.white), np.asarray(self.black)
         if w.shape != b.shape or w.ndim != 1:
             raise InvalidParamsError("white and black must be 1-d vectors of equal length")
+        if w.size and (w.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
+            raise InvalidParamsError("ball counts must be integers")
+        w, b = w.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         if np.any(w < 0) or np.any(b < 0):
             raise InvalidParamsError("ball counts must be non-negative")
         if np.any(w + b < 1):
@@ -257,6 +266,44 @@ class EngineOutput:
     sup_dev: np.ndarray | None = None
 
 
+def check_batch(
+    g: DirectedGraph,
+    scheme,
+    initial: UrnState,
+    horizon: int,
+    run_indices,
+    recording_times=(),
+    allow_zero_in_degree: bool = False,
+) -> None:
+    """Raise the error `simulate_runs` would raise for these arguments.
+
+    Runs every check on the inputs before the first draw: sizes, a
+    reinforced graph, the scheme, integer exactness of the ball counts up
+    to `horizon`, run indices in [0, 2**64) and recording times in
+    [0, horizon].  Cheap, so callers that hand batches to other processes
+    run it first and report bad input in their own process.
+    """
+    n = g.n
+    if initial.n != n:
+        raise InvalidParamsError("initial state size does not match graph")
+    if horizon < 0:
+        raise InvalidParamsError("horizon must be non-negative")
+    _check_reinforced(g, allow_zero_in_degree)
+    _, _, m_vec = scheme_vectors(scheme, n)
+    # balls each urn gains per step, summed over the edges: an n x n
+    # temporary here shifts the heap under simulate_runs' step loop, which
+    # then made glibc re-fault its temporaries every step at n = 200
+    inflow = [0] * n
+    for i, j in g.edges:
+        inflow[j - 1] += int(m_vec[i - 1])
+    if float(initial.totals().max()) + horizon * float(max(inflow)) >= MAX_EXACT_COUNT:
+        raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
+    if len(run_indices) and not (0 <= min(run_indices) and max(run_indices) < 2**64):
+        raise InvalidParamsError("run index must fit in 64 bits")
+    if any(t < 0 or t > horizon for t in recording_times):
+        raise InvalidParamsError("recording times must lie in [0, horizon]")
+
+
 def simulate_runs(
     g: DirectedGraph,
     scheme,
@@ -284,34 +331,23 @@ def simulate_runs(
     the running sup-norm deviation from it is tracked per run from
     `deviation_start` onward.
     """
+    run_indices = [int(r) for r in run_indices]
+    checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
+    snapshot_set = set(int(t) for t in snapshot_times)
+    check_batch(
+        g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set),
+        allow_zero_in_degree,
+    )
     n = g.n
-    if initial.n != n:
-        raise InvalidParamsError("initial state size does not match graph")
-    if horizon < 0:
-        raise InvalidParamsError("horizon must be non-negative")
-    _check_reinforced(g, allow_zero_in_degree)
+    n_runs = len(run_indices)
+    cp_index = {t: k for k, t in enumerate(checkpoints)}
     a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
 
     adj = g.adjacency().astype(float)
     inflow = m_vec.astype(float) @ adj
     base_w = (m_vec - b_vec).astype(float) @ adj
     bonus = (a_vec + b_vec - m_vec).astype(float)[:, None] * adj
-
     totals0 = initial.totals()
-    if float(totals0.max()) + horizon * float(inflow.max(initial=0.0)) >= MAX_EXACT_COUNT:
-        raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
-
-    run_indices = [int(r) for r in run_indices]
-    if any(not (0 <= r < 2**64) for r in run_indices):
-        raise InvalidParamsError("run index must fit in 64 bits")
-    n_runs = len(run_indices)
-    checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
-    snapshot_set = set(int(t) for t in snapshot_times)
-    if any(t < 0 or t > horizon for t in checkpoints) or any(
-        t < 0 or t > horizon for t in snapshot_set
-    ):
-        raise InvalidParamsError("recording times must lie in [0, horizon]")
-    cp_index = {t: k for k, t in enumerate(checkpoints)}
 
     out = EngineOutput(
         checkpoints=checkpoints,

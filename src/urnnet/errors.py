@@ -18,6 +18,11 @@ class ZeroInDegreeError(UrnNetError):
         self.vertices = tuple(int(v) for v in vertices)
         super().__init__(f"zero in-degree at vertices {self.vertices}")
 
+    def __reduce__(self):
+        # rebuild from the fields, not the message, so the error survives
+        # the pickling that carries it out of a worker process
+        return type(self), (self.vertices,)
+
 
 class EigenConvergenceError(UrnNetError):
     """The eigenvalue iteration did not converge."""
@@ -33,6 +38,9 @@ class SingularMatrixError(UrnNetError):
     def __init__(self, condition: float):
         self.condition = float(condition)
         super().__init__(f"matrix is singular (condition estimate {condition:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.condition,)
 
 
 class NotCriticalRegimeError(UrnNetError):

@@ -214,6 +214,27 @@ def test_simulate_rerun_from_embedded_config(tmp_path):
     )
 
 
+def test_simulate_rerun_from_config_with_threads(tmp_path):
+    # configs written by 0.1.0 carry a threads key; they must still rerun
+    graph = tmp_path / "c2.edges"
+    run_cli("generate", "--family", "cycle-directed", "--n", "2", "--out", str(graph))
+    out1, out2 = tmp_path / "ens.json", tmp_path / "again.json"
+    assert run_cli(
+        "simulate", "--graph", str(graph), "--polya", "--horizon", "50",
+        "--runs", "3", "--seed", "7", "--out", str(out1),
+    ) == 0
+    from urnnet.fileio import config_from_output, format_config
+
+    cfg = config_from_output(out1)
+    assert "threads" not in cfg
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text(format_config({**cfg, "threads": "1"}))
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out2)) == 0
+    assert out1.read_bytes().replace(b"ens.json", b"") == out2.read_bytes().replace(
+        b"again.json", b""
+    )
+
+
 def test_simulate_ensemble_outputs(tmp_path):
     graph = tmp_path / "c2.edges"
     run_cli("generate", "--family", "cycle-directed", "--n", "2", "--out", str(graph))
@@ -253,6 +274,16 @@ def test_simulate_violations_exit_3(tmp_path):
         "simulate", "--graph", str(graph), "--polya", "--horizon", "10", "--runs", "1",
         "--seed", "0",
     ) == 3
+
+
+def test_simulate_multibatch_violations_exit_3(tmp_path, capsys):
+    graph = tmp_path / "instar.edges"
+    _write_in_star(graph)
+    assert run_cli(
+        "simulate", "--graph", str(graph), "--polya", "--horizon", "10", "--runs", "2048",
+        "--seed", "0",
+    ) == 3
+    assert "zero in-degree at vertices (2, 3, 4, 5)" in capsys.readouterr().err
 
 
 def test_verify_oracle_passes(tmp_path, capsys):

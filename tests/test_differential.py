@@ -1,8 +1,10 @@
 """Randomized differential tests: each fast path against its exact reference.
 
 The batched float64 engine must reproduce `step` driven by the run's own
-stream, draw for draw, and the integer-weight enumerator must return the
-same exact law as a plain Fraction enumeration over every draw vector.
+stream, draw for draw; an ensemble run on a process pool must equal the
+same ensemble run in one process, bit for bit; and the integer-weight
+enumerator must return the same exact law as a plain Fraction enumeration
+over every draw vector.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from urnnet.dynamics import (
     step,
 )
 from urnnet.graph import DirectedGraph
-from urnnet.montecarlo import brute_force_distribution
+from urnnet.montecarlo import brute_force_distribution, run_ensemble
 
 
 @st.composite
@@ -78,6 +80,28 @@ def test_engine_equals_exact_steps(problem, horizon, seed, runs, block_doubles):
             state = step(state, g, scheme, rng, allow_zero_in_degree=True)
             assert np.array_equal(out.snapshots[t][i], state.white), (r, t)
             assert np.array_equal(out.snapshot_totals[t], state.totals())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    problem=urn_problems(),
+    horizon=st.integers(0, 16),
+    seed=st.integers(0, 2**64 - 1),
+    runs=st.integers(2, 24),
+    batch_size=st.integers(1, 8),
+)
+def test_ensemble_equal_across_workers(problem, horizon, seed, runs, batch_size):
+    g, scheme, init = problem
+    kw = dict(
+        checkpoints=range(horizon + 1), snapshot_times=[horizon],
+        allow_zero_in_degree=True, batch_size=batch_size,
+    )
+    one = run_ensemble(g, scheme, init, horizon, runs, seed, workers=1, **kw)
+    two = run_ensemble(g, scheme, init, horizon, runs, seed, workers=2, **kw)
+    for name in ("mean_z", "cov_z", "var_phi"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert np.array_equal(one.snapshots[horizon], two.snapshots[horizon])
+    assert np.array_equal(one.snapshot_totals[horizon], two.snapshot_totals[horizon])
 
 
 def reference_distribution(g, scheme, initial, horizon):

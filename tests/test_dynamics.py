@@ -35,6 +35,18 @@ class TestReplacementMatrix:
         with pytest.raises(InvalidParamsError):
             ReplacementMatrix(0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "abm", [(1.5, 1, 2), (1, 1, 2.0), (True, 1, 1), (1, np.bool_(True), 1), (1, "1", 2)]
+    )
+    def test_rejects_non_integers(self, abm):
+        with pytest.raises(InvalidParamsError):
+            ReplacementMatrix(*abm)
+
+    def test_accepts_numpy_integers(self):
+        r = ReplacementMatrix(np.int64(1), np.int32(3), np.uint8(4))
+        assert r == ReplacementMatrix(1, 3, 4)
+        assert type(r.m) is int
+
     def test_normalized_params(self):
         r = ReplacementMatrix(1, 3, 4)
         assert (r.alpha, r.beta) == (0.25, 0.75)
@@ -64,6 +76,22 @@ class TestUrnState:
             UrnState(np.array([0]), np.array([0]))
         with pytest.raises(InvalidParamsError):
             UrnState(np.array([-1]), np.array([2]))
+
+    @pytest.mark.parametrize(
+        "white, black",
+        [([1.9, 2.5], [1, 1]), ([1, 2], [1.0, 1.0]), ([True, False], [1, 1]),
+         (np.array([1, 2], dtype=float), np.array([1, 1]))],
+    )
+    def test_rejects_non_integer_counts(self, white, black):
+        with pytest.raises(InvalidParamsError):
+            UrnState(white, black)
+
+    def test_accepts_integer_lists_and_arrays(self):
+        s = UrnState([1, 2], np.array([3, 4], dtype=np.int32))
+        assert s.white.dtype == s.black.dtype == np.int64
+        assert s.white.tolist() == [1, 2] and s.black.tolist() == [3, 4]
+        counts = np.array([5, 6], dtype=np.int64)
+        assert UrnState(counts, counts).white is counts
 
 
 def test_single_polya_urn_step():

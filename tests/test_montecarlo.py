@@ -1,6 +1,10 @@
 """Ensemble statistics, estimators, and the exact enumeration oracle."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +19,16 @@ from urnnet.dynamics import (
     expected_fractions_after_step,
     run_trajectory,
 )
+from urnnet import errors
 from urnnet.errors import (
     EnumerationTooLargeError,
     InsufficientCheckpointsError,
     InvalidParamsError,
     NotRegularError,
+    SingularMatrixError,
+    UrnNetError,
     WrongRegimeError,
+    ZeroInDegreeError,
 )
 from urnnet.graph import DirectedGraph, generate_graph
 from urnnet.montecarlo import (
@@ -37,6 +45,10 @@ from urnnet.montecarlo import (
 
 def two_cycle():
     return generate_graph("cycle_directed", {"n": 2})
+
+
+def _exit_worker(*args, **kwargs):
+    os._exit(1)
 
 
 POLYA = ReplacementMatrix(1, 1, 1)
@@ -61,11 +73,15 @@ class TestRunEnsemble:
     def test_thread_count_does_not_change_results(self):
         g = generate_graph("cycle_undirected", {"n": 6})
         init = default_initial_state(6)
-        kw = dict(checkpoints=[0, 30, 60], batch_size=8)
-        serial = run_ensemble(g, POLYA, init, 60, 20, 77, threads=1, **kw)
-        threaded = run_ensemble(g, POLYA, init, 60, 20, 77, threads=4, **kw)
-        assert np.array_equal(serial.mean_z, threaded.mean_z)
-        assert np.array_equal(serial.cov_z, threaded.cov_z)
+        kw = dict(checkpoints=[0, 30, 60], snapshot_times=[30, 60], batch_size=8)
+        serial = run_ensemble(g, POLYA, init, 60, 20, 77, workers=1, **kw)
+        for workers in (2, 3):
+            pooled = run_ensemble(g, POLYA, init, 60, 20, 77, workers=workers, **kw)
+            assert np.array_equal(serial.mean_z, pooled.mean_z)
+            assert np.array_equal(serial.cov_z, pooled.cov_z)
+            for t in (30, 60):
+                assert np.array_equal(serial.snapshots[t], pooled.snapshots[t])
+                assert np.array_equal(serial.snapshot_totals[t], pooled.snapshot_totals[t])
 
     def test_mean_bounds_and_psd(self):
         g = generate_graph("star_undirected", {"n": 5})
@@ -314,3 +330,64 @@ class TestOracleCheck:
     def test_size_guard_propagates(self):
         with pytest.raises(EnumerationTooLargeError):
             oracle_check(two_cycle(), POLYA, default_initial_state(2), 30, 100, 1)
+
+
+class TestProcessPool:
+    def test_errors_survive_pickling(self):
+        special = {ZeroInDegreeError: ([1, 3],), SingularMatrixError: (3.5e17,)}
+        subclasses = [
+            cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, UrnNetError)
+        ]
+        assert ZeroInDegreeError in subclasses and len(subclasses) > 10
+        for cls in subclasses:
+            exc = cls(*special.get(cls, ("bad input",)))
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is cls
+            assert str(back) == str(exc)
+            assert vars(back) == vars(exc)
+
+    def test_zero_in_degree_raised_before_dispatch(self):
+        star = DirectedGraph(5, frozenset((j, 1) for j in range(2, 6)))
+        with pytest.raises(ZeroInDegreeError) as info:
+            run_ensemble(star, POLYA, default_initial_state(5), 10, 3000, 0, workers=2)
+        assert info.value.vertices == (2, 3, 4, 5)
+        assert info.value.__cause__ is None  # raised here, not carried back from a worker
+        g = two_cycle()
+        kw = dict(checkpoints=[20], batch_size=4)
+        pooled = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=2, **kw)
+        serial = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=1, **kw)
+        assert np.array_equal(pooled.cov_z, serial.cov_z)
+
+    def test_broken_pool_is_replaced(self, monkeypatch):
+        g = two_cycle()
+        args = (g, POLYA, default_initial_state(2), 20, 12, 1)
+        kw = dict(checkpoints=[20], batch_size=4, workers=2)
+        from concurrent.futures.process import BrokenProcessPool
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "simulate_runs", _exit_worker)
+            with pytest.raises(BrokenProcessPool):
+                run_ensemble(*args, **kw)
+        pooled = run_ensemble(*args, **kw)
+        serial = run_ensemble(*args, **{**kw, "workers": 1})
+        assert np.array_equal(pooled.mean_z, serial.mean_z)
+
+    def test_rejects_nonpositive_workers(self):
+        with pytest.raises(InvalidParamsError):
+            run_ensemble(two_cycle(), POLYA, default_initial_state(2), 5, 4, 0, workers=0)
+
+
+def test_import_loads_no_pool_or_scipy():
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, urnnet; "
+        "print([m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
