@@ -241,103 +241,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _default_suite_setup(args):
-    """Fill in the documented default graph and rule for each suite."""
-    suite = args.suite
-    if args.graph:
-        g = fileio.read_graph(args.graph)
-    else:
-        g = {
-            "consensus": lambda: generate_graph("d_regular_random", {"n": 10, "d": 3}, seed=1),
-            "clt": lambda: generate_graph("complete_with_loops", {"n": 2}),
-            "clt-critical": lambda: generate_graph("complete_with_loops", {"n": 4}),
-            # loopless: with self-loops all urns stay identical and the
-            # cross-sectional variance is identically zero
-            "polya-rate": lambda: generate_graph("complete", {"n": 5}),
-            "martingale": lambda: generate_graph("cycle_directed", {"n": 2}),
-            "oracle": lambda: generate_graph("cycle_directed", {"n": 2}),
-            "ode-tracking": lambda: generate_graph("star_undirected", {"n": 5}),
-            "subcritical": lambda: generate_graph("cycle_undirected", {"n": 5}),
-            "heterogeneous": lambda: None,
-        }[suite]()
-    defaults = {
-        "consensus": (1, 1, 4),
-        "clt": (1, 1, 4),
-        "clt-critical": (3, 3, 4),
-        "polya-rate": (1, 1, 1),
-        "martingale": (1, 1, 1),
-        "oracle": (1, 1, 1),
-        "ode-tracking": (1, 1, 4),
-        "subcritical": (0, 0, 1),
-        "heterogeneous": (1, 1, 1),
-    }[suite]
-    if getattr(args, "polya", False):
-        scheme = ReplacementMatrix(1, 1, 1)
-    elif args.a is not None and args.b is not None:
-        scheme = ReplacementMatrix(args.a, args.b, args.m)
-    else:
-        scheme = ReplacementMatrix(*defaults)
-    return g, scheme
-
-
 def cmd_verify(args) -> int:
-    g, scheme = _default_suite_setup(args)
-    suite = args.suite
-    kw = {}
-    if args.horizon is not None:
-        kw["horizon"] = args.horizon
-    if args.runs is not None:
-        kw["runs"] = args.runs
-    if args.seed is not None:
-        kw["seed"] = args.seed
-
-    if suite == "consensus":
-        if args.tol is not None:
-            kw["tol"] = args.tol
-        report = verify.verify_consensus(g, scheme, **kw)
-    elif suite == "clt":
-        if args.tol is not None:
-            kw["tol_rel"] = args.tol
-        report = verify.verify_clt(g, scheme, **kw)
-    elif suite == "clt-critical":
-        if args.tol is not None:
-            kw["tol_rel"] = args.tol
-        report = verify.verify_clt_critical(g, scheme, **kw)
-    elif suite == "polya-rate":
-        report = verify.verify_polya_rate(g, m=scheme.m, **kw)
-    elif suite == "martingale":
-        initial = UrnState(np.array([3, 1], dtype=np.int64), np.array([1, 3], dtype=np.int64))
-        if g.n != 2:
-            initial = default_initial_state(g.n)
-        report = verify.verify_martingale(g, m=scheme.m, initial=initial, **kw)
-    elif suite == "oracle":
-        report = verify.verify_oracle(g, scheme, **kw)
-    elif suite == "ode-tracking":
-        white = np.full(g.n, 9, dtype=np.int64)
-        black = np.full(g.n, 1, dtype=np.int64)
-        white[1::2], black[1::2] = 1, 9
-        initial = UrnState(white, black)
-        if args.tol is not None:
-            kw["sup_tol"] = args.tol
-        report = verify.verify_ode_tracking(g, scheme, initial, **kw)
-    elif suite == "subcritical":
-        sub_kw = {k: v for k, v in kw.items() if k != "horizon"}
-        if args.horizon is not None:
-            sub_kw["horizons"] = (
-                max(args.horizon // 100, 10),
-                max(args.horizon // 10, 100),
-                args.horizon,
-            )
-        report = verify.verify_subcritical(g, scheme, **sub_kw)
-    elif suite == "heterogeneous":
-        report = verify.verify_heterogeneous(**kw)
+    suite = verify.SUITES[args.suite]
+    given = {key for key, value in vars(args).items() if value is not None and value is not False}
+    refused = {"tol"} if suite.tol is None else set()
+    if suite.graph is None:
+        refused |= {"graph", "a", "b", "polya", "hetero"}
+    if given & refused:
+        flags = " ".join(f"--{key}" for key in sorted(given & refused))
+        raise InvalidParamsError(f"suite {args.suite} does not use {flags}")
+    kw = {key: vars(args)[key] for key in given & {"horizon", "runs", "seed", "tol"}}
+    if suite.graph is None:
+        report = suite.run(**kw)
     else:
-        raise InvalidParamsError(f"unknown suite {suite!r}")
+        g = fileio.read_graph(args.graph) if args.graph else suite.graph()
+        if given & {"a", "b", "polya", "hetero"}:
+            scheme = _load_scheme(args, g.n)
+        else:
+            scheme = ReplacementMatrix(*suite.rule)
+        report = suite.run(g, scheme, suite.initial(g.n), **kw)
 
     if args.out:
         fileio.write_report_json(args.out, report, _resolved_config(args, "verify"), __version__)
     print(json.dumps(report, indent=1, sort_keys=True))
-    print(f"suite {suite}: {'PASS' if report['pass'] else 'FAIL'}")
+    print(f"suite {args.suite}: {'PASS' if report['pass'] else 'FAIL'}")
     return 0 if report["pass"] else 1
 
 
@@ -415,10 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=(
-        "consensus", "clt", "clt-critical", "polya-rate", "martingale",
-        "oracle", "ode-tracking", "subcritical", "heterogeneous",
-    ))
+    p.add_argument("--suite", required=True, choices=tuple(verify.SUITES))
     p.add_argument("--graph", help="override the suite's default graph")
     _add_scheme_flags(p)
     p.add_argument("--horizon", type=int)

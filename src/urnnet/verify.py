@@ -1,15 +1,20 @@
 """Named verification suites: desk-scale statistical reproductions of the
 limit theory, plus exact oracle comparisons.
 
-Each suite returns a JSON-ready report dict with a boolean "pass" and the
-statistics behind it.  Thresholds default to the documented acceptance
-values; callers may widen or tighten them.
+Every runner takes (g, scheme, initial=None, *, horizon, runs, seed[, tol]);
+the heterogeneous one builds its own graphs and takes only the keywords.
+Each returns a JSON-ready report with the statistics behind its verdict,
+"checks" as {name, value, bound, pass} records, and "pass", true when every
+check passes.  Thresholds default to the documented acceptance values;
+callers may widen or tighten them.  `SUITES` holds the CLI defaults.
 """
 
 from __future__ import annotations
 
-import time
+import inspect
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +28,13 @@ from .dynamics import (
     mean_field_path,
     simulate_runs,
 )
+from .errors import InvalidParamsError
 from .graph import DirectedGraph, generate_graph
 from .montecarlo import run_ensemble
+
+EXACT_TOL = 1e-12  # exact limits in the heterogeneous suite
+_SWEEP_TOL = 1e-8  # Lyapunov solver against the regular-graph closed form
+_POLYA = ReplacementMatrix(1, 1, 1)
 
 
 def _frobenius_rel_error(estimate: np.ndarray, target: np.ndarray) -> float:
@@ -34,42 +44,57 @@ def _frobenius_rel_error(estimate: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(estimate - target) / denom)
 
 
+def _verdict(report: dict, checks) -> dict:
+    """Attach `(name, value, bound, passed)` checks and the overall verdict."""
+    report["checks"] = [
+        {"name": name, "value": value, "bound": bound, "pass": bool(ok)}
+        for name, value, bound, ok in checks
+    ]
+    report["pass"] = all(c["pass"] for c in report["checks"])
+    return report
+
+
+def _start(g, scheme, initial, suite: str, polya: bool = False) -> UrnState:
+    """Refuse a scheme the suite's theory does not cover, then return the
+    start state, by default one ball of each colour per urn."""
+    if not isinstance(scheme, ReplacementMatrix) or (polya and not scheme.is_polya()):
+        need = "a Polya-type rule a = b = m" if polya else "one replacement matrix for every vertex"
+        raise InvalidParamsError(f"suite {suite} needs {need}, got {scheme}")
+    return default_initial_state(g.n) if initial is None else initial
+
+
 def verify_consensus(
     g: DirectedGraph,
     scheme: ReplacementMatrix,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 100_000,
     runs: int = 200,
     seed: int = 2024,
     tol: float = 0.02,
-    initial: UrnState | None = None,
 ) -> dict:
     """Per-vertex ensemble means against the predicted consensus value."""
-    if initial is None:
-        initial = default_initial_state(g.n)
+    initial = _start(g, scheme, initial, "consensus")
     c = theory.consensus_equilibrium(scheme.alpha, scheme.beta)
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
-    deviations = np.abs(result.mean_z[-1] - c)
-    return {
+    worst = float(np.abs(result.mean_z[-1] - c).max())
+    report = {
         "suite": "consensus",
         "target": c,
         "per_vertex_mean": [float(v) for v in result.mean_z[-1]],
-        "max_abs_deviation": float(deviations.max()),
-        "tolerance": tol,
+        "max_abs_deviation": worst,
         "horizon": horizon,
         "runs": runs,
-        "pass": bool(deviations.max() < tol),
     }
+    return _verdict(report, [("max_abs_deviation", worst, tol, worst < tol)])
 
 
-def lyapunov_closed_form_sweep(
-    n_graphs: int = 20, seed: int = 7, tol: float = 1e-8
-) -> dict:
+def lyapunov_closed_form_sweep(n_graphs: int = 20, seed: int = 7) -> dict:
     """Lyapunov-solver covariance against the symmetric closed form on
     random regular graphs."""
     rng = np.random.default_rng(seed)
     sizes = [(6, 3), (8, 3), (10, 3), (10, 4), (12, 4), (8, 4), (12, 3), (14, 4)]
     alphas = [0.35, 0.45, 0.6]  # Friedman rules away from the zero-noise point 1/2
-    start = time.perf_counter()
     worst = 0.0
     for k in range(n_graphs):
         n, d = sizes[k % len(sizes)]
@@ -79,108 +104,97 @@ def lyapunov_closed_form_sweep(
         sigma = theory.clt_covariance(ab, ab, a_tilde)
         closed = theory.clt_covariance_regular_closed_form(ab, ab, a_tilde)
         worst = max(worst, _frobenius_rel_error(sigma, closed))
-    elapsed = time.perf_counter() - start
-    return {
-        "n_graphs": n_graphs,
-        "max_rel_error": worst,
-        "tolerance": tol,
-        "elapsed_s": elapsed,
-        "pass": bool(worst <= tol),
+    return {"n_graphs": n_graphs, "max_rel_error": worst}
+
+
+def _clt(suite, covariance, scaling, g, scheme, initial, horizon, runs, seed, tol):
+    """Empirical scaled covariance against a theoretical one; the body shared
+    by the sqrt(t) and the critical sqrt(t / log t) suites."""
+    initial = _start(g, scheme, initial, suite)
+    alpha, beta = scheme.alpha, scheme.beta
+    a_tilde = g.weighted_adjacency()
+    c = theory.consensus_equilibrium(alpha, beta)
+    sigma = covariance(alpha, beta, a_tilde)
+    result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    empirical = montecarlo.scaled_covariance(result, c, scaling)
+    rel = _frobenius_rel_error(empirical, sigma)
+    report = {
+        "suite": suite,
+        "rho": theory.rho(alpha, beta, a_tilde).value,
+        "sigma_theory": [list(map(float, row)) for row in sigma],
+        "sigma_empirical": [list(map(float, row)) for row in empirical],
+        "frobenius_rel_error": rel,
+        "horizon": horizon,
+        "runs": runs,
     }
+    return report, [("frobenius_rel_error", rel, tol, rel <= tol)]
 
 
 def verify_clt(
     g: DirectedGraph,
     scheme: ReplacementMatrix,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 10_000,
     runs: int = 5000,
     seed: int = 11,
-    tol_rel: float = 0.15,
-    sweep: bool = True,
-    initial: UrnState | None = None,
+    tol: float = 0.15,
 ) -> dict:
-    """Empirical sqrt(t)-scaled covariance against the Lyapunov prediction."""
-    if initial is None:
-        initial = default_initial_state(g.n)
-    alpha, beta = scheme.alpha, scheme.beta
-    a_tilde = g.weighted_adjacency()
-    c = theory.consensus_equilibrium(alpha, beta)
-    sigma = theory.clt_covariance(alpha, beta, a_tilde)
-    result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
-    empirical = montecarlo.scaled_covariance(result, c, montecarlo.SCALING_SQRT_T)
-    rel = _frobenius_rel_error(empirical, sigma)
-    report = {
-        "suite": "clt",
-        "rho": theory.rho(alpha, beta, a_tilde).value,
-        "sigma_theory": [list(map(float, row)) for row in sigma],
-        "sigma_empirical": [list(map(float, row)) for row in empirical],
-        "frobenius_rel_error": rel,
-        "tolerance": tol_rel,
-        "horizon": horizon,
-        "runs": runs,
-        "pass": bool(rel <= tol_rel),
-    }
-    if sweep:
-        report["closed_form_sweep"] = lyapunov_closed_form_sweep()
-        report["pass"] = bool(report["pass"] and report["closed_form_sweep"]["pass"])
-    return report
+    """Empirical sqrt(t)-scaled covariance against the Lyapunov prediction,
+    plus the Lyapunov solver against the regular-graph closed form."""
+    report, checks = _clt(
+        "clt", theory.clt_covariance, montecarlo.SCALING_SQRT_T,
+        g, scheme, initial, horizon, runs, seed, tol,
+    )
+    sweep = report["closed_form_sweep"] = lyapunov_closed_form_sweep()
+    err = sweep["max_rel_error"]
+    checks.append(("closed_form_sweep", err, _SWEEP_TOL, err <= _SWEEP_TOL))
+    return _verdict(report, checks)
 
 
 def verify_clt_critical(
     g: DirectedGraph,
     scheme: ReplacementMatrix,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 100_000,
     runs: int = 5000,
     seed: int = 13,
-    tol_rel: float = 0.20,
-    initial: UrnState | None = None,
+    tol: float = 0.20,
 ) -> dict:
     """Empirical sqrt(t / log t)-scaled covariance on the critical line."""
-    if initial is None:
-        initial = default_initial_state(g.n)
-    alpha, beta = scheme.alpha, scheme.beta
-    a_tilde = g.weighted_adjacency()
-    c = theory.consensus_equilibrium(alpha, beta)
-    sigma = theory.clt_covariance_critical(alpha, beta, a_tilde)
-    result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
-    empirical = montecarlo.scaled_covariance(result, c, montecarlo.SCALING_CRITICAL)
-    rel = _frobenius_rel_error(empirical, sigma)
-    return {
-        "suite": "clt-critical",
-        "rho": theory.rho(alpha, beta, a_tilde).value,
-        "sigma_theory": [list(map(float, row)) for row in sigma],
-        "sigma_empirical": [list(map(float, row)) for row in empirical],
-        "frobenius_rel_error": rel,
-        "tolerance": tol_rel,
-        "horizon": horizon,
-        "runs": runs,
-        "pass": bool(rel <= tol_rel),
-    }
+    return _verdict(*_clt(
+        "clt-critical", theory.clt_covariance_critical, montecarlo.SCALING_CRITICAL,
+        g, scheme, initial, horizon, runs, seed, tol,
+    ))
 
 
 def verify_subcritical(
     g: DirectedGraph,
     scheme: ReplacementMatrix,
-    horizons=(1000, 10_000, 100_000),
+    initial: UrnState | None = None,
+    *,
+    horizon: int = 100_000,
     runs: int = 200,
     seed: int = 17,
     ratio_window=(0.3, 3.0),
-    initial: UrnState | None = None,
 ) -> dict:
     """Regime detection plus stability of the t^rho-scaled deviation norm.
 
     Checks that rho < 1/2 is reported and that the median of
-    t^rho * ||Z_t - c 1||_2 neither vanishes nor explodes across decades.
+    t^rho * ||Z_t - c 1||_2 neither vanishes nor explodes across the decades
+    horizon // 100, horizon // 10 and horizon.
     """
-    if initial is None:
-        initial = default_initial_state(g.n)
+    initial = _start(g, scheme, initial, "subcritical")
+    if horizon < 100:
+        raise InvalidParamsError(f"suite subcritical needs horizon >= 100, got {horizon}")
     alpha, beta = scheme.alpha, scheme.beta
     a_tilde = g.weighted_adjacency()
     rr = theory.rho(alpha, beta, a_tilde)
     c = theory.consensus_equilibrium(alpha, beta)
-    horizons = sorted(int(t) for t in horizons)
+    horizons = [horizon // 100, horizon // 10, horizon]
     result = run_ensemble(
-        g, scheme, initial, horizons[-1], runs, seed,
+        g, scheme, initial, horizon, runs, seed,
         checkpoints=horizons, snapshot_times=horizons,
     )
     medians = []
@@ -189,34 +203,34 @@ def verify_subcritical(
         medians.append(float(t**rr.value * np.median(norms)))
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     lo, hi = ratio_window
-    ratios_ok = all(lo <= r <= hi for r in ratios)
-    return {
+    report = {
         "suite": "subcritical",
         "rho": rr.value,
         "regime": rr.regime,
         "horizons": horizons,
         "scaled_medians": medians,
         "ratios": ratios,
-        "ratio_window": [lo, hi],
         "runs": runs,
-        "pass": bool(rr.regime == theory.REGIME_SUBCRITICAL and ratios_ok),
     }
+    return _verdict(report, [
+        ("rho", rr.value, 0.5, rr.regime == theory.REGIME_SUBCRITICAL),
+        ("ratios", ratios, [lo, hi], all(lo <= r <= hi for r in ratios)),
+    ])
 
 
 def verify_polya_rate(
     g: DirectedGraph,
+    scheme: ReplacementMatrix = _POLYA,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 100_000,
     runs: int = 500,
     seed: int = 19,
     slope_window=None,
-    m: int = 1,
-    initial: UrnState | None = None,
 ) -> dict:
-    """Log-log decay slope of the cross-sectional variance under the
+    """Log-log decay slope of the cross-sectional variance under an
     identity-type rule, against the predicted rate class."""
-    if initial is None:
-        initial = default_initial_state(g.n)
-    scheme = ReplacementMatrix(a=m, b=m, m=m)
+    initial = _start(g, scheme, initial, "polya-rate", polya=True)
     rate = theory.polya_rate_class(g.weighted_adjacency())
     if slope_window is None:
         slope_window = (rate.exponent - 0.15, rate.exponent + 0.15)
@@ -235,96 +249,96 @@ def verify_polya_rate(
     log_diag = float(x_c @ y / (x_c @ x_c))
 
     lo, hi = slope_window
-    return {
+    report = {
         "suite": "polya-rate",
         "rate_class": {"kind": rate.kind, "exponent": rate.exponent, "lambda2": rate.lambda2},
         "slope": est.slope,
         "ci_halfwidth": est.ci_halfwidth,
-        "slope_window": [lo, hi],
         "log_correction_diagnostic": log_diag,
         "t_window": list(est.t_window),
         "horizon": horizon,
         "runs": runs,
-        "pass": bool(lo <= est.slope <= hi),
     }
+    return _verdict(report, [("slope", est.slope, [lo, hi], lo <= est.slope <= hi)])
 
 
 def verify_martingale(
     g: DirectedGraph,
+    scheme: ReplacementMatrix = _POLYA,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 10_000,
     runs: int = 2000,
     seed: int = 23,
-    m: int = 1,
-    initial: UrnState | None = None,
 ) -> dict:
     """Preservation of the cross-sectional mean under identity-type rules."""
-    if initial is None:
-        initial = default_initial_state(g.n)
-    scheme = ReplacementMatrix(a=m, b=m, m=m)
+    initial = _start(g, scheme, initial, "martingale", polya=True)
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     rep = montecarlo.martingale_test(result)
-    return {
+    report = {
         "suite": "martingale",
         "drift_estimate": rep.drift_estimate,
         "threshold": rep.threshold,
         "standard_error": rep.standard_error,
         "horizon": horizon,
         "runs": runs,
-        "pass": bool(rep.passed),
     }
+    return _verdict(report, [("abs_drift", abs(rep.drift_estimate), rep.threshold, rep.passed)])
 
 
 def verify_oracle(
     g: DirectedGraph,
     scheme,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 1,
     runs: int = 100_000,
     seed: int = 29,
-    initial: UrnState | None = None,
-    allow_zero_in_degree: bool = False,
 ) -> dict:
     """Simulator law against exact enumeration, plus the exact one-step
     conditional mean identity."""
     if initial is None:
         initial = default_initial_state(g.n)
-    rep = montecarlo.oracle_check(
-        g, scheme, initial, horizon, runs, seed, allow_zero_in_degree=allow_zero_in_degree
-    )
-    one_step = montecarlo.brute_force_distribution(
-        g, scheme, initial, 1, allow_zero_in_degree=allow_zero_in_degree
-    )
+    rep = montecarlo.oracle_check(g, scheme, initial, horizon, runs, seed)
+    one_step = montecarlo.brute_force_distribution(g, scheme, initial, 1)
     mean_exact = montecarlo.distribution_mean_fractions(one_step)
     mean_formula = expected_fractions_after_step(initial, g, scheme)
-    mean_match = mean_exact == mean_formula
-    return {
+    mean_match = bool(mean_exact == mean_formula)
+    report = {
         "suite": "oracle",
         "tv_distance": rep.tv_distance,
-        "tv_threshold": rep.threshold,
         "support_size": rep.support_size,
-        "one_step_mean_exact_match": bool(mean_match),
+        "one_step_mean_exact_match": mean_match,
         "horizon": horizon,
         "runs": runs,
-        "pass": bool(rep.passed and mean_match),
     }
+    return _verdict(report, [
+        ("tv_distance", rep.tv_distance, rep.threshold, rep.passed),
+        ("one_step_mean_exact_match", mean_match, True, mean_match),
+    ])
 
 
 def verify_ode_tracking(
     g: DirectedGraph,
     scheme: ReplacementMatrix,
-    initial: UrnState,
+    initial: UrnState | None = None,
+    *,
     horizon: int = 100_000,
-    n_seeds: int = 100,
+    runs: int = 100,
     seed: int = 31,
-    sup_tol: float = 0.05,
+    tol: float = 0.05,
     start_time: int = 1000,
     required_fraction: float = 0.9,
 ) -> dict:
-    """Fraction of seeded runs that stay near the noise-free companion path.
+    """Fraction of seeded runs whose sup-norm distance from the noise-free
+    companion path stays within `tol`.
 
     The companion is the conditional-mean recursion, an Euler path of the
     limit ODE with the process's own step sizes; deviation is measured in
     sup norm from `start_time` onward.
     """
+    if initial is None:
+        initial = default_initial_state(g.n)
     reference = mean_field_path(g, scheme, initial, horizon)
     out = simulate_runs(
         g,
@@ -332,35 +346,36 @@ def verify_ode_tracking(
         initial,
         horizon,
         seed,
-        range(n_seeds),
+        range(runs),
         reference_path=reference,
         deviation_start=start_time,
     )
-    frac_ok = float(np.mean(out.sup_dev <= sup_tol))
-    return {
+    frac_ok = float(np.mean(out.sup_dev <= tol))
+    report = {
         "suite": "ode-tracking",
         "fraction_within": frac_ok,
-        "required_fraction": required_fraction,
-        "sup_tolerance": sup_tol,
         "start_time": start_time,
         "max_sup_deviation": float(out.sup_dev.max()),
-        "n_seeds": n_seeds,
+        "runs": runs,
         "horizon": horizon,
-        "pass": bool(frac_ok >= required_fraction),
     }
+    return _verdict(report, [
+        ("fraction_within", frac_ok, required_fraction, frac_ok >= required_fraction),
+    ])
 
 
 def verify_heterogeneous(
+    *,
     horizon: int = 100_000,
     runs: int = 64,
     seed: int = 37,
-    sim_tol: float = 0.02,
-    exact_tol: float = 1e-12,
+    tol: float = 0.02,
 ) -> dict:
     """Per-vertex limits under mixed replacement matrices.
 
     Covers the two-node mutual-influence formula, the star of influencers
-    with two camps, and the group-size threshold sweep.
+    with two camps, and the group-size threshold sweep.  `tol` bounds the
+    simulated limits; the exact ones are held to `EXACT_TOL`.
     """
     # Two nodes, self-loops plus both cross edges, different matrices.
     g2 = generate_graph("complete_with_loops", {"n": 2})
@@ -414,14 +429,7 @@ def verify_heterogeneous(
             if got != direct:
                 sweep_ok = False
 
-    passed = (
-        err2 <= exact_tol
-        and err_star <= exact_tol
-        and sim_err2 <= sim_tol
-        and sim_err_star <= sim_tol
-        and sweep_ok
-    )
-    return {
+    report = {
         "suite": "heterogeneous",
         "two_node_expected": expected2,
         "two_node_exact_error": err2,
@@ -430,7 +438,63 @@ def verify_heterogeneous(
         "star_exact_error": err_star,
         "star_sim_error": sim_err_star,
         "threshold_sweep_ok": sweep_ok,
-        "exact_tolerance": exact_tol,
-        "sim_tolerance": sim_tol,
-        "pass": bool(passed),
     }
+    return _verdict(report, [
+        ("two_node_exact_error", err2, EXACT_TOL, err2 <= EXACT_TOL),
+        ("star_exact_error", err_star, EXACT_TOL, err_star <= EXACT_TOL),
+        ("two_node_sim_error", sim_err2, tol, sim_err2 <= tol),
+        ("star_sim_error", sim_err_star, tol, sim_err_star <= tol),
+        ("threshold_sweep_ok", sweep_ok, True, sweep_ok),
+    ])
+
+
+def _alternating(heavy: int, light: int) -> Callable[[int], UrnState]:
+    """Start states with `heavy` white and `light` black balls at vertices
+    1, 3, 5, ... and the reverse at vertices 2, 4, ..."""
+    def start(n: int) -> UrnState:
+        white = np.full(n, heavy, dtype=np.int64)
+        black = np.full(n, light, dtype=np.int64)
+        white[1::2], black[1::2] = light, heavy
+        return UrnState(white, black)
+    return start
+
+
+def _graph(name: str, seed: int = 0, **params) -> Callable[[], DirectedGraph]:
+    return lambda: generate_graph(name, params, seed)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A runner and its CLI defaults: `graph` builds the default graph (None
+    when the runner builds its own), `rule` is the default (a, b, m), and
+    `initial` maps the vertex count to the start state."""
+
+    run: Callable[..., dict]
+    graph: Callable[[], DirectedGraph] | None = None
+    rule: tuple | None = None
+    initial: Callable[[int], UrnState] = default_initial_state
+
+    @property
+    def tol(self) -> float | None:
+        """The runner's default `tol`, None when it takes none."""
+        param = inspect.signature(self.run).parameters.get("tol")
+        return None if param is None else param.default
+
+
+SUITES = {
+    "consensus": Suite(verify_consensus, _graph("d_regular_random", seed=1, n=10, d=3), (1, 1, 4)),
+    "clt": Suite(verify_clt, _graph("complete_with_loops", n=2), (1, 1, 4)),
+    "clt-critical": Suite(verify_clt_critical, _graph("complete_with_loops", n=4), (3, 3, 4)),
+    # loopless: with self-loops all urns stay identical and the
+    # cross-sectional variance is identically zero
+    "polya-rate": Suite(verify_polya_rate, _graph("complete", n=5), (1, 1, 1)),
+    "martingale": Suite(
+        verify_martingale, _graph("cycle_directed", n=2), (1, 1, 1), _alternating(3, 1)
+    ),
+    "oracle": Suite(verify_oracle, _graph("cycle_directed", n=2), (1, 1, 1)),
+    "ode-tracking": Suite(
+        verify_ode_tracking, _graph("star_undirected", n=5), (1, 1, 4), _alternating(9, 1)
+    ),
+    "subcritical": Suite(verify_subcritical, _graph("cycle_undirected", n=5), (0, 0, 1)),
+    "heterogeneous": Suite(verify_heterogeneous),
+}

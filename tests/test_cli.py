@@ -318,6 +318,55 @@ def test_verify_report_file(tmp_path):
     assert payload["report"]["pass"] is True
 
 
+def test_verify_clt_report_file_is_reproducible(tmp_path):
+    out = tmp_path / "clt.json"
+    written = []
+    for _ in range(2):
+        assert run_cli(
+            "verify", "--suite", "clt", "--horizon", "500", "--runs", "50", "--seed", "4",
+            "--out", str(out),
+        ) in (0, 1)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+# Flags the suite cannot use, rules its theory does not cover, and a
+# subcritical horizon too short for three decades.  The small sizes keep the
+# run short should a case be accepted by mistake.
+@pytest.mark.parametrize(
+    "suite, flags",
+    [
+        ("polya-rate", ["--tol", "1e-30"]),
+        ("martingale", ["--tol", "1e-30"]),
+        ("oracle", ["--tol", "1e-30"]),
+        ("subcritical", ["--tol", "1e-30"]),
+        ("heterogeneous", ["--graph", "GRAPH"]),
+        ("heterogeneous", ["--a", "1", "--b", "1"]),
+        ("heterogeneous", ["--polya"]),
+        ("heterogeneous", ["--hetero", "HETERO"]),
+        ("polya-rate", ["--a", "0", "--b", "0"]),
+        ("martingale", ["--a", "0", "--b", "0"]),
+        ("consensus", ["--hetero", "HETERO"]),
+        ("clt", ["--hetero", "HETERO"]),
+        ("clt-critical", ["--hetero", "HETERO"]),
+        ("subcritical", ["--hetero", "HETERO"]),
+        ("subcritical", ["--horizon", "50"]),
+    ],
+)
+def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flags):
+    n = {"consensus": 10, "clt-critical": 4, "subcritical": 5}.get(suite, 2)  # default graphs
+    graph, hetero = tmp_path / "g.edges", tmp_path / "rules.json"
+    write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
+    hetero.write_text(json.dumps([{"a": 1, "b": 2, "m": 4}] * n))
+    flags = [{"GRAPH": str(graph), "HETERO": str(hetero)}.get(f, f) for f in flags]
+    argv = ["verify", "--suite", suite, "--horizon", "1000", "--runs", "16", "--seed", "1"]
+    if suite == "oracle":
+        argv[4] = "1"
+    assert run_cli(*argv, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oracle_command(tmp_path, capsys):
     graph = tmp_path / "c2.edges"
     run_cli("generate", "--family", "cycle-directed", "--n", "2", "--out", str(graph))

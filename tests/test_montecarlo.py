@@ -381,9 +381,14 @@ class TestProcessPool:
 def test_import_loads_no_pool_or_scipy():
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # the CLI's suite table must hold factories: building its default graphs
+    # at import would slow every command
     code = (
-        "import sys, urnnet; "
-        "print([m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process') "
+        "import sys, urnnet, urnnet.graph as graph; "
+        "built = []; real = graph.generate_graph; "
+        "graph.generate_graph = lambda *a, **k: built.append(a) or real(*a, **k); "
+        "import urnnet.cli; urnnet.cli.build_parser(); "
+        "print(built + [m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules])"
     )
     done = subprocess.run(

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from urnnet import verify
+from urnnet import cli, verify
 from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state
 from urnnet.graph import generate_graph
 
@@ -39,7 +39,7 @@ def test_consensus_absurd_tolerance_fails():
 def test_clt_report():
     g = generate_graph("complete_with_loops", {"n": 2})
     rep = verify.verify_clt(
-        g, ReplacementMatrix(1, 1, 4), horizon=2000, runs=400, seed=2, tol_rel=0.5
+        g, ReplacementMatrix(1, 1, 4), horizon=2000, runs=400, seed=2, tol=0.5
     )
     _check_report(rep, "clt")
     assert rep["closed_form_sweep"]["max_rel_error"] <= 1e-8
@@ -48,7 +48,7 @@ def test_clt_report():
 def test_clt_critical_report():
     g = generate_graph("complete_with_loops", {"n": 4})
     rep = verify.verify_clt_critical(
-        g, ReplacementMatrix(3, 3, 4), horizon=5000, runs=400, seed=3, tol_rel=0.5
+        g, ReplacementMatrix(3, 3, 4), horizon=5000, runs=400, seed=3, tol=0.5
     )
     _check_report(rep, "clt-critical")
     assert rep["rho"] == pytest.approx(0.5)
@@ -57,10 +57,11 @@ def test_clt_critical_report():
 def test_subcritical_report():
     g = generate_graph("cycle_undirected", {"n": 5})
     rep = verify.verify_subcritical(
-        g, ReplacementMatrix(0, 0, 1), horizons=(100, 1000, 10_000), runs=60, seed=4
+        g, ReplacementMatrix(0, 0, 1), horizon=10_000, runs=60, seed=4
     )
     _check_report(rep, "subcritical")
     assert rep["rho"] < 0.5
+    assert rep["horizons"] == [100, 1000, 10_000]
     assert len(rep["ratios"]) == 2
 
 
@@ -92,15 +93,15 @@ def test_ode_tracking_report():
     g = generate_graph("star_undirected", {"n": 5})
     initial = UrnState(np.array([9, 1, 9, 1, 5]), np.array([1, 9, 1, 9, 5]))
     rep = verify.verify_ode_tracking(
-        g, ReplacementMatrix(1, 1, 4), initial, horizon=5000, n_seeds=20, seed=8,
-        sup_tol=0.2, start_time=100,
+        g, ReplacementMatrix(1, 1, 4), initial, horizon=5000, runs=20, seed=8,
+        tol=0.2, start_time=100,
     )
     _check_report(rep, "ode-tracking")
     assert 0.0 <= rep["fraction_within"] <= 1.0
 
 
 def test_heterogeneous_report():
-    rep = verify.verify_heterogeneous(horizon=5000, runs=16, seed=9, sim_tol=0.05)
+    rep = verify.verify_heterogeneous(horizon=5000, runs=16, seed=9, tol=0.05)
     _check_report(rep, "heterogeneous")
     assert rep["threshold_sweep_ok"]
     assert rep["two_node_exact_error"] <= 1e-12
@@ -111,3 +112,26 @@ def test_default_initial_used_when_omitted():
     rep = verify.verify_consensus(g, ReplacementMatrix(1, 1, 4), horizon=200, runs=20, seed=10)
     assert rep["runs"] == 20
     assert default_initial_state(2).fractions().tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_suite_table_reports_checks(tmp_path, suite):
+    """Every suite in the table runs from the CLI and reports its checks."""
+    verify_parser = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+    (suite_flag,) = [a for a in verify_parser._actions if a.dest == "suite"]
+    assert list(suite_flag.choices) == list(verify.SUITES)
+
+    out = tmp_path / "report.json"
+    horizon = "1" if suite == "oracle" else "5000"  # the oracle enumerates every path
+    code = cli.main([
+        "verify", "--suite", suite, "--horizon", horizon, "--runs", "16", "--seed", "1",
+        "--out", str(out),
+    ])
+    report = json.loads(out.read_text())["report"]
+    assert code == (0 if report["pass"] else 1)
+    assert report["suite"] == suite
+    assert report["checks"]
+    for check in report["checks"]:
+        assert set(check) == {"name", "value", "bound", "pass"}
+        assert isinstance(check["name"], str) and isinstance(check["pass"], bool)
+    assert report["pass"] == all(check["pass"] for check in report["checks"])
