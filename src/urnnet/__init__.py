@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 from .dynamics import (
     HeterogeneousScheme,
@@ -34,7 +34,6 @@ from .theory import (
     drift,
     heterogeneous_limit,
     influence_threshold,
-    integrate_ode,
     noise_variance_c,
     polya_rate_class,
     predict,
@@ -71,5 +70,4 @@ __all__ = [
     "polya_rate_class",
     "heterogeneous_limit",
     "influence_threshold",
-    "integrate_ode",
 ]

@@ -37,24 +37,20 @@ from .errors import (
     UrnNetError,
     ZeroInDegreeError,
 )
-from .graph import DirectedGraph, generate_graph
+from .graph import FAMILIES, DirectedGraph, generate_graph
 from .montecarlo import oracle_check, run_ensemble
 
+# short names for `--family`; the full names of graph.FAMILIES work as well
 _FAMILY_ALIASES = {
     "complete-loops": "complete_with_loops",
-    "complete_with_loops": "complete_with_loops",
-    "complete": "complete",
     "cycle-directed": "cycle_directed",
-    "cycle_directed": "cycle_directed",
     "cycle-undirected": "cycle_undirected",
-    "cycle_undirected": "cycle_undirected",
     "star": "star_undirected",
-    "star_undirected": "star_undirected",
     "d-regular": "d_regular_random",
-    "d_regular_random": "d_regular_random",
     "er-min-indegree": "erdos_renyi_min_indegree",
-    "erdos_renyi_min_indegree": "erdos_renyi_min_indegree",
 }
+
+_RULE_FLAGS = ("a", "b", "m", "polya", "hetero")
 
 _NUMERICAL_ERRORS = (
     SingularMatrixError,
@@ -67,40 +63,41 @@ _NUMERICAL_ERRORS = (
 
 
 def _family_params(args) -> dict:
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.d is not None:
-        params["d"] = args.d
-    if args.p is not None:
-        params["p"] = args.p
-    return params
+    return {key: vars(args)[key] for key in ("n", "d", "p") if vars(args)[key] is not None}
 
 
 def _load_graph(args) -> DirectedGraph:
-    if getattr(args, "graph", None):
+    if args.graph:
         return fileio.read_graph(args.graph)
-    if getattr(args, "family", None):
-        return generate_graph(_FAMILY_ALIASES[args.family], _family_params(args), args.seed)
+    if args.family:
+        family = _FAMILY_ALIASES.get(args.family, args.family)
+        return generate_graph(family, _family_params(args), args.seed)
     raise InvalidParamsError("need --graph FILE or --family NAME")
 
 
-def _load_scheme(args, n: int):
-    if getattr(args, "hetero", None):
+def _given_rule_flags(args) -> list:
+    given = ((key, getattr(args, key)) for key in _RULE_FLAGS)
+    # `is` tests: --a 0 compares equal to False
+    return [f"--{key}" for key, value in given if value is not None and value is not False]
+
+
+def _load_scheme(args, default=None):
+    """The rule from exactly one of --polya, --hetero FILE and --a/--b[/--m]
+    (m = 1 when omitted); `default` when no rule flag is given."""
+    given = _given_rule_flags(args)
+    if not given:
+        if default is None:
+            raise InvalidParamsError("need --a and --b (with --m), or --polya, or --hetero FILE")
+        return default
+    if len(given) > 1 and not set(given) <= {"--a", "--b", "--m"}:
+        raise InvalidParamsError(f"{' '.join(given)}: give one of --polya, --hetero, --a/--b/--m")
+    if args.hetero is not None:
         return fileio.read_hetero_scheme(args.hetero)
-    if getattr(args, "polya", False):
+    if args.polya:
         return ReplacementMatrix(1, 1, 1)
     if args.a is None or args.b is None:
-        raise InvalidParamsError("need --a and --b (with --m), or --polya, or --hetero FILE")
-    return ReplacementMatrix(args.a, args.b, args.m)
-
-
-def _normalized_params(args, scheme=None):
-    if getattr(args, "alpha", None) is not None and getattr(args, "beta", None) is not None:
-        return args.alpha, args.beta
-    if scheme is not None and isinstance(scheme, ReplacementMatrix):
-        return scheme.alpha, scheme.beta
-    raise InvalidParamsError("need --alpha/--beta or integer --a/--b/--m")
+        raise InvalidParamsError("need both --a and --b (--m defaults to 1)")
+    return ReplacementMatrix(args.a, args.b, 1 if args.m is None else args.m)
 
 
 def _resolved_config(args, command: str) -> dict:
@@ -128,7 +125,7 @@ def _initial_state(args, n: int) -> UrnState:
 
 
 def cmd_generate(args) -> int:
-    g = generate_graph(_FAMILY_ALIASES[args.family], _family_params(args), args.seed)
+    g = _load_graph(args)
     if args.out:
         if args.out.endswith(".json"):
             fileio.write_graph_json(g, args.out)
@@ -145,58 +142,52 @@ def cmd_generate(args) -> int:
 
 def cmd_predict(args) -> int:
     g = _load_graph(args)
+    if args.initial is not None and not args.allow_violations:
+        raise InvalidParamsError("--initial is read only with --allow-violations")
+    if args.alpha is None and args.beta is None:
+        scheme = _load_scheme(args)
+    elif args.alpha is None or args.beta is None:
+        raise InvalidParamsError("need both --alpha and --beta")
+    elif _given_rule_flags(args):
+        raise InvalidParamsError("--alpha/--beta are theory-only and exclude the rule flags")
+    else:
+        scheme = None
 
-    if getattr(args, "hetero", None):
-        scheme = _load_scheme(args, g.n)
-        frozen = None
-        if not g.has_positive_in_degrees():
-            if not args.allow_violations:
-                raise ZeroInDegreeError(np.flatnonzero(g.in_degrees() == 0) + 1)
-            frozen = _initial_state(args, g.n).fractions()
+    reinforced = g.in_degrees() > 0
+    frozen = None
+    if not reinforced.all():
+        if not args.allow_violations:
+            raise ZeroInDegreeError(np.flatnonzero(~reinforced) + 1)
+        if scheme is None:
+            raise InvalidParamsError("--allow-violations needs a ball rule, not --alpha/--beta")
+        # Unreinforced urns keep their initial fractions, and those feed the
+        # limits of everything downstream of them.
+        frozen = _initial_state(args, g.n).fractions()
+
+    if isinstance(scheme, HeterogeneousScheme):
         limit = theory.heterogeneous_limit(g, scheme, frozen_fractions=frozen)
         report = {
             "n": g.n,
             "heterogeneous_limit": [float(v) for v in limit],
-            "reinforced": (g.in_degrees() > 0).tolist(),
+            "reinforced": reinforced.tolist(),
         }
-        if args.out:
-            fileio.write_report_json(args.out, report, _resolved_config(args, "predict"), __version__)
-        print(json.dumps(report, indent=1, sort_keys=True))
-        return 0
-
-    scheme = None
-    if getattr(args, "polya", False):
-        scheme = ReplacementMatrix(1, 1, 1)
-    elif args.a is not None and args.b is not None:
-        scheme = ReplacementMatrix(args.a, args.b, args.m)
-    alpha, beta = _normalized_params(args, scheme)
-
-    if not g.has_positive_in_degrees() and args.allow_violations:
-        if scheme is None:
-            raise InvalidParamsError(
-                "--allow-violations needs an integer rule (--a/--b/--m or --polya)"
-            )
-        # Unreinforced urns keep their initial fractions, and those feed the
-        # limits of everything downstream of them.
-        limit = theory.heterogeneous_limit(
-            g,
-            HeterogeneousScheme((scheme,) * g.n),
-            frozen_fractions=_initial_state(args, g.n).fractions(),
-        )
-        reinforced = (g.in_degrees() > 0).tolist()
+    elif frozen is not None:
+        rules = HeterogeneousScheme((scheme,) * g.n)
+        limit = theory.heterogeneous_limit(g, rules, frozen_fractions=frozen)
         report = {
             "regime": None,
             "n": g.n,
-            "alpha": alpha,
-            "beta": beta,
+            "alpha": scheme.alpha,
+            "beta": scheme.beta,
             "equilibrium": [float(v) for v in limit],
-            "reinforced": reinforced,
+            "reinforced": reinforced.tolist(),
             "notes": [
                 "graph has unreinforced vertices: they keep their initial fractions, "
                 "and the limits of the reinforced vertices follow from those"
             ],
         }
     else:
+        alpha, beta = (args.alpha, args.beta) if scheme is None else (scheme.alpha, scheme.beta)
         report = theory.predict(g, alpha, beta).to_dict()
 
     if args.out:
@@ -206,8 +197,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.runs == 1 and args.summary_out:
+        raise InvalidParamsError("--summary-out is written only for ensembles (--runs > 1)")
+    if args.runs > 1 and args.format == "jsonl":
+        raise InvalidParamsError("ensembles (--runs > 1) are written as JSON, not --format jsonl")
     g = _load_graph(args)
-    scheme = _load_scheme(args, g.n)
+    scheme = _load_scheme(args)
     initial = _initial_state(args, g.n)
     config = _resolved_config(args, "simulate")
     policy = {"every": "every_step", "geometric": "geometric_checkpoints", "final": "final_only"}[
@@ -246,7 +241,7 @@ def cmd_verify(args) -> int:
     given = {key for key, value in vars(args).items() if value is not None and value is not False}
     refused = {"tol"} if suite.tol is None else set()
     if suite.graph is None:
-        refused |= {"graph", "a", "b", "polya", "hetero"}
+        refused |= {"graph", *_RULE_FLAGS}
     if given & refused:
         flags = " ".join(f"--{key}" for key in sorted(given & refused))
         raise InvalidParamsError(f"suite {args.suite} does not use {flags}")
@@ -255,10 +250,7 @@ def cmd_verify(args) -> int:
         report = suite.run(**kw)
     else:
         g = fileio.read_graph(args.graph) if args.graph else suite.graph()
-        if given & {"a", "b", "polya", "hetero"}:
-            scheme = _load_scheme(args, g.n)
-        else:
-            scheme = ReplacementMatrix(*suite.rule)
+        scheme = _load_scheme(args, default=ReplacementMatrix(*suite.rule))
         report = suite.run(g, scheme, suite.initial(g.n), **kw)
 
     if args.out:
@@ -270,7 +262,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args)
-    scheme = _load_scheme(args, g.n)
+    scheme = _load_scheme(args)
     initial = _initial_state(args, g.n)
     report = oracle_check(
         g, scheme, initial, args.horizon, args.runs, args.seed,
@@ -286,7 +278,8 @@ def cmd_oracle(args) -> int:
 
 def _add_graph_source(p):
     p.add_argument("--graph", help="edge-list or .json graph file")
-    p.add_argument("--family", choices=sorted(_FAMILY_ALIASES), help="generator family")
+    p.add_argument("--family", choices=sorted({*FAMILIES, *_FAMILY_ALIASES}),
+                   help="generator family")
     p.add_argument("--n", type=int, help="vertex count for generators")
     p.add_argument("--d", type=int, help="degree for d-regular generator")
     p.add_argument("--p", type=float, help="edge probability for the ER generator")
@@ -295,7 +288,7 @@ def _add_graph_source(p):
 def _add_scheme_flags(p):
     p.add_argument("--a", type=int, help="white-draw white payout (integer)")
     p.add_argument("--b", type=int, help="black-draw black payout (integer)")
-    p.add_argument("--m", type=int, default=1, help="balls sent per draw (row sum)")
+    p.add_argument("--m", type=int, help="balls sent per draw (row sum, default 1 with --a/--b)")
     p.add_argument("--polya", action="store_true", help="shorthand for a = b = m = 1")
     p.add_argument("--hetero", help="JSON file with one {a,b,m} record per vertex")
 
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a graph from a standard family")
+    p = sub.add_parser("generate", help="write a graph from a standard family or a --graph file")
     _add_graph_source(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (.json for the JSON mirror)")
@@ -372,6 +365,10 @@ def _config_argv(path: str, command: str) -> list:
     # configs written by 0.1.0 carry the removed --threads flag; the worker
     # count never changed the output, so dropping it reruns them unchanged
     cfg.pop("threads", None)
+    # 0.1.x wrote the old default m = 1 into every config, also beside
+    # --polya, --hetero or no rule at all, where it was never read
+    if "a" not in cfg and cfg.get("m") == "1":
+        del cfg["m"]
     argv = []
     for key, value in sorted(cfg.items()):
         flag = "--" + key.replace("_", "-")

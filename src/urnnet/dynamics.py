@@ -66,9 +66,6 @@ class ReplacementMatrix:
         """Drawn colour reinforced only (the identity-type rule a = b = m)."""
         return self.a == self.m and self.b == self.m
 
-    def is_friedman(self) -> bool:
-        return self.a == self.b and self.a != self.m
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a, self.m - self.a], [self.m - self.b, self.b]], dtype=np.int64)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import (
     UrnState,
+    _check_reinforced,
     check_batch,
     geometric_checkpoints,
     scheme_vectors,
@@ -500,8 +501,7 @@ def brute_force_distribution(
         raise EnumerationTooLargeError(
             f"n * horizon = {n * horizon} exceeds {BRUTE_FORCE_MAX_BITS}"
         )
-    if not allow_zero_in_degree and not g.has_positive_in_degrees():
-        raise InvalidParamsError("graph has unreinforced vertices (pass the flag to allow)")
+    _check_reinforced(g, allow_zero_in_degree)
     a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
     adj = g.adjacency()
     inflow = [int(x) for x in m_vec @ adj]

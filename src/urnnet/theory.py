@@ -274,32 +274,6 @@ def influence_threshold(d: int, a: float, r: float, b: float, target: float):
     return None
 
 
-def integrate_ode(
-    z0: np.ndarray,
-    a_tilde: np.ndarray,
-    alpha: float,
-    beta: float,
-    horizon: float,
-    dt: float,
-):
-    """Explicit Euler path of dz/dtau = drift(z); returns (times, states).
-
-    The field is linear, so fixed-step Euler is accurate to O(dt) over any
-    finite horizon at these scales.
-    """
-    if dt <= 0:
-        raise InvalidParamsError("dt must be positive")
-    z = np.asarray(z0, dtype=float).copy()
-    steps = int(round(horizon / dt))
-    times = np.arange(steps + 1) * dt
-    path = np.empty((steps + 1, len(z)))
-    path[0] = z
-    for k in range(1, steps + 1):
-        z = z + dt * drift(z, a_tilde, alpha, beta)
-        path[k] = z
-    return times, path
-
-
 @dataclass
 class TheoryReport:
     """Bundle of every closed-form prediction that applies to one setup."""

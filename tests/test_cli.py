@@ -1,11 +1,12 @@
 """Command-line behaviour: outputs, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import pytest
 
-from urnnet.cli import main
-from urnnet.fileio import read_edge_list, write_edge_list
+from urnnet.cli import build_parser, main
+from urnnet.fileio import read_edge_list, read_graph, write_edge_list
 from urnnet.graph import DirectedGraph
 
 
@@ -20,6 +21,10 @@ def test_generate_star(tmp_path, capsys):
     assert "edges = 8" in printed
     assert "all vertices reinforced = True" in printed
     assert read_edge_list(out).n_edges == 8
+    # --graph instead of --family re-writes a graph file, here as JSON
+    mirror = tmp_path / "star.json"
+    assert run_cli("generate", "--graph", str(out), "--out", str(mirror)) == 0
+    assert read_graph(mirror) == read_edge_list(out)
 
 
 def test_generate_cycle_undirected(tmp_path):
@@ -41,6 +46,7 @@ def test_generate_er_reports_reinforced(tmp_path, capsys):
 def test_generate_invalid_params_exit_2(tmp_path):
     assert run_cli("generate", "--family", "d-regular", "--n", "5", "--d", "3") == 2
     assert run_cli("generate", "--family", "star") == 2  # missing --n
+    assert run_cli("generate", "--n", "5") == 2  # neither --family nor --graph
 
 
 def test_predict_star_friedman(tmp_path, capsys):
@@ -351,6 +357,10 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
         ("clt-critical", ["--hetero", "HETERO"]),
         ("subcritical", ["--hetero", "HETERO"]),
         ("subcritical", ["--horizon", "50"]),
+        # --m alone, or beside another rule source, names no rule
+        ("consensus", ["--m", "2"]),
+        ("polya-rate", ["--polya", "--m", "3"]),
+        ("heterogeneous", ["--m", "4"]),
     ],
 )
 def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flags):
@@ -365,6 +375,95 @@ def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flag
     assert run_cli(*argv, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Rule sources that exclude each other, --m or --alpha without its partners,
+# and files or formats the command would not read or write.
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("simulate", ["--polya", "--m", "3"]),
+        ("simulate", ["--hetero", "HETERO", "--a", "1", "--b", "1"]),
+        ("simulate", ["--m", "2"]),
+        ("simulate", ["--polya", "--runs", "2", "--format", "jsonl"]),
+        ("simulate", ["--polya", "--summary-out", "SUMMARY"]),
+        ("oracle", ["--polya", "--m", "3"]),
+        ("oracle", ["--hetero", "HETERO", "--a", "1", "--b", "1"]),
+        ("oracle", ["--m", "2"]),
+        ("predict", ["--a", "1", "--alpha", "0.3", "--beta", "0.3"]),
+        ("predict", ["--polya", "--alpha", "0.3", "--beta", "0.3"]),
+        ("predict", ["--alpha", "0.3"]),
+        ("predict", ["--polya", "--initial", "INITIAL"]),
+    ],
+)
+def test_commands_refuse_flags_they_would_ignore(tmp_path, capsys, command, flags):
+    graph, hetero = tmp_path / "c2.edges", tmp_path / "rules.json"
+    initial = tmp_path / "initial.json"
+    write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
+    hetero.write_text(json.dumps([{"a": 1, "b": 2, "m": 4}] * 2))
+    initial.write_text(json.dumps({"white": [1, 2], "black": [2, 1]}))
+    paths = {"HETERO": str(hetero), "INITIAL": str(initial), "SUMMARY": str(tmp_path / "s.csv")}
+    argv = [command, "--graph", str(graph), *(paths.get(f, f) for f in flags)]
+    if command == "simulate":
+        argv += ["--horizon", "2", "--out", str(tmp_path / "out")]
+    elif command == "oracle":
+        argv += ["--horizon", "2", "--runs", "16"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rule_flags_default_to_unset():
+    # a default would be indistinguishable from a rule the user gave
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest in ("a", "b", "m", "hetero", "alpha", "beta"):
+                assert action.default is None, (command, action.dest)
+            elif action.dest == "polya":
+                assert action.default is False, command
+            else:
+                continue
+            seen.add(command)
+    assert seen == {"predict", "simulate", "verify", "oracle"}
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--polya"], ["verify", "--suite", "oracle"]])
+def test_oracle_unreinforced_exit_3(tmp_path, capsys, argv):
+    graph = tmp_path / "instar.edges"
+    _write_in_star(graph)
+    assert run_cli(*argv, "--graph", str(graph), "--runs", "16") == 3
+    assert "zero in-degree at vertices (2, 3, 4, 5)" in capsys.readouterr().err
+
+
+def test_old_configs_with_default_m_rerun(tmp_path):
+    # 0.1.x wrote the old default m = 1 into every config, also beside --polya
+    # and into rule-less verify runs
+    from urnnet.fileio import config_from_output, format_config
+
+    graph = tmp_path / "c2.edges"
+    write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
+    out1, out2, cfg = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "old.cfg"
+    assert run_cli(
+        "simulate", "--graph", str(graph), "--polya", "--horizon", "50", "--seed", "7",
+        "--out", str(out1),
+    ) == 0
+    old = config_from_output(out1)
+    assert "m" not in old
+    cfg.write_text(format_config({**old, "m": "1"}))
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out2)) == 0
+
+    def normalised(path):
+        lines = path.read_text().replace(path.name, "OUT").splitlines()
+        return [l for l in lines if not l.startswith("# version = ")]
+
+    assert normalised(out2) == normalised(out1)
+    cfg.write_text(format_config({
+        "command": "verify", "suite": "consensus", "horizon": "50", "runs": "4",
+        "seed": "1", "m": "1", "polya": "false",
+    }))
+    assert run_cli("verify", "--config", str(cfg)) in (0, 1)
 
 
 def test_oracle_command(tmp_path, capsys):

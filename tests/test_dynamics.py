@@ -54,8 +54,6 @@ class TestReplacementMatrix:
     def test_classification(self):
         assert ReplacementMatrix(1, 1, 1).is_polya()
         assert ReplacementMatrix(3, 3, 3).is_polya()
-        assert ReplacementMatrix(2, 2, 3).is_friedman()
-        assert not ReplacementMatrix(2, 1, 3).is_friedman()
 
     def test_matrix_rows_balanced(self):
         m = ReplacementMatrix(1, 3, 4).as_matrix()
@@ -298,6 +296,24 @@ def test_mean_field_path_fixed_point():
     init = default_initial_state(5)
     path = mean_field_path(g, scheme, init, 50)
     assert np.abs(path - 0.5).max() <= 1e-14
+
+
+def test_mean_field_path_equilibrium_is_constant():
+    # alpha = 1/4, beta = 1/2: c = 0.4, which 2 white and 3 black balls hit exactly
+    g = generate_graph("star_undirected", {"n": 5})
+    init = UrnState(np.full(5, 2), np.full(5, 3))
+    path = mean_field_path(g, ReplacementMatrix(1, 2, 4), init, 5000)
+    assert np.abs(path - 0.4).max() <= 1e-12
+
+
+def test_mean_field_path_polya_mean_preserved_on_regular_graph():
+    # equal totals on a regular graph: every urn gains the same number of
+    # balls, and the Polya rule passes the fractions on unchanged in the mean
+    g = generate_graph("cycle_undirected", {"n": 6})
+    white = np.random.default_rng(1).integers(1, 10, size=6)
+    init = UrnState(white, 10 - white)
+    path = mean_field_path(g, ReplacementMatrix(1, 1, 1), init, 1000)
+    assert np.abs(path.mean(axis=1) - init.fractions().mean()).max() <= 1e-12
 
 
 def test_mean_field_path_converges_to_consensus():

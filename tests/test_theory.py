@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -321,42 +320,6 @@ class TestInfluenceThreshold:
             ]
             expected = meets.index(True) if any(meets) else None
             assert got == expected
-
-
-class TestIntegrateOde:
-    def test_equilibrium_is_constant(self):
-        a_tilde = generate_graph("star_undirected", {"n": 5}).weighted_adjacency()
-        times, path = theory.integrate_ode(np.full(5, 0.4), a_tilde, 0.25, 0.5, 5.0, 1e-3)
-        assert np.abs(path - 0.4).max() <= 1e-12
-
-    def test_converges_to_consensus(self):
-        a_tilde = generate_graph("cycle_undirected", {"n": 5}).weighted_adjacency()
-        z0 = np.array([0.9, 0.1, 0.8, 0.2, 0.5])
-        _, path = theory.integrate_ode(z0, a_tilde, 0.25, 0.25, 20.0, 1e-3)
-        assert np.abs(path[-1] - 0.5).max() <= 1e-3
-
-    def test_matches_matrix_exponential(self):
-        # Independent oracle: linear ODE solved by scipy's expm.
-        a_tilde = generate_graph("star_undirected", {"n": 5}).weighted_adjacency()
-        alpha, beta = 0.25, 0.5
-        c = theory.consensus_equilibrium(alpha, beta)
-        z0 = np.array([0.9, 0.1, 0.8, 0.2, 0.5])
-        horizon = 2.0
-        _, path = theory.integrate_ode(z0, a_tilde, alpha, beta, horizon, 1e-4)
-        m = (alpha + beta - 1.0) * a_tilde - np.eye(5)
-        exact = c + (z0 - c) @ scipy.linalg.expm(horizon * m)
-        assert np.abs(path[-1] - exact).max() <= 1e-3
-
-    def test_polya_mean_preserved_on_regular_graph(self):
-        a_tilde = generate_graph("cycle_undirected", {"n": 6}).weighted_adjacency()
-        rng = np.random.default_rng(1)
-        z0 = rng.uniform(0, 1, size=6)
-        _, path = theory.integrate_ode(z0, a_tilde, 1.0, 1.0, 10.0, 1e-2)
-        assert np.abs(path.mean(axis=1) - z0.mean()).max() <= 1e-12
-
-    def test_bad_dt(self):
-        with pytest.raises(InvalidParamsError):
-            theory.integrate_ode(np.array([0.5]), np.array([[1.0]]), 0.3, 0.3, 1.0, 0.0)
 
 
 class TestPredict:
