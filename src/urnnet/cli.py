@@ -68,6 +68,9 @@ def _family_params(args) -> dict:
 
 def _load_graph(args) -> DirectedGraph:
     if args.graph:
+        generator = [f"--{key}" for key in ("family", "n", "d", "p") if vars(args)[key] is not None]
+        if generator:
+            raise InvalidParamsError(f"--graph excludes the generator flags {' '.join(generator)}")
         return fileio.read_graph(args.graph)
     if args.family:
         family = _FAMILY_ALIASES.get(args.family, args.family)
@@ -142,8 +145,11 @@ def cmd_generate(args) -> int:
 
 def cmd_predict(args) -> int:
     g = _load_graph(args)
-    if args.initial is not None and not args.allow_violations:
-        raise InvalidParamsError("--initial is read only with --allow-violations")
+    reinforced = g.in_degrees() > 0
+    if args.initial is not None and (not args.allow_violations or reinforced.all()):
+        raise InvalidParamsError(
+            "--initial is read only with --allow-violations on a graph with unreinforced vertices"
+        )
     if args.alpha is None and args.beta is None:
         scheme = _load_scheme(args)
     elif args.alpha is None or args.beta is None:
@@ -153,7 +159,6 @@ def cmd_predict(args) -> int:
     else:
         scheme = None
 
-    reinforced = g.in_degrees() > 0
     frozen = None
     if not reinforced.all():
         if not args.allow_violations:

@@ -93,21 +93,33 @@ class HeterogeneousScheme:
         return all(r.is_polya() for r in self.matrices)
 
 
-def scheme_vectors(scheme, n: int):
-    """Per-vertex (a, b, m) int64 vectors for either scheme flavour."""
-    if isinstance(scheme, ReplacementMatrix):
-        a = np.full(n, scheme.a, dtype=np.int64)
-        b = np.full(n, scheme.b, dtype=np.int64)
-        m = np.full(n, scheme.m, dtype=np.int64)
-        return a, b, m
-    if isinstance(scheme, HeterogeneousScheme):
-        if scheme.n != n:
-            raise InvalidParamsError(f"scheme has {scheme.n} matrices for {n} vertices")
-        a = np.array([r.a for r in scheme.matrices], dtype=np.int64)
-        b = np.array([r.b for r in scheme.matrices], dtype=np.int64)
-        m = np.array([r.m for r in scheme.matrices], dtype=np.int64)
-        return a, b, m
-    raise InvalidParamsError(f"unsupported scheme type {type(scheme).__name__}")
+@dataclass(frozen=True, eq=False)
+class Reinforcement:
+    """A rule's payouts along the edges of a graph, as int64 arrays.
+
+    `on_white[j, i]` and `on_black[j, i]` are the white balls urn i + 1
+    receives from urn j + 1 when j + 1 draws white or black: a_j A[j, i] and
+    (m_j - b_j) A[j, i].  `inflow[i]` is the balls urn i + 1 gains every
+    step, m @ A.  Every path that advances or predicts the urns reads these.
+    """
+
+    on_white: np.ndarray
+    on_black: np.ndarray
+    inflow: np.ndarray
+
+    @classmethod
+    def of(cls, g: DirectedGraph, scheme) -> "Reinforcement":
+        if isinstance(scheme, ReplacementMatrix):
+            rules = (scheme,) * g.n
+        elif isinstance(scheme, HeterogeneousScheme):
+            if scheme.n != g.n:
+                raise InvalidParamsError(f"scheme has {scheme.n} matrices for {g.n} vertices")
+            rules = scheme.matrices
+        else:
+            raise InvalidParamsError(f"unsupported scheme type {type(scheme).__name__}")
+        a, b, m = np.array([(r.a, r.b, r.m) for r in rules], dtype=np.int64).T
+        adj = g.adjacency()
+        return cls(a[:, None] * adj, (m - b)[:, None] * adj, m @ adj)
 
 
 @dataclass(frozen=True)
@@ -149,12 +161,9 @@ class UrnState:
         return [Fraction(int(w), int(w + b)) for w, b in zip(self.white, self.black)]
 
 
-def default_initial_state(n: int, white: int = 1, black: int = 1) -> UrnState:
-    return UrnState(
-        white=np.full(n, white, dtype=np.int64),
-        black=np.full(n, black, dtype=np.int64),
-        time=0,
-    )
+def default_initial_state(n: int) -> UrnState:
+    """One white and one black ball in every urn."""
+    return UrnState(white=np.ones(n, dtype=np.int64), black=np.ones(n, dtype=np.int64))
 
 
 def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
@@ -195,46 +204,39 @@ def step(
     if state.n != n:
         raise InvalidParamsError("state size does not match graph")
     _check_reinforced(g, allow_zero_in_degree)
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
-    adj = g.adjacency()
+    rf = Reinforcement.of(g, scheme)
     drew_white = rng.random(n) < state.fractions()
-    sent_white = np.where(drew_white, a_vec, m_vec - b_vec)
-    add_white = sent_white @ adj
-    add_black = (m_vec @ adj) - add_white
+    add_white = np.where(drew_white[:, None], rf.on_white, rf.on_black).sum(axis=0)
     return UrnState(
         white=state.white + add_white,
-        black=state.black + add_black,
+        black=state.black + rf.inflow - add_white,
         time=state.time + 1,
     )
 
 
 def expected_fractions_after_step(state: UrnState, g: DirectedGraph, scheme) -> list:
     """One-step conditional expectation of the white fractions, exact rationals."""
-    n = g.n
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
-    adj = g.adjacency()
+    rf = Reinforcement.of(g, scheme)
     z = state.exact_fractions()
-    mean_sent = [
-        Fraction(int(a_vec[j])) * z[j] + Fraction(int(m_vec[j] - b_vec[j])) * (1 - z[j])
-        for j in range(n)
-    ]
+    totals_next = state.totals() + rf.inflow
     out = []
-    for i in range(n):
-        incoming = sum(mean_sent[j] for j in range(n) if adj[j, i])
-        total_next = int(state.white[i] + state.black[i] + (m_vec @ adj[:, i]))
-        out.append((Fraction(int(state.white[i])) + incoming) / total_next)
+    for i in range(g.n):
+        incoming = sum(
+            int(rf.on_white[j, i]) * z[j] + int(rf.on_black[j, i]) * (1 - z[j]) for j in range(g.n)
+        )
+        out.append((int(state.white[i]) + incoming) / int(totals_next[i]))
     return out
 
 
-def geometric_checkpoints(horizon: int, ratio: float = 1.5) -> list:
-    """Geometrically spaced recording times in [1, horizon], end included."""
+def geometric_checkpoints(horizon: int) -> list:
+    """Recording times in [1, horizon], spaced by a factor of 1.5, end included."""
     if horizon < 1:
         return [horizon] if horizon == 0 else []
     times = set()
     x = 1.0
     while int(x) <= horizon:
         times.add(int(x))
-        x *= ratio
+        x *= 1.5
     times.add(horizon)
     return sorted(times)
 
@@ -271,8 +273,9 @@ def check_batch(
     run_indices,
     recording_times=(),
     allow_zero_in_degree: bool = False,
-) -> None:
-    """Raise the error `simulate_runs` would raise for these arguments.
+) -> Reinforcement:
+    """Raise the error `simulate_runs` would raise for these arguments, and
+    return the rule's `Reinforcement` on `g` otherwise.
 
     Runs every check on the inputs before the first draw: sizes, a
     reinforced graph, the scheme, integer exactness of the ball counts up
@@ -286,19 +289,14 @@ def check_batch(
     if horizon < 0:
         raise InvalidParamsError("horizon must be non-negative")
     _check_reinforced(g, allow_zero_in_degree)
-    _, _, m_vec = scheme_vectors(scheme, n)
-    # balls each urn gains per step, summed over the edges: an n x n
-    # temporary here shifts the heap under simulate_runs' step loop, which
-    # then made glibc re-fault its temporaries every step at n = 200
-    inflow = [0] * n
-    for i, j in g.edges:
-        inflow[j - 1] += int(m_vec[i - 1])
-    if float(initial.totals().max()) + horizon * float(max(inflow)) >= MAX_EXACT_COUNT:
+    rf = Reinforcement.of(g, scheme)
+    if float(initial.totals().max()) + horizon * float(rf.inflow.max()) >= MAX_EXACT_COUNT:
         raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
     if len(run_indices) and not (0 <= min(run_indices) and max(run_indices) < 2**64):
         raise InvalidParamsError("run index must fit in 64 bits")
     if any(t < 0 or t > horizon for t in recording_times):
         raise InvalidParamsError("recording times must lie in [0, horizon]")
+    return rf
 
 
 def simulate_runs(
@@ -331,20 +329,17 @@ def simulate_runs(
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     snapshot_set = set(int(t) for t in snapshot_times)
-    check_batch(
+    rf = check_batch(
         g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set),
         allow_zero_in_degree,
     )
     n = g.n
     n_runs = len(run_indices)
     cp_index = {t: k for k, t in enumerate(checkpoints)}
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
-
-    adj = g.adjacency().astype(float)
-    inflow = m_vec.astype(float) @ adj
-    base_w = (m_vec - b_vec).astype(float) @ adj
-    bonus = (a_vec + b_vec - m_vec).astype(float)[:, None] * adj
-    totals0 = initial.totals()
+    # white balls gained per step = base_w + drew_white @ bonus, integers in float64
+    inflow = rf.inflow.astype(float)
+    base_w = rf.on_black.sum(axis=0).astype(float)
+    bonus = (rf.on_white - rf.on_black).astype(float)
 
     out = EngineOutput(
         checkpoints=checkpoints,
@@ -359,7 +354,7 @@ def simulate_runs(
         out.sup_dev = np.zeros(n_runs)
 
     w = np.repeat(initial.white.astype(float)[None, :], n_runs, axis=0)
-    totals = totals0.astype(float)
+    totals = initial.totals().astype(float)
 
     def record(t: int):
         k = cp_index.get(t)
@@ -388,6 +383,10 @@ def simulate_runs(
     if block < horizon:
         block = min(horizon, max(4, block - block % 4))
     uniforms = np.empty((n_runs, block, n))
+    # the step loop writes into these, so it allocates nothing per step
+    frac = np.empty((n_runs, n))
+    drew_white = np.empty((n_runs, n))  # 1.0 where the urn drew white
+    gain = np.empty((n_runs, n))
 
     t = 0
     while t < horizon:
@@ -398,13 +397,17 @@ def simulate_runs(
             bitgen.state = rekey
             gen.random(out=uniforms[i, :this_block, :])
         for s in range(this_block):
-            drew_white = uniforms[:, s, :] < (w / totals)
-            w += base_w + drew_white.astype(float) @ bonus
-            totals = totals + inflow
+            np.divide(w, totals, out=frac)
+            np.less(uniforms[:, s, :], frac, out=drew_white)
+            np.matmul(drew_white, bonus, out=gain)
+            gain += base_w
+            w += gain
+            totals += inflow
             t += 1
             if reference_path is not None and t >= deviation_start:
-                dev = np.abs(w / totals - reference_path[t]).max(axis=1)
-                np.maximum(out.sup_dev, dev, out=out.sup_dev)
+                np.divide(w, totals, out=frac)
+                frac -= reference_path[t]
+                np.maximum(out.sup_dev, np.abs(frac, out=frac).max(axis=1), out=out.sup_dev)
             if t in cp_index or t in snapshot_set:
                 record(t)
     return out
@@ -446,18 +449,16 @@ def mean_field_path(g: DirectedGraph, scheme, initial: UrnState, horizon: int) -
     by its expectation.  This is an Euler path of the limit ODE with the
     recursion's own per-vertex step sizes.
     """
-    n = g.n
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
-    adj = g.adjacency().astype(float)
-    inflow = m_vec.astype(float) @ adj
-    path = np.empty((horizon + 1, n))
+    rf = Reinforcement.of(g, scheme)
+    on_white, on_black = rf.on_white.astype(float), rf.on_black.astype(float)
+    inflow = rf.inflow.astype(float)
+    path = np.empty((horizon + 1, g.n))
     x = initial.fractions()
     totals = initial.totals().astype(float)
     path[0] = x
     for t in range(1, horizon + 1):
-        mean_sent = a_vec * x + (m_vec - b_vec) * (1.0 - x)
         totals_next = totals + inflow
-        x = (totals * x + mean_sent @ adj) / totals_next
+        x = (totals * x + x @ on_white + (1.0 - x) @ on_black) / totals_next
         totals = totals_next
         path[t] = x
     return path

@@ -111,6 +111,10 @@ def _undirected(pairs: Iterable) -> set:
 
 
 def _require(params: Mapping, keys: tuple) -> tuple:
+    """The family's parameters `keys` from `params`, which may hold no others."""
+    unused = sorted(set(params) - set(keys))
+    if unused:
+        raise InvalidParamsError(f"this family reads {', '.join(keys)}, not {', '.join(unused)}")
     try:
         return tuple(params[k] for k in keys)
     except KeyError as exc:

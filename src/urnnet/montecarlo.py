@@ -21,11 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
+    Reinforcement,
     UrnState,
     _check_reinforced,
     check_batch,
     geometric_checkpoints,
-    scheme_vectors,
     simulate_runs,
 )
 from .errors import (
@@ -405,10 +405,10 @@ class SlopeEstimate(NamedTuple):
     t_window: tuple
 
 
-def variance_decay_slope(result: EnsembleResult, tail_fraction: float = 0.5) -> SlopeEstimate:
+def variance_decay_slope(result: EnsembleResult) -> SlopeEstimate:
     """Log-log slope of var_phi against t over the late checkpoints.
 
-    Fits ordinary least squares on the tail fraction of positive-variance
+    Fits ordinary least squares on the later half of the positive-variance
     checkpoints and returns the slope with a 1.96-standard-error halfwidth.
     """
     if not result.is_polya:
@@ -422,8 +422,7 @@ def variance_decay_slope(result: EnsembleResult, tail_fraction: float = 0.5) -> 
         for t, v in zip(result.checkpoints, result.var_phi)
         if t >= 1 and v > floor
     ]
-    start = int(len(usable) * (1.0 - tail_fraction))
-    tail = usable[start:]
+    tail = usable[len(usable) // 2 :]
     if len(tail) < 5:
         raise InsufficientCheckpointsError(
             f"need at least 5 tail checkpoints, have {len(tail)}"
@@ -502,17 +501,10 @@ def brute_force_distribution(
             f"n * horizon = {n * horizon} exceeds {BRUTE_FORCE_MAX_BITS}"
         )
     _check_reinforced(g, allow_zero_in_degree)
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
-    adj = g.adjacency()
-    inflow = [int(x) for x in m_vec @ adj]
+    rf = Reinforcement.of(g, scheme)
+    inflow = rf.inflow.tolist()
     # white balls vertex j adds to every urn when it draws white / black
-    sends = [
-        (
-            tuple(int(a_vec[j]) if adj[j, i] else 0 for i in range(n)),
-            tuple(int(m_vec[j] - b_vec[j]) if adj[j, i] else 0 for i in range(n)),
-        )
-        for j in range(n)
-    ]
+    sends = list(zip(map(tuple, rf.on_white.tolist()), map(tuple, rf.on_black.tolist())))
 
     states = {tuple(int(x) for x in initial.white): 1}
     totals = [int(x) for x in initial.totals()]

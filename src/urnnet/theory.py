@@ -22,14 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .dynamics import HeterogeneousScheme, scheme_vectors
+from .dynamics import HeterogeneousScheme, Reinforcement
 from .errors import (
     InvalidParamsError,
     NotRegularError,
     PolyaTypeError,
     SingularLimitSystemError,
     WrongRegimeError,
-    ZeroInDegreeError,
 )
 from .graph import DirectedGraph
 
@@ -217,10 +216,8 @@ def heterogeneous_limit(
     result reduces to the consensus value on every coordinate.
     """
     n = g.n
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
-    adj = g.adjacency().astype(float)
-    m_hat = m_vec.astype(float) @ adj
-    reinforced = m_hat > 0
+    rf = Reinforcement.of(g, scheme)
+    reinforced = rf.inflow > 0
 
     if not reinforced.all():
         if frozen_fractions is None:
@@ -231,11 +228,10 @@ def heterogeneous_limit(
         if frozen_fractions.shape != (n,):
             raise InvalidParamsError("frozen_fractions must have one entry per vertex")
 
-    weight = np.zeros_like(adj)
-    np.divide(adj, m_hat[np.newaxis, :], out=weight, where=m_hat[np.newaxis, :] > 0)
-    c_vec = (a_vec + b_vec - m_vec).astype(float)
-    cp = c_vec[:, None] * weight
-    intercept = (m_vec - b_vec).astype(float) @ weight
+    # an unreinforced column has no payouts, so any positive divisor works
+    m_hat = np.maximum(rf.inflow, 1)
+    cp = (rf.on_white - rf.on_black) / m_hat
+    intercept = rf.on_black.sum(axis=0) / m_hat
 
     z = np.zeros(n)
     idx = np.flatnonzero(reinforced)
@@ -255,16 +251,15 @@ def heterogeneous_limit(
     return z
 
 
-def influence_threshold(d: int, a: float, r: float, b: float, target: float):
+def influence_threshold(d: int, a: float, r: float, target: float):
     """Smallest group-1 size d1 with (a d1 + r (d - d1)) / d >= target.
 
-    Exact rational comparisons on the affine formula; b cancels out of it
-    (both groups share it) and is accepted only for interface symmetry.
-    Returns None when even d1 = d falls short.
+    Exact rational comparisons on the affine formula.  Returns None when
+    even d1 = d falls short.
     """
     if d < 1:
         raise InvalidParamsError("d must be >= 1")
-    for name, value in (("a", a), ("r", r), ("b", b), ("target", target)):
+    for name, value in (("a", a), ("r", r), ("target", target)):
         if not (0.0 <= value <= 1.0):
             raise InvalidParamsError(f"{name} must lie in [0, 1]")
     fa, fr, ft = Fraction(a), Fraction(r), Fraction(target)
@@ -314,8 +309,6 @@ class TheoryReport:
 def predict(g: DirectedGraph, alpha: float, beta: float) -> TheoryReport:
     """All predictions for a homogeneous rule on a fully reinforced graph."""
     _check_params(alpha, beta)
-    if not g.has_positive_in_degrees():
-        raise ZeroInDegreeError(np.flatnonzero(g.in_degrees() == 0) + 1)
     a_tilde = g.weighted_adjacency()
 
     if is_polya_params(alpha, beta):

@@ -89,10 +89,11 @@ def verify_consensus(
     return _verdict(report, [("max_abs_deviation", worst, tol, worst < tol)])
 
 
-def lyapunov_closed_form_sweep(n_graphs: int = 20, seed: int = 7) -> dict:
-    """Lyapunov-solver covariance against the symmetric closed form on
+def lyapunov_closed_form_sweep() -> dict:
+    """Lyapunov-solver covariance against the symmetric closed form on 20
     random regular graphs."""
-    rng = np.random.default_rng(seed)
+    n_graphs = 20
+    rng = np.random.default_rng(7)
     sizes = [(6, 3), (8, 3), (10, 3), (10, 4), (12, 4), (8, 4), (12, 3), (14, 4)]
     alphas = [0.35, 0.45, 0.6]  # Friedman rules away from the zero-noise point 1/2
     worst = 0.0
@@ -420,7 +421,7 @@ def verify_heterogeneous(
     sweep_ok = True
     for dd in range(1, 21):
         for a, r, target in ((0.9, 0.1, 0.5), (0.6, 0.2, 0.55), (0.3, 0.3, 0.4), (0.2, 0.1, 0.9)):
-            got = theory.influence_threshold(dd, a, r, 0.5, target)
+            got = theory.influence_threshold(dd, a, r, target)
             meets = [
                 Fraction(a) * x + Fraction(r) * (dd - x) >= Fraction(target) * dd
                 for x in range(dd + 1)

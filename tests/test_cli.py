@@ -2,9 +2,11 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
+import urnnet
 from urnnet.cli import build_parser, main
 from urnnet.fileio import read_edge_list, read_graph, write_edge_list
 from urnnet.graph import DirectedGraph
@@ -47,6 +49,23 @@ def test_generate_invalid_params_exit_2(tmp_path):
     assert run_cli("generate", "--family", "d-regular", "--n", "5", "--d", "3") == 2
     assert run_cli("generate", "--family", "star") == 2  # missing --n
     assert run_cli("generate", "--n", "5") == 2  # neither --family nor --graph
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "star", "--n", "5", "--d", "3", "--p", "0.5"],
+        ["--family", "complete", "--n", "4", "--d", "2"],
+        ["--family", "d-regular", "--n", "6", "--d", "3", "--p", "0.5"],
+        ["--family", "er-min-indegree", "--n", "6", "--p", "0.5", "--d", "2"],
+    ],
+)
+def test_generate_refuses_parameters_the_family_does_not_read(tmp_path, capsys, flags):
+    out = tmp_path / "g.edges"
+    assert run_cli("generate", *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_predict_star_friedman(tmp_path, capsys):
@@ -394,6 +413,12 @@ def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flag
         ("predict", ["--polya", "--alpha", "0.3", "--beta", "0.3"]),
         ("predict", ["--alpha", "0.3"]),
         ("predict", ["--polya", "--initial", "INITIAL"]),
+        ("predict", ["--family", "star", "--n", "5", "--polya"]),
+        ("generate", ["--n", "5"]),
+        ("generate", ["--family", "star"]),
+        ("simulate", ["--polya", "--d", "3"]),
+        # every urn of the 2-cycle is reinforced, so no start state is read
+        ("predict", ["--polya", "--allow-violations", "--initial", "INITIAL"]),
     ],
 )
 def test_commands_refuse_flags_they_would_ignore(tmp_path, capsys, command, flags):
@@ -411,6 +436,13 @@ def test_commands_refuse_flags_they_would_ignore(tmp_path, capsys, command, flag
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == urnnet.__version__
 
 
 def test_rule_flags_default_to_unset():

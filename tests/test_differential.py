@@ -21,7 +21,6 @@ from urnnet.dynamics import (
     ReplacementMatrix,
     UrnState,
     make_stream,
-    scheme_vectors,
     simulate_runs,
     step,
 )
@@ -107,9 +106,12 @@ def test_ensemble_equal_across_workers(problem, horizon, seed, runs, batch_size)
 def reference_distribution(g, scheme, initial, horizon):
     """Exact law by enumerating every draw vector with Fraction products."""
     n = g.n
-    a_vec, b_vec, m_vec = scheme_vectors(scheme, n)
+    rules = scheme.matrices if isinstance(scheme, HeterogeneousScheme) else (scheme,) * n
+    a_vec = [r.a for r in rules]
+    b_vec = [r.b for r in rules]
+    m_vec = [r.m for r in rules]
     adj = g.adjacency()
-    inflow = m_vec @ adj
+    inflow = np.array(m_vec) @ adj
 
     states = {tuple(int(x) for x in initial.white): Fraction(1)}
     totals = initial.totals().copy()
@@ -125,9 +127,7 @@ def reference_distribution(g, scheme, initial, horizon):
                         break
                 if p_draw == 0:
                     continue
-                sent = [
-                    int(a_vec[j]) if d else int(m_vec[j] - b_vec[j]) for j, d in enumerate(draws)
-                ]
+                sent = [a_vec[j] if d else m_vec[j] - b_vec[j] for j, d in enumerate(draws)]
                 w_next = tuple(
                     w[i] + sum(sent[j] for j in range(n) if adj[j, i]) for i in range(n)
                 )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from urnnet.dynamics import (
     HeterogeneousScheme,
+    Reinforcement,
     ReplacementMatrix,
     UrnState,
     default_initial_state,
@@ -90,6 +91,32 @@ class TestUrnState:
         assert s.white.tolist() == [1, 2] and s.black.tolist() == [3, 4]
         counts = np.array([5, 6], dtype=np.int64)
         assert UrnState(counts, counts).white is counts
+
+
+class TestReinforcement:
+    # vertex 1 has a self-loop, vertex 3 has no in-edges
+    GRAPH = DirectedGraph(3, frozenset({(1, 1), (1, 2), (2, 1), (3, 2)}))
+
+    def test_heterogeneous_payouts(self):
+        rules = (ReplacementMatrix(1, 2, 4), ReplacementMatrix(3, 0, 3), ReplacementMatrix(0, 1, 2))
+        rf = Reinforcement.of(self.GRAPH, HeterogeneousScheme(rules))
+        # on_white[j, i] = a_j A[j, i], on_black[j, i] = (m_j - b_j) A[j, i]
+        assert rf.on_white.tolist() == [[1, 1, 0], [3, 0, 0], [0, 0, 0]]
+        assert rf.on_black.tolist() == [[2, 2, 0], [3, 0, 0], [0, 1, 0]]
+        assert rf.inflow.tolist() == [7, 6, 0]
+        assert rf.on_white.dtype == rf.on_black.dtype == rf.inflow.dtype == np.int64
+
+    def test_homogeneous_payouts(self):
+        rf = Reinforcement.of(self.GRAPH, ReplacementMatrix(2, 1, 3))
+        assert rf.on_white.tolist() == rf.on_black.tolist() == [[2, 2, 0], [2, 0, 0], [0, 2, 0]]
+        assert rf.inflow.tolist() == [6, 6, 0]
+
+    def test_rejects_mismatched_or_unknown_schemes(self):
+        two = HeterogeneousScheme((ReplacementMatrix(1, 1, 1),) * 2)
+        with pytest.raises(InvalidParamsError, match="2 matrices for 3 vertices"):
+            Reinforcement.of(self.GRAPH, two)
+        with pytest.raises(InvalidParamsError, match="unsupported scheme"):
+            Reinforcement.of(self.GRAPH, (1, 1, 1))
 
 
 def test_single_polya_urn_step():

@@ -108,6 +108,17 @@ def test_unknown_family():
         generate_graph("petersen", {"n": 10}, seed=0)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [("star_undirected", {"n": 5, "d": 3}), ("complete", {"n": 4, "p": 0.5}),
+     ("d_regular_random", {"n": 6, "d": 3, "p": 0.5}),
+     ("erdos_renyi_min_indegree", {"n": 6, "p": 0.5, "d": 2})],
+)
+def test_parameters_the_family_does_not_read_are_refused(family, params):
+    with pytest.raises(InvalidParamsError):
+        generate_graph(family, params, seed=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20), p=st.floats(0.0, 0.3))
 def test_er_repair_guarantees_reinforcement(seed, n, p):

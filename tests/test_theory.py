@@ -299,21 +299,21 @@ class TestHeterogeneousLimit:
 
 class TestInfluenceThreshold:
     def test_documented_example(self):
-        assert theory.influence_threshold(10, 0.9, 0.1, 0.5, 0.5) == 5
+        assert theory.influence_threshold(10, 0.9, 0.1, 0.5) == 5
 
     def test_equal_rates(self):
-        assert theory.influence_threshold(8, 0.3, 0.3, 0.5, 0.4) is None
-        assert theory.influence_threshold(8, 0.6, 0.6, 0.5, 0.4) == 0
+        assert theory.influence_threshold(8, 0.3, 0.3, 0.4) is None
+        assert theory.influence_threshold(8, 0.6, 0.6, 0.4) == 0
 
     def test_zero_target(self):
-        assert theory.influence_threshold(12, 0.2, 0.1, 0.5, 0.0) == 0
+        assert theory.influence_threshold(12, 0.2, 0.1, 0.0) == 0
 
     def test_unreachable(self):
-        assert theory.influence_threshold(5, 0.4, 0.1, 0.5, 0.9) is None
+        assert theory.influence_threshold(5, 0.4, 0.1, 0.9) is None
 
     def test_first_hit_property(self):
         for d in range(1, 21):
-            got = theory.influence_threshold(d, 0.7, 0.2, 0.5, 0.6)
+            got = theory.influence_threshold(d, 0.7, 0.2, 0.6)
             meets = [
                 Fraction(0.7) * x + Fraction(0.2) * (d - x) >= Fraction(0.6) * d
                 for x in range(d + 1)
@@ -356,5 +356,6 @@ class TestPredict:
 
     def test_unreinforced_graph_rejected(self):
         g = DirectedGraph(2, frozenset({(1, 2)}))
-        with pytest.raises(ZeroInDegreeError):
+        with pytest.raises(ZeroInDegreeError) as info:
             theory.predict(g, 0.25, 0.25)
+        assert info.value.vertices == (1,)
