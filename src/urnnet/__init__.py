@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"
 
 from .dynamics import (
     HeterogeneousScheme,
@@ -27,17 +27,16 @@ from .montecarlo import (
     variance_decay_slope,
 )
 from .theory import (
+    Fluctuations,
     TheoryReport,
-    clt_covariance,
-    clt_covariance_critical,
     consensus_equilibrium,
     drift,
+    fluctuations,
     heterogeneous_limit,
     influence_threshold,
     noise_variance_c,
     polya_rate_class,
     predict,
-    rho,
 )
 
 __all__ = [
@@ -63,10 +62,9 @@ __all__ = [
     "predict",
     "drift",
     "consensus_equilibrium",
-    "rho",
     "noise_variance_c",
-    "clt_covariance",
-    "clt_covariance_critical",
+    "Fluctuations",
+    "fluctuations",
     "polya_rate_class",
     "heterogeneous_limit",
     "influence_threshold",

@@ -22,6 +22,7 @@ from .dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
     UrnState,
+    check_state,
     default_initial_state,
     record_times,
     run_trajectory,
@@ -118,13 +119,12 @@ def _resolved_config(args, command: str) -> dict:
     return out
 
 
-def _initial_state(args, n: int) -> UrnState:
+def _initial_state(args, g: DirectedGraph) -> UrnState:
     if getattr(args, "initial", None):
         state = fileio.read_initial_state(args.initial)
-        if state.n != n:
-            raise InvalidParamsError("initial state size does not match graph")
+        check_state(g, state)
         return state
-    return default_initial_state(n)
+    return default_initial_state(g.n)
 
 
 def cmd_generate(args) -> int:
@@ -159,15 +159,15 @@ def cmd_predict(args) -> int:
     else:
         scheme = None
 
+    if not args.allow_violations:
+        g.check_reinforced()
     frozen = None
     if not reinforced.all():
-        if not args.allow_violations:
-            raise ZeroInDegreeError(np.flatnonzero(~reinforced) + 1)
         if scheme is None:
             raise InvalidParamsError("--allow-violations needs a ball rule, not --alpha/--beta")
         # Unreinforced urns keep their initial fractions, and those feed the
         # limits of everything downstream of them.
-        frozen = _initial_state(args, g.n).fractions()
+        frozen = _initial_state(args, g).fractions()
 
     if isinstance(scheme, HeterogeneousScheme):
         limit = theory.heterogeneous_limit(g, scheme, frozen_fractions=frozen)
@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
         raise InvalidParamsError("ensembles (--runs > 1) are written as JSON, not --format jsonl")
     g = _load_graph(args)
     scheme = _load_scheme(args)
-    initial = _initial_state(args, g.n)
+    initial = _initial_state(args, g)
     config = _resolved_config(args, "simulate")
     policy = {"every": "every_step", "geometric": "geometric_checkpoints", "final": "final_only"}[
         args.checkpoints
@@ -268,7 +268,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_graph(args)
     scheme = _load_scheme(args)
-    initial = _initial_state(args, g.n)
+    initial = _initial_state(args, g)
     report = oracle_check(
         g, scheme, initial, args.horizon, args.runs, args.seed,
         allow_zero_in_degree=args.allow_violations,
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_argv(path: str, command: str) -> list:
     """Turn an embedded/flat config file into argv tokens for `command`."""
-    cfg = fileio.read_config_file(path)
+    cfg = fileio.read_config(path)
     cfg.pop("command", None)
     # configs written by 0.1.0 carry the removed --threads flag; the worker
     # count never changed the output, so dropping it reruns them unchanged

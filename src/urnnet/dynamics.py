@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError, ZeroInDegreeError
+from .errors import InvalidParamsError
 from .graph import DirectedGraph
 
 #: largest ball count the float64 fast path may reach while staying exact
@@ -178,13 +178,10 @@ def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_reinforced(g: DirectedGraph, allow_zero_in_degree: bool):
-    if allow_zero_in_degree:
-        return
-    d_in = g.in_degrees()
-    missing = np.flatnonzero(d_in == 0) + 1
-    if missing.size:
-        raise ZeroInDegreeError(missing)
+def check_state(g: DirectedGraph, state: UrnState) -> None:
+    """Raise unless `state` holds one urn per vertex of `g`."""
+    if state.n != g.n:
+        raise InvalidParamsError("initial state size does not match graph")
 
 
 def step(
@@ -200,12 +197,11 @@ def step(
     with no in-neighbours never change; by default their presence is an
     error because the limit theory assumes every urn is reinforced.
     """
-    n = g.n
-    if state.n != n:
-        raise InvalidParamsError("state size does not match graph")
-    _check_reinforced(g, allow_zero_in_degree)
+    check_state(g, state)
+    if not allow_zero_in_degree:
+        g.check_reinforced()
     rf = Reinforcement.of(g, scheme)
-    drew_white = rng.random(n) < state.fractions()
+    drew_white = rng.random(g.n) < state.fractions()
     add_white = np.where(drew_white[:, None], rf.on_white, rf.on_black).sum(axis=0)
     return UrnState(
         white=state.white + add_white,
@@ -216,6 +212,7 @@ def step(
 
 def expected_fractions_after_step(state: UrnState, g: DirectedGraph, scheme) -> list:
     """One-step conditional expectation of the white fractions, exact rationals."""
+    check_state(g, state)
     rf = Reinforcement.of(g, scheme)
     z = state.exact_fractions()
     totals_next = state.totals() + rf.inflow
@@ -283,12 +280,11 @@ def check_batch(
     [0, horizon].  Cheap, so callers that hand batches to other processes
     run it first and report bad input in their own process.
     """
-    n = g.n
-    if initial.n != n:
-        raise InvalidParamsError("initial state size does not match graph")
+    check_state(g, initial)
     if horizon < 0:
         raise InvalidParamsError("horizon must be non-negative")
-    _check_reinforced(g, allow_zero_in_degree)
+    if not allow_zero_in_degree:
+        g.check_reinforced()
     rf = Reinforcement.of(g, scheme)
     if float(initial.totals().max()) + horizon * float(rf.inflow.max()) >= MAX_EXACT_COUNT:
         raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
@@ -449,6 +445,7 @@ def mean_field_path(g: DirectedGraph, scheme, initial: UrnState, horizon: int) -
     by its expectation.  This is an Euler path of the limit ODE with the
     recursion's own per-vertex step sizes.
     """
+    check_state(g, initial)
     rf = Reinforcement.of(g, scheme)
     on_white, on_black = rf.on_white.astype(float), rf.on_black.astype(float)
     inflow = rf.inflow.astype(float)

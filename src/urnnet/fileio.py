@@ -132,43 +132,53 @@ def format_config(config: dict) -> str:
     return "".join(f"{k} = {config[k]}\n" for k in sorted(config))
 
 
-def parse_config_text(text: str) -> dict:
+def read_config(path) -> dict:
+    """The resolved configuration in a config file or in a program output.
+
+    Reads a flat "key = value" file (blank lines and "#" comments skipped),
+    the comment header of a CSV output, the "config" object of a JSON
+    output, or the header line of a JSONL trajectory.  Values are strings;
+    the version an output records is not part of its configuration.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParamsError(f"{path}: not a text config ({exc.reason})") from exc
+    if text.lstrip().startswith("{"):
+        try:
+            # the first JSON value: the whole of a JSON output, the header
+            # line of a JSONL one
+            payload, _ = json.JSONDecoder().raw_decode(text.lstrip())
+        except ValueError as exc:
+            raise InvalidParamsError(f"{path}: malformed JSON ({exc})") from exc
+        config = payload.get("config")
+        if not isinstance(config, dict):
+            raise InvalidParamsError(f"{path}: JSON without a 'config' object")
+        return {k: str(v) for k, v in config.items()}
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    csv_header = bool(lines) and lines[0].startswith("# version = ")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if csv_header:
+            if not line.startswith("# "):
+                break  # end of the comment header, start of the CSV body
+            line = line[2:]
+        elif not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise InvalidParamsError(f"config line {lineno}: expected 'key = value'")
+            raise InvalidParamsError(f"{path}: config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
+    out.pop("version", None)
     return out
-
-
-def read_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def provenance_comments(config: dict, version: str) -> list:
     lines = [f"# version = {version}"]
     lines += [f"# {k} = {config[k]}" for k in sorted(config)]
     return lines
-
-
-def config_from_output(path) -> dict:
-    """Recover the embedded config from a CSV/JSON output file."""
-    text = open(path, "r", encoding="utf-8").read()
-    if text.lstrip().startswith("{"):
-        return {k: str(v) for k, v in json.loads(text).get("config", {}).items()}
-    pairs = {}
-    for line in text.splitlines():
-        if not line.startswith("# "):
-            break
-        key, _, value = line[2:].partition(" = ")
-        pairs[key] = value
-    pairs.pop("version", None)
-    return pairs
 
 
 def write_trajectory_csv(path, trajectory, config: dict, version: str) -> None:

@@ -74,21 +74,22 @@ class DirectedGraph:
             a[i - 1, j - 1] = 1
         return a
 
-    def weighted_adjacency(self, allow_zero_in_degree: bool = False) -> np.ndarray:
+    def check_reinforced(self) -> None:
+        """Raise ZeroInDegreeError naming every vertex without incoming
+        edges, whose urn is never reinforced."""
+        missing = np.flatnonzero(self.in_degrees() == 0) + 1
+        if missing.size:
+            raise ZeroInDegreeError(missing)
+
+    def weighted_adjacency(self) -> np.ndarray:
         """Column-normalized adjacency: entry (i, j) is 1/in_degree(j) on edges.
 
-        Every column of the result sums to one.  Vertices without incoming
-        edges make that impossible; they raise unless explicitly allowed, in
-        which case their columns are left all-zero.
+        Every column of the result sums to one, which vertices without
+        incoming edges make impossible: they raise ZeroInDegreeError.
         """
-        d_in = self.in_degrees()
-        if not allow_zero_in_degree:
-            missing = np.flatnonzero(d_in == 0) + 1
-            if missing.size:
-                raise ZeroInDegreeError(missing)
-        scale = np.zeros(self.n_vertices)
-        np.divide(1.0, d_in, out=scale, where=d_in > 0)
-        return self.adjacency().astype(float) * scale[np.newaxis, :]
+        self.check_reinforced()
+        a = self.adjacency()
+        return a / a.sum(axis=0)
 
     def is_undirected(self) -> bool:
         return all((j, i) in self.edges for i, j in self.edges)

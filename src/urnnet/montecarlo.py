@@ -21,9 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    Reinforcement,
     UrnState,
-    _check_reinforced,
     check_batch,
     geometric_checkpoints,
     simulate_runs,
@@ -36,13 +34,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .graph import DirectedGraph
-
-SCALING_SQRT_T = "sqrt_t"
-SCALING_CRITICAL = "sqrt_t_over_logt"
-SCALING_T_POW = "t_pow"
-
-#: accepted alias for the critical-regime scaling (see scaled_covariance)
-_SCALING_ALIASES = {"sqrt_tlogt": SCALING_CRITICAL}
+from .theory import REGIME_CRITICAL, REGIME_SQRT_T, Fluctuations
 
 #: bound on n * horizon for exact enumeration (2^(n*T) draw sequences)
 BRUTE_FORCE_MAX_BITS = 20
@@ -354,46 +346,36 @@ def run_ensemble(
 
 
 def scaled_covariance(
-    result: EnsembleResult,
-    c: float,
-    scaling: str,
-    rho: float | None = None,
-    t: int | None = None,
+    result: EnsembleResult, record: Fluctuations, t: int | None = None
 ) -> np.ndarray:
     """Empirical covariance of the scaled deviation s(t) (Z_t - c 1).
 
-    Second moment about the predicted limit c (the limit law is centred),
-    taken at the final checkpoint unless `t` is given.
+    Second moment about the predicted limit c of `record` (the limit law is
+    centred), taken at the final checkpoint unless `t` is given.
 
-    Scalings: s(t) = sqrt(t) above the critical line, t^rho below it, and
-    sqrt(t / log t) on it.  The critical factor is sqrt(t / log t), not
-    sqrt(t log t): the fraction variance decays like log(t)/t there (the
-    familiar sqrt(t log t) belongs to ball counts, which carry an extra
-    factor of t).  The historical alias "sqrt_tlogt" selects the same
-    critical scaling.
+    The record's regime sets s(t): sqrt(t) above the critical line, t^rho
+    below it, and sqrt(t / log t) on it.  The critical factor is
+    sqrt(t / log t), not sqrt(t log t): the fraction variance decays like
+    log(t)/t there (the familiar sqrt(t log t) belongs to ball counts, which
+    carry an extra factor of t).
     """
     if result.is_polya:
         raise WrongRegimeError("scaled deviations from c are for non-identity rules")
-    scaling = _SCALING_ALIASES.get(scaling, scaling)
     if t is None:
         t = result.checkpoints[-1]
     k = result.checkpoint_index(t)
-    if scaling == SCALING_SQRT_T:
+    if record.regime == REGIME_SQRT_T:
         s2 = float(t)
-    elif scaling == SCALING_CRITICAL:
+    elif record.regime == REGIME_CRITICAL:
         if t < 2:
             raise InvalidParamsError("critical scaling needs t >= 2")
         s2 = t / math.log(t)
-    elif scaling == SCALING_T_POW:
-        if rho is None:
-            raise InvalidParamsError("t_pow scaling needs rho")
-        s2 = float(t) ** (2.0 * rho)
     else:
-        raise InvalidParamsError(f"unknown scaling {scaling!r}")
+        s2 = float(t) ** (2.0 * record.rho)
 
     mean = result.mean_z[k]
     second = result.cov_z[k] * (result.runs - 1) / result.runs + np.outer(mean, mean)
-    cvec = np.full(result.n, float(c))
+    cvec = np.full(result.n, float(record.c))
     moment = second - np.outer(mean, cvec) - np.outer(cvec, mean) + np.outer(cvec, cvec)
     return s2 * 0.5 * (moment + moment.T)
 
@@ -500,8 +482,7 @@ def brute_force_distribution(
         raise EnumerationTooLargeError(
             f"n * horizon = {n * horizon} exceeds {BRUTE_FORCE_MAX_BITS}"
         )
-    _check_reinforced(g, allow_zero_in_degree)
-    rf = Reinforcement.of(g, scheme)
+    rf = check_batch(g, scheme, initial, horizon, (), allow_zero_in_degree=allow_zero_in_degree)
     inflow = rf.inflow.tolist()
     # white balls vertex j adds to every urn when it draws white / black
     sends = list(zip(map(tuple, rf.on_white.tolist()), map(tuple, rf.on_black.tolist())))

@@ -28,7 +28,6 @@ from .errors import (
     NotRegularError,
     PolyaTypeError,
     SingularLimitSystemError,
-    WrongRegimeError,
 )
 from .graph import DirectedGraph
 
@@ -82,56 +81,60 @@ def noise_variance_c(alpha: float, beta: float) -> float:
     return mean_sq - mean**2
 
 
-class RhoRegime(NamedTuple):
-    value: float
-    regime: str
-
-
-def classify_rho(value: float) -> str:
-    if abs(value - 0.5) <= CRITICAL_RHO_TOL:
-        return REGIME_CRITICAL
-    return REGIME_SQRT_T if value > 0.5 else REGIME_SUBCRITICAL
-
-
-def rho(alpha: float, beta: float, a_tilde: np.ndarray) -> RhoRegime:
-    """Regime parameter: smallest eigenvalue real part of I - (alpha+beta-1) A~.
-
-    Computed through the spectrum of A~ itself: for alpha + beta >= 1 the
-    binding eigenvalue is the Perron value 1 (so rho = 2 - alpha - beta),
-    otherwise the eigenvalue of A~ with smallest real part.
-    """
-    _check_params(alpha, beta)
-    if is_polya_params(alpha, beta):
-        raise PolyaTypeError("rho is undefined for alpha = beta = 1")
-    k = alpha + beta - 1.0
-    spec = spectral.eigenvalues(a_tilde)
-    if k >= 0.0:
-        value = 1.0 - k * spec.max_real
-    else:
-        value = 1.0 - k * spec.min_real
-    return RhoRegime(value=float(value), regime=classify_rho(float(value)))
-
-
 def drift_matrix(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
     """H = I - (alpha + beta - 1) A~, the negated drift Jacobian."""
     n = a_tilde.shape[0]
     return np.eye(n) - (alpha + beta - 1.0) * np.asarray(a_tilde, dtype=float)
 
 
-def clt_covariance(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of sqrt(t) (Z_t - c 1) in the rho > 1/2 regime.
+class Fluctuations(NamedTuple):
+    """Consensus value c, regime parameter rho, the regime rho selects, and
+    the asymptotic covariance sigma of s(t) (Z_t - c 1): s(t) = sqrt(t) above
+    1/2, sqrt(t / log t) at 1/2 (sigma then the log-averaged Gram limit) and
+    t^rho below, where no Gaussian limit applies.  sigma is None below 1/2
+    and outside the regime a caller of `fluctuations` asked for."""
 
-    Equals C(alpha, beta) times the solution S of
-    (H - I/2)^T S + S (H - I/2) = A~^T A~.
+    c: float
+    rho: float
+    regime: str
+    sigma: np.ndarray | None
+
+
+def fluctuations(
+    alpha: float, beta: float, a_tilde: np.ndarray, regime: str | None = None
+) -> Fluctuations:
+    """Classify the fluctuation regime of a non-Polya rule and solve for its
+    covariance.
+
+    rho, the smallest eigenvalue real part of H = I - (alpha+beta-1) A~,
+    comes from one spectrum of A~: for alpha + beta >= 1 the binding
+    eigenvalue is the Perron value 1 (so rho = 2 - alpha - beta), otherwise
+    the eigenvalue of A~ with smallest real part.  Above 1/2, sigma is C(alpha,
+    beta) times the solution S of (H - I/2)^T S + S (H - I/2) = A~^T A~; at
+    1/2 (within CRITICAL_RHO_TOL) it is C(alpha, beta) times the log-averaged
+    Gram limit, which for an undirected d-regular graph on N vertices is the
+    all-ones matrix over N.  With `regime`, sigma is solved only when rho
+    falls in that regime and is None otherwise, so a caller that needs one
+    regime runs no other solver and cannot be refused by one.
     """
-    rr = rho(alpha, beta, a_tilde)
-    if rr.regime != REGIME_SQRT_T:
-        raise WrongRegimeError(f"rho = {rr.value:.6g} is not above 1/2")
+    c = consensus_equilibrium(alpha, beta)
     a_tilde = np.asarray(a_tilde, dtype=float)
+    k = alpha + beta - 1.0
+    spec = spectral.eigenvalues(a_tilde)
+    rho = float(1.0 - k * (spec.max_real if k >= 0.0 else spec.min_real))
+    if abs(rho - 0.5) <= CRITICAL_RHO_TOL:
+        found = REGIME_CRITICAL
+    else:
+        found = REGIME_SQRT_T if rho > 0.5 else REGIME_SUBCRITICAL
+    if found == REGIME_SUBCRITICAL or regime not in (None, found):
+        return Fluctuations(c, rho, found, None)
     h = drift_matrix(alpha, beta, a_tilde)
-    n = a_tilde.shape[0]
-    s = spectral.lyapunov_solve(h - 0.5 * np.eye(n), a_tilde.T @ a_tilde)
-    return noise_variance_c(alpha, beta) * s
+    gamma = a_tilde.T @ a_tilde
+    if found == REGIME_SQRT_T:
+        s = spectral.lyapunov_solve(h - 0.5 * np.eye(a_tilde.shape[0]), gamma)
+    else:
+        s = spectral.log_averaged_gram(h, gamma)
+    return Fluctuations(c, rho, found, noise_variance_c(alpha, beta) * s)
 
 
 def clt_covariance_regular_closed_form(
@@ -144,21 +147,6 @@ def clt_covariance_regular_closed_form(
     k = alpha + beta - 1.0
     inv = spectral.invert(np.eye(n) - 2.0 * k * a_tilde)
     return noise_variance_c(alpha, beta) * (a_tilde @ a_tilde) @ inv
-
-
-def clt_covariance_critical(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of sqrt(t / log t) (Z_t - c 1) on the critical line.
-
-    For an undirected d-regular graph on N vertices this reduces to
-    C(alpha, beta) / N times the all-ones matrix.
-    """
-    rr = rho(alpha, beta, a_tilde)
-    if rr.regime != REGIME_CRITICAL:
-        raise WrongRegimeError(f"rho = {rr.value:.6g} is not 1/2")
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    h = drift_matrix(alpha, beta, a_tilde)
-    gram = spectral.log_averaged_gram(h, a_tilde.T @ a_tilde)
-    return noise_variance_c(alpha, beta) * gram
 
 
 @dataclass(frozen=True)
@@ -322,20 +310,14 @@ def predict(g: DirectedGraph, alpha: float, beta: float) -> TheoryReport:
             regime=REGIME_POLYA, n=g.n, alpha=alpha, beta=beta, rate_class=rate, notes=notes
         )
 
-    c = consensus_equilibrium(alpha, beta)
-    rr = rho(alpha, beta, a_tilde)
-    sigma = None
-    if rr.regime == REGIME_SQRT_T:
-        sigma = clt_covariance(alpha, beta, a_tilde)
-    elif rr.regime == REGIME_CRITICAL:
-        sigma = clt_covariance_critical(alpha, beta, a_tilde)
+    fl = fluctuations(alpha, beta, a_tilde)
     return TheoryReport(
-        regime=rr.regime,
+        regime=fl.regime,
         n=g.n,
         alpha=alpha,
         beta=beta,
-        rho=rr.value,
-        equilibrium=np.full(g.n, c),
+        rho=fl.rho,
+        equilibrium=np.full(g.n, fl.c),
         noise_var_c=noise_variance_c(alpha, beta),
-        sigma=sigma,
+        sigma=fl.sigma,
     )

@@ -28,7 +28,7 @@ from .dynamics import (
     mean_field_path,
     simulate_runs,
 )
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, WrongRegimeError
 from .graph import DirectedGraph, generate_graph
 from .montecarlo import run_ensemble
 
@@ -102,27 +102,27 @@ def lyapunov_closed_form_sweep() -> dict:
         ab = alphas[k % len(alphas)]
         g = generate_graph("d_regular_random", {"n": n, "d": d}, seed=int(rng.integers(2**32)))
         a_tilde = g.weighted_adjacency()
-        sigma = theory.clt_covariance(ab, ab, a_tilde)
+        sigma = theory.fluctuations(ab, ab, a_tilde).sigma
         closed = theory.clt_covariance_regular_closed_form(ab, ab, a_tilde)
         worst = max(worst, _frobenius_rel_error(sigma, closed))
     return {"n_graphs": n_graphs, "max_rel_error": worst}
 
 
-def _clt(suite, covariance, scaling, g, scheme, initial, horizon, runs, seed, tol):
-    """Empirical scaled covariance against a theoretical one; the body shared
-    by the sqrt(t) and the critical sqrt(t / log t) suites."""
+def _clt(suite, regime, g, scheme, initial, horizon, runs, seed, tol):
+    """Empirical scaled covariance against the theoretical one of `regime`;
+    the body shared by the sqrt(t) and the critical sqrt(t / log t) suites.
+    A rule in another regime is refused before anything is simulated."""
     initial = _start(g, scheme, initial, suite)
-    alpha, beta = scheme.alpha, scheme.beta
-    a_tilde = g.weighted_adjacency()
-    c = theory.consensus_equilibrium(alpha, beta)
-    sigma = covariance(alpha, beta, a_tilde)
+    fl = theory.fluctuations(scheme.alpha, scheme.beta, g.weighted_adjacency(), regime)
+    if fl.regime != regime:
+        raise WrongRegimeError(f"rho = {fl.rho:.6g} gives regime {fl.regime}, not {regime}")
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
-    empirical = montecarlo.scaled_covariance(result, c, scaling)
-    rel = _frobenius_rel_error(empirical, sigma)
+    empirical = montecarlo.scaled_covariance(result, fl)
+    rel = _frobenius_rel_error(empirical, fl.sigma)
     report = {
         "suite": suite,
-        "rho": theory.rho(alpha, beta, a_tilde).value,
-        "sigma_theory": [list(map(float, row)) for row in sigma],
+        "rho": fl.rho,
+        "sigma_theory": [list(map(float, row)) for row in fl.sigma],
         "sigma_empirical": [list(map(float, row)) for row in empirical],
         "frobenius_rel_error": rel,
         "horizon": horizon,
@@ -144,8 +144,7 @@ def verify_clt(
     """Empirical sqrt(t)-scaled covariance against the Lyapunov prediction,
     plus the Lyapunov solver against the regular-graph closed form."""
     report, checks = _clt(
-        "clt", theory.clt_covariance, montecarlo.SCALING_SQRT_T,
-        g, scheme, initial, horizon, runs, seed, tol,
+        "clt", theory.REGIME_SQRT_T, g, scheme, initial, horizon, runs, seed, tol,
     )
     sweep = report["closed_form_sweep"] = lyapunov_closed_form_sweep()
     err = sweep["max_rel_error"]
@@ -165,8 +164,7 @@ def verify_clt_critical(
 ) -> dict:
     """Empirical sqrt(t / log t)-scaled covariance on the critical line."""
     return _verdict(*_clt(
-        "clt-critical", theory.clt_covariance_critical, montecarlo.SCALING_CRITICAL,
-        g, scheme, initial, horizon, runs, seed, tol,
+        "clt-critical", theory.REGIME_CRITICAL, g, scheme, initial, horizon, runs, seed, tol,
     ))
 
 
@@ -189,10 +187,9 @@ def verify_subcritical(
     initial = _start(g, scheme, initial, "subcritical")
     if horizon < 100:
         raise InvalidParamsError(f"suite subcritical needs horizon >= 100, got {horizon}")
-    alpha, beta = scheme.alpha, scheme.beta
-    a_tilde = g.weighted_adjacency()
-    rr = theory.rho(alpha, beta, a_tilde)
-    c = theory.consensus_equilibrium(alpha, beta)
+    fl = theory.fluctuations(
+        scheme.alpha, scheme.beta, g.weighted_adjacency(), theory.REGIME_SUBCRITICAL
+    )
     horizons = [horizon // 100, horizon // 10, horizon]
     result = run_ensemble(
         g, scheme, initial, horizon, runs, seed,
@@ -200,21 +197,21 @@ def verify_subcritical(
     )
     medians = []
     for t in horizons:
-        norms = np.linalg.norm(result.z_at(t) - c, axis=1)
-        medians.append(float(t**rr.value * np.median(norms)))
+        norms = np.linalg.norm(result.z_at(t) - fl.c, axis=1)
+        medians.append(float(t**fl.rho * np.median(norms)))
     ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
     lo, hi = ratio_window
     report = {
         "suite": "subcritical",
-        "rho": rr.value,
-        "regime": rr.regime,
+        "rho": fl.rho,
+        "regime": fl.regime,
         "horizons": horizons,
         "scaled_medians": medians,
         "ratios": ratios,
         "runs": runs,
     }
     return _verdict(report, [
-        ("rho", rr.value, 0.5, rr.regime == theory.REGIME_SUBCRITICAL),
+        ("rho", fl.rho, 0.5, fl.regime == theory.REGIME_SUBCRITICAL),
         ("ratios", ratios, [lo, hi], all(lo <= r <= hi for r in ratios)),
     ])
 

@@ -229,14 +229,35 @@ def test_simulate_rerun_from_embedded_config(tmp_path):
     ) == 0
     # extract the embedded config and re-run from it
     cfg_path = tmp_path / "rerun.cfg"
-    from urnnet.fileio import config_from_output, format_config
+    from urnnet.fileio import format_config, read_config
 
-    cfg_path.write_text(format_config(config_from_output(out1)))
+    cfg_path.write_text(format_config(read_config(out1)))
     out2 = tmp_path / "again.csv"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out2)) == 0
     assert out1.read_bytes().replace(b"traj.csv", b"") == out2.read_bytes().replace(
         b"again.csv", b""
     )
+
+
+@pytest.mark.parametrize(
+    "command,flags,name",
+    [
+        ("simulate", ["--runs", "1"], "traj.csv"),
+        ("simulate", ["--runs", "1", "--format", "jsonl"], "traj.jsonl"),
+        ("simulate", ["--runs", "3"], "ens.json"),
+        ("predict", [], "report.json"),
+    ],
+)
+def test_rerun_from_output_file(tmp_path, command, flags, name):
+    graph = tmp_path / "c2.edges"
+    write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
+    setup = ["--graph", str(graph), "--a", "1", "--b", "1", "--m", "4"]
+    if command == "simulate":
+        setup += ["--horizon", "50", "--seed", "7"]
+    first, again = tmp_path / name, tmp_path / f"again-{name}"
+    assert run_cli(command, *setup, *flags, "--out", str(first)) == 0
+    assert run_cli(command, "--config", str(first), "--out", str(again)) == 0
+    assert again.read_bytes().replace(b"again-", b"") == first.read_bytes()
 
 
 def test_simulate_rerun_from_config_with_threads(tmp_path):
@@ -248,9 +269,9 @@ def test_simulate_rerun_from_config_with_threads(tmp_path):
         "simulate", "--graph", str(graph), "--polya", "--horizon", "50",
         "--runs", "3", "--seed", "7", "--out", str(out1),
     ) == 0
-    from urnnet.fileio import config_from_output, format_config
+    from urnnet.fileio import format_config, read_config
 
-    cfg = config_from_output(out1)
+    cfg = read_config(out1)
     assert "threads" not in cfg
     cfg_path = tmp_path / "old.cfg"
     cfg_path.write_text(format_config({**cfg, "threads": "1"}))
@@ -472,7 +493,7 @@ def test_oracle_unreinforced_exit_3(tmp_path, capsys, argv):
 def test_old_configs_with_default_m_rerun(tmp_path):
     # 0.1.x wrote the old default m = 1 into every config, also beside --polya
     # and into rule-less verify runs
-    from urnnet.fileio import config_from_output, format_config
+    from urnnet.fileio import format_config, read_config
 
     graph = tmp_path / "c2.edges"
     write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
@@ -481,7 +502,7 @@ def test_old_configs_with_default_m_rerun(tmp_path):
         "simulate", "--graph", str(graph), "--polya", "--horizon", "50", "--seed", "7",
         "--out", str(out1),
     ) == 0
-    old = config_from_output(out1)
+    old = read_config(out1)
     assert "m" not in old
     cfg.write_text(format_config({**old, "m": "1"}))
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out2)) == 0

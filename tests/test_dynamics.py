@@ -9,6 +9,7 @@ from urnnet.dynamics import (
     Reinforcement,
     ReplacementMatrix,
     UrnState,
+    check_batch,
     default_initial_state,
     expected_fractions_after_step,
     geometric_checkpoints,
@@ -21,10 +22,30 @@ from urnnet.dynamics import (
 )
 from urnnet.errors import InvalidParamsError, ZeroInDegreeError
 from urnnet.graph import DirectedGraph, generate_graph
+from urnnet.montecarlo import brute_force_distribution
 
 
 def two_cycle():
     return generate_graph("cycle_directed", {"n": 2})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g, s, x: step(x, g, s, make_stream(0)),
+        lambda g, s, x: check_batch(g, s, x, 1, range(1)),
+        lambda g, s, x: brute_force_distribution(g, s, x, 1),
+        lambda g, s, x: expected_fractions_after_step(x, g, s),
+        lambda g, s, x: mean_field_path(g, s, x, 1),
+    ],
+    ids=["step", "check_batch", "brute_force_distribution", "expected_fractions_after_step",
+         "mean_field_path"],
+)
+def test_start_state_size_must_match_graph(entry):
+    # a 3-urn start state on the 2-cycle: brute force once returned a law
+    # summing to 1/2, and the one-step formulas raised numpy errors
+    with pytest.raises(InvalidParamsError, match="initial state size does not match graph"):
+        entry(two_cycle(), ReplacementMatrix(1, 1, 1), default_initial_state(3))
 
 
 class TestReplacementMatrix:

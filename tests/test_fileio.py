@@ -55,13 +55,17 @@ def test_initial_state_round_trip(tmp_path):
     assert np.array_equal(back.black, s.black)
 
 
-def test_config_text_round_trip():
+def test_config_text_round_trip(tmp_path):
     cfg = {"a": "1", "horizon": "100", "out": "x.csv"}
-    text = fileio.format_config(cfg)
-    assert fileio.parse_config_text(text) == cfg
-    assert fileio.parse_config_text("# comment\n\na = 1\n") == {"a": "1"}
-    with pytest.raises(InvalidParamsError):
-        fileio.parse_config_text("not a pair\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(fileio.format_config(cfg))
+    assert fileio.read_config(path) == cfg
+    path.write_text("# comment\n\na = 1\n")
+    assert fileio.read_config(path) == {"a": "1"}
+    for bad in (b"not a pair\n", b"{not json\n", b'{"result": {}}\n', b"\xb0\x00"):
+        path.write_bytes(bad)
+        with pytest.raises(InvalidParamsError):
+            fileio.read_config(path)
 
 
 def test_trajectory_csv_provenance(tmp_path):
@@ -73,8 +77,11 @@ def test_trajectory_csv_provenance(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "# version = 0.1.0"
     assert "t,Z_1,Z_2" in text
-    recovered = fileio.config_from_output(path)
+    recovered = fileio.read_config(path)
     assert recovered == cfg
+    jsonl = tmp_path / "traj.jsonl"
+    fileio.write_trajectory_jsonl(jsonl, traj, cfg, version="0.1.0")
+    assert fileio.read_config(jsonl) == cfg
 
 
 def test_ensemble_json_and_summary(tmp_path):
@@ -86,9 +93,10 @@ def test_ensemble_json_and_summary(tmp_path):
     payload = json.loads(jpath.read_text())
     assert payload["config"] == cfg
     assert payload["result"]["runs"] == 4
-    assert fileio.config_from_output(jpath) == cfg
+    assert fileio.read_config(jpath) == cfg
 
     cpath = tmp_path / "summary.csv"
     fileio.write_ensemble_summary_csv(cpath, res, cfg, version="0.1.0")
     header = [l for l in cpath.read_text().splitlines() if not l.startswith("#")][0]
     assert header == "t,mean_1,mean_2,var_phi"
+    assert fileio.read_config(cpath) == cfg

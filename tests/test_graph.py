@@ -55,11 +55,11 @@ def test_two_vertex_complete_with_loops_is_half():
 
 def test_weighted_adjacency_zero_in_degree_raises():
     g = DirectedGraph(3, frozenset({(1, 2), (2, 1)}))
-    with pytest.raises(ZeroInDegreeError) as exc:
-        g.weighted_adjacency()
-    assert 3 in exc.value.vertices
-    allowed = g.weighted_adjacency(allow_zero_in_degree=True)
-    assert np.array_equal(allowed[:, 2], [0, 0, 0])
+    for check in (g.weighted_adjacency, g.check_reinforced):
+        with pytest.raises(ZeroInDegreeError) as exc:
+            check()
+        assert exc.value.vertices == (3,)
+    DirectedGraph(2, frozenset({(1, 2), (2, 1)})).check_reinforced()
 
 
 @pytest.mark.parametrize(

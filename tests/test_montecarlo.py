@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from urnnet import montecarlo
+from urnnet import montecarlo, theory
 from urnnet.dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
@@ -31,6 +31,7 @@ from urnnet.errors import (
     ZeroInDegreeError,
 )
 from urnnet.graph import DirectedGraph, generate_graph
+from urnnet.theory import Fluctuations
 from urnnet.montecarlo import (
     EnsembleResult,
     brute_force_distribution,
@@ -97,11 +98,18 @@ class TestRunEnsemble:
         assert res.checkpoints[0] == 1 and res.checkpoints[-1] == 1000
 
 
+def _record(regime, rho=1.0, c=0.5):
+    return Fluctuations(c=c, rho=rho, regime=regime, sigma=None)
+
+
+SQRT_T = _record(theory.REGIME_SQRT_T)
+
+
 class TestScaledCovariance:
     def test_constant_runs_give_zero(self):
         z = np.full((30, 1, 3), 0.5)
         res = EnsembleResult.from_z_samples(z, [100], horizon=100)
-        out = scaled_covariance(res, 0.5, montecarlo.SCALING_SQRT_T)
+        out = scaled_covariance(res, SQRT_T)
         assert np.abs(out).max() <= 1e-15
 
     def test_recovers_injected_gaussian_covariance(self):
@@ -110,31 +118,37 @@ class TestScaledCovariance:
         target = np.full((2, 2), 1 / 64)
         samples = 0.5 + rng.multivariate_normal([0, 0], target / t, size=20_000)
         res = EnsembleResult.from_z_samples(samples[:, None, :], [t], horizon=t)
-        out = scaled_covariance(res, 0.5, montecarlo.SCALING_SQRT_T)
+        out = scaled_covariance(res, SQRT_T)
         rel = np.linalg.norm(out - target) / np.linalg.norm(target)
         assert rel <= 0.05
 
-    def test_critical_alias(self):
-        z = np.full((10, 1, 2), 0.6)
-        res = EnsembleResult.from_z_samples(z, [50], horizon=50)
-        a = scaled_covariance(res, 0.5, montecarlo.SCALING_CRITICAL)
-        b = scaled_covariance(res, 0.5, "sqrt_tlogt")
-        assert np.array_equal(a, b)
-        assert a[0, 0] == pytest.approx(50 / math.log(50) * 0.01, rel=1e-12)
-
-    def test_t_pow_needs_rho(self):
-        z = np.full((10, 1, 2), 0.5)
-        res = EnsembleResult.from_z_samples(z, [50], horizon=50)
-        with pytest.raises(InvalidParamsError):
-            scaled_covariance(res, 0.5, montecarlo.SCALING_T_POW)
-        out = scaled_covariance(res, 0.5, montecarlo.SCALING_T_POW, rho=0.3)
-        assert np.abs(out).max() <= 1e-15
+    @pytest.mark.parametrize(
+        "regime,rho,s2",
+        [
+            (theory.REGIME_SQRT_T, 0.8, lambda t: t),
+            (theory.REGIME_CRITICAL, 0.5, lambda t: t / math.log(t)),
+            (theory.REGIME_SUBCRITICAL, 0.3, lambda t: t**0.6),  # t^(2 rho)
+        ],
+        ids=["sqrt_t", "critical", "subcritical"],
+    )
+    def test_scale_of_each_regime(self, regime, rho, s2):
+        # every run sits 0.1 from c = 0.5 at both checkpoints, so the second
+        # moment about c is 0.01 and the output is 0.01 s(t)^2
+        z = np.stack([np.full((40, 2), 0.4), np.full((40, 2), 0.6)], axis=1)
+        res = EnsembleResult.from_z_samples(z, [20, 400], horizon=400)
+        record = _record(regime, rho=rho)
+        for t in (20, 400):
+            out = scaled_covariance(res, record, t=t)
+            assert np.allclose(out, 0.01 * s2(t), rtol=1e-12, atol=0)
+        # c comes from the record: about c = 0.6 the final deviation is zero
+        moved = scaled_covariance(res, _record(regime, rho=rho, c=0.6))
+        assert np.abs(moved).max() <= 1e-12
 
     def test_polya_guard(self):
         z = np.full((10, 1, 2), 0.5)
         res = EnsembleResult.from_z_samples(z, [50], horizon=50, is_polya=True)
         with pytest.raises(WrongRegimeError):
-            scaled_covariance(res, 0.5, montecarlo.SCALING_SQRT_T)
+            scaled_covariance(res, SQRT_T)
 
 
 def _synthetic_var_phi(checkpoints, values, is_polya=True):

@@ -110,7 +110,7 @@ def _path_with_loops(n):
 
 
 def _shifted_drift(a_tilde):
-    """H - I/2 and A~^T A~ for alpha = beta = 1/4, as clt_covariance builds them."""
+    """H - I/2 and A~^T A~ for alpha = beta = 1/4, as fluctuations builds them."""
     n = a_tilde.shape[0]
     return theory.drift_matrix(0.25, 0.25, a_tilde) - 0.5 * np.eye(n), a_tilde.T @ a_tilde
 
@@ -157,7 +157,9 @@ def test_defective_path_lyapunov_inputs():
 
 def test_clt_covariance_on_defective_path():
     a_tilde = _path_with_loops(65).weighted_adjacency()
-    sigma = theory.clt_covariance(0.25, 0.25, a_tilde)
+    fl = theory.fluctuations(0.25, 0.25, a_tilde)
+    assert fl.regime == theory.REGIME_SQRT_T
+    sigma = fl.sigma
     assert sigma.shape == (65, 65)
     assert np.all(np.isfinite(sigma))
 

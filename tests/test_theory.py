@@ -16,7 +16,6 @@ from urnnet.errors import (
     NotRegularError,
     PolyaTypeError,
     SingularLimitSystemError,
-    WrongRegimeError,
     ZeroInDegreeError,
 )
 from urnnet.graph import DirectedGraph, generate_graph
@@ -102,40 +101,69 @@ class TestConsensus:
 class TestRho:
     def test_critical_sum(self):
         a_tilde = generate_graph("cycle_undirected", {"n": 6}).weighted_adjacency()
-        rr = theory.rho(0.75, 0.75, a_tilde)
-        assert rr.value == pytest.approx(0.5, abs=1e-12)
-        assert rr.regime == theory.REGIME_CRITICAL
+        fl = theory.fluctuations(0.75, 0.75, a_tilde)
+        assert fl.rho == pytest.approx(0.5, abs=1e-12)
+        assert fl.regime == theory.REGIME_CRITICAL
 
     def test_sum_one_gives_unit_rho(self):
         a_tilde = generate_graph("star_undirected", {"n": 5}).weighted_adjacency()
-        rr = theory.rho(0.4, 0.6, a_tilde)
-        assert rr.value == pytest.approx(1.0, abs=1e-12)
-        assert rr.regime == theory.REGIME_SQRT_T
+        fl = theory.fluctuations(0.4, 0.6, a_tilde)
+        assert fl.rho == pytest.approx(1.0, abs=1e-12)
+        assert fl.regime == theory.REGIME_SQRT_T
 
     def test_negative_branch_two_vertex(self):
         a_tilde = generate_graph("complete_with_loops", {"n": 2}).weighted_adjacency()
-        rr = theory.rho(0.0, 0.0, a_tilde)
-        assert rr.value == pytest.approx(1.0, abs=1e-12)
+        fl = theory.fluctuations(0.0, 0.0, a_tilde)
+        assert fl.rho == pytest.approx(1.0, abs=1e-12)
 
     def test_subcritical_five_cycle(self):
         a_tilde = generate_graph("cycle_undirected", {"n": 5}).weighted_adjacency()
-        rr = theory.rho(0.0, 0.0, a_tilde)
-        assert rr.value == pytest.approx(1.0 + math.cos(4 * math.pi / 5), abs=1e-9)
-        assert rr.regime == theory.REGIME_SUBCRITICAL
+        fl = theory.fluctuations(0.0, 0.0, a_tilde)
+        assert fl.rho == pytest.approx(1.0 + math.cos(4 * math.pi / 5), abs=1e-9)
+        assert fl.regime == theory.REGIME_SUBCRITICAL
+        assert fl.sigma is None
 
     @pytest.mark.parametrize("family,params", ALL_FAMILIES)
     @pytest.mark.parametrize("alpha,beta", [(0.1, 0.2), (0.5, 0.5), (0.75, 0.7), (0.0, 0.9)])
     def test_case_split_matches_direct_spectrum(self, family, params, alpha, beta):
         a_tilde = generate_graph(family, params, seed=8).weighted_adjacency()
-        rr = theory.rho(alpha, beta, a_tilde)
+        fl = theory.fluctuations(alpha, beta, a_tilde)
         h = theory.drift_matrix(alpha, beta, a_tilde)
         direct = spectral.eigenvalues(h).min_real
-        assert rr.value == pytest.approx(direct, abs=1e-9)
+        assert fl.rho == pytest.approx(direct, abs=1e-9)
+        assert fl.c == theory.consensus_equilibrium(alpha, beta)
 
     def test_polya_rejected(self):
         a_tilde = np.eye(2)
         with pytest.raises(PolyaTypeError):
-            theory.rho(1.0, 1.0, a_tilde)
+            theory.fluctuations(1.0, 1.0, a_tilde)
+
+
+def _spectrum_calls(monkeypatch) -> list:
+    """Record every later `spectral.eigenvalues` call."""
+    calls = []
+    original = spectral.eigenvalues
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(spectral, "eigenvalues", counted)
+    return calls
+
+
+def _solver_calls(monkeypatch) -> list:
+    """Record which covariance solver each later `fluctuations` call runs."""
+    calls = []
+    for name in ("lyapunov_solve", "log_averaged_gram"):
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 class TestNoiseVariance:
@@ -156,16 +184,22 @@ class TestNoiseVariance:
         assert -1e-12 <= c <= 0.25 + 1e-12
 
 
+def _sigma(alpha, beta, a_tilde, regime):
+    fl = theory.fluctuations(alpha, beta, a_tilde)
+    assert fl.regime == regime
+    return fl.sigma
+
+
 class TestCltCovariance:
     def test_two_vertex_j_over_64(self):
         a_tilde = generate_graph("complete_with_loops", {"n": 2}).weighted_adjacency()
-        sigma = theory.clt_covariance(0.25, 0.25, a_tilde)
+        sigma = _sigma(0.25, 0.25, a_tilde, theory.REGIME_SQRT_T)
         assert np.abs(sigma - 1 / 64).max() <= 1e-12
 
     def test_sum_one_reduces_to_gram(self):
         a_tilde = generate_graph("star_undirected", {"n": 5}).weighted_adjacency()
         alpha, beta = 0.3, 0.7
-        sigma = theory.clt_covariance(alpha, beta, a_tilde)
+        sigma = _sigma(alpha, beta, a_tilde, theory.REGIME_SQRT_T)
         expected = theory.noise_variance_c(alpha, beta) * a_tilde.T @ a_tilde
         assert np.abs(sigma - expected).max() <= 1e-10
 
@@ -174,46 +208,62 @@ class TestCltCovariance:
         g = generate_graph("d_regular_random", {"n": 10, "d": 4}, seed=seed)
         a_tilde = g.weighted_adjacency()
         ab = (0.35, 0.4, 0.45, 0.55, 0.6)[seed]  # skip 0.5, where C(a,b) = 0
-        sigma = theory.clt_covariance(ab, ab, a_tilde)
+        sigma = _sigma(ab, ab, a_tilde, theory.REGIME_SQRT_T)
         closed = theory.clt_covariance_regular_closed_form(ab, ab, a_tilde)
         rel = np.linalg.norm(sigma - closed) / np.linalg.norm(closed)
         assert rel <= 1e-8
 
     def test_psd_and_symmetric(self):
         a_tilde = generate_graph("cycle_directed", {"n": 5}).weighted_adjacency()
-        sigma = theory.clt_covariance(0.4, 0.4, a_tilde)
+        sigma = _sigma(0.4, 0.4, a_tilde, theory.REGIME_SQRT_T)
         assert np.allclose(sigma, sigma.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
 
-    def test_regime_guard(self):
+    def test_regime_guard(self, monkeypatch):
+        calls = _solver_calls(monkeypatch)
         a_tilde = generate_graph("cycle_undirected", {"n": 6}).weighted_adjacency()
-        with pytest.raises(WrongRegimeError):
-            theory.clt_covariance(0.75, 0.75, a_tilde)  # critical
         a5 = generate_graph("cycle_undirected", {"n": 5}).weighted_adjacency()
-        with pytest.raises(WrongRegimeError):
-            theory.clt_covariance(0.0, 0.0, a5)  # subcritical
+        theory.fluctuations(0.25, 0.25, a5)
+        assert calls == ["lyapunov_solve"]
+        # the critical and subcritical regimes never run the Lyapunov solver
+        theory.fluctuations(0.75, 0.75, a_tilde)
+        assert theory.fluctuations(0.0, 0.0, a5).sigma is None
+        assert calls == ["lyapunov_solve", "log_averaged_gram"]
+        # a caller's regime: sigma is solved there only, and no solver runs
+        # for a rule in another regime
+        fl = theory.fluctuations(0.75, 0.75, a_tilde, theory.REGIME_SQRT_T)
+        assert fl.regime == theory.REGIME_CRITICAL and fl.sigma is None
+        assert theory.fluctuations(0.0, 0.0, a5, theory.REGIME_SQRT_T).sigma is None
+        assert theory.fluctuations(0.25, 0.25, a5, theory.REGIME_SQRT_T).sigma is not None
+        assert len(calls) == 3
 
 
 class TestCltCovarianceCritical:
     def test_regular_all_ones_form(self):
         a_tilde = generate_graph("complete_with_loops", {"n": 4}).weighted_adjacency()
-        sigma = theory.clt_covariance_critical(0.75, 0.75, a_tilde)
+        sigma = _sigma(0.75, 0.75, a_tilde, theory.REGIME_CRITICAL)
         assert np.abs(sigma - (1 / 16) / 4).max() <= 1e-8
 
     def test_single_vertex_scalar(self):
         a_tilde = np.array([[1.0]])
-        sigma = theory.clt_covariance_critical(0.75, 0.75, a_tilde)
+        sigma = _sigma(0.75, 0.75, a_tilde, theory.REGIME_CRITICAL)
         assert sigma[0, 0] == pytest.approx(1 / 16, abs=1e-12)
 
     def test_friedman_regular_entries(self):
         a_tilde = generate_graph("cycle_undirected", {"n": 6}).weighted_adjacency()
-        sigma = theory.clt_covariance_critical(0.75, 0.75, a_tilde)
+        sigma = _sigma(0.75, 0.75, a_tilde, theory.REGIME_CRITICAL)
         assert np.abs(sigma - 1 / (16 * 6)).max() <= 1e-8
 
-    def test_regime_guard(self):
+    def test_regime_guard(self, monkeypatch):
+        calls = _solver_calls(monkeypatch)
         a_tilde = generate_graph("complete_with_loops", {"n": 4}).weighted_adjacency()
-        with pytest.raises(WrongRegimeError):
-            theory.clt_covariance_critical(0.25, 0.25, a_tilde)
+        theory.fluctuations(0.75, 0.75, a_tilde)
+        theory.fluctuations(0.25, 0.25, a_tilde)
+        assert calls == ["log_averaged_gram", "lyapunov_solve"]
+        fl = theory.fluctuations(0.25, 0.25, a_tilde, theory.REGIME_CRITICAL)
+        assert fl.regime == theory.REGIME_SQRT_T and fl.sigma is None
+        assert theory.fluctuations(0.75, 0.75, a_tilde, theory.REGIME_SUBCRITICAL).sigma is None
+        assert len(calls) == 2
 
 
 class TestPolyaRateClass:
@@ -344,6 +394,20 @@ class TestPredict:
         assert rep.regime == theory.REGIME_SUBCRITICAL
         assert rep.sigma is None
         assert rep.rho == pytest.approx(1 + math.cos(4 * math.pi / 5), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "family,params,ab",
+        [
+            ("star_undirected", {"n": 5}, 0.5),  # sqrt(t)
+            ("complete_with_loops", {"n": 4}, 0.75),  # critical
+            ("cycle_undirected", {"n": 5}, 0.0),  # subcritical
+            ("cycle_directed", {"n": 5}, 0.4),  # directed sqrt(t)
+        ],
+    )
+    def test_one_spectrum_per_prediction(self, monkeypatch, family, params, ab):
+        calls = _spectrum_calls(monkeypatch)
+        theory.predict(generate_graph(family, params), ab, ab)
+        assert len(calls) == 1
 
     def test_polya_reports(self):
         g8 = generate_graph("cycle_undirected", {"n": 8})

@@ -8,9 +8,10 @@ import json
 
 import pytest
 
-from urnnet import cli, verify
+from urnnet import cli, spectral, verify
 from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state
-from urnnet.graph import generate_graph
+from urnnet.errors import WrongRegimeError
+from urnnet.graph import DirectedGraph, generate_graph
 
 import numpy as np
 
@@ -54,6 +55,26 @@ def test_clt_critical_report():
     assert rep["rho"] == pytest.approx(0.5)
 
 
+def test_clt_critical_takes_one_spectrum(monkeypatch):
+    calls = []
+    original = spectral.eigenvalues
+    monkeypatch.setattr(spectral, "eigenvalues", lambda m: calls.append(m) or original(m))
+    g = generate_graph("complete_with_loops", {"n": 4})
+    verify.verify_clt_critical(g, ReplacementMatrix(3, 3, 4), horizon=200, runs=20, seed=3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suite,rule", [("clt", ("3", "3", "4")), ("clt-critical", ("1", "1", "4"))])
+def test_wrong_regime_refused_before_simulating(monkeypatch, capsys, suite, rule):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a rule of the wrong regime")
+
+    monkeypatch.setattr(verify, "run_ensemble", no_simulation)
+    a, b, m = rule
+    assert cli.main(["verify", "--suite", suite, "--a", a, "--b", b, "--m", m]) == 2
+    assert "regime" in capsys.readouterr().err
+
+
 def test_subcritical_report():
     g = generate_graph("cycle_undirected", {"n": 5})
     rep = verify.verify_subcritical(
@@ -63,6 +84,20 @@ def test_subcritical_report():
     assert rep["rho"] < 0.5
     assert rep["horizons"] == [100, 1000, 10_000]
     assert len(rep["ratios"]) == 2
+
+
+def test_other_regimes_on_defective_graph_need_no_solve():
+    # a critical rule on a path with loops, where the log-averaged Gram
+    # solve refuses (H is defective): the subcritical suite reports its
+    # failed rho check, and the sqrt(t) suite refuses the rule's regime
+    edges = {(i, i) for i in range(1, 6)} | {(i, i + 1) for i in range(1, 5)}
+    g = DirectedGraph(5, frozenset(edges))
+    critical = ReplacementMatrix(3, 3, 4)
+    rep = verify.verify_subcritical(g, critical, horizon=100, runs=4, seed=1)
+    assert rep["regime"] == "gaussian_sqrt_tlogt"
+    assert not rep["pass"] and not rep["checks"][0]["pass"]
+    with pytest.raises(WrongRegimeError):
+        verify.verify_clt(g, critical, horizon=100, runs=4, seed=1)
 
 
 def test_polya_rate_report():
