@@ -321,6 +321,16 @@ def simulate_runs(
     exact white counts per run.  With a reference path (shape (horizon+1, n)),
     the running sup-norm deviation from it is tracked per run from
     `deviation_start` onward.
+
+    Each run's row of the uniform buffer is padded by ceil(8 / n) steps, at
+    least one 64-byte cache line, so the rows one step reads do not all fall
+    in the same cache sets when a row's length is a power of two.  The
+    totals, the inflow and the gain of an all-black draw are held as full
+    (runs, n) arrays, so no step broadcasts an n-vector across the runs, but
+    for the reference row of the deviation track.  Z = W / T is divided once
+    per step, after the update; the next draw, the deviation track and the
+    checkpoint sums all read it.  The cost is three (runs, n) arrays and the
+    pad on top of the uniform block.
     """
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
@@ -332,10 +342,6 @@ def simulate_runs(
     n = g.n
     n_runs = len(run_indices)
     cp_index = {t: k for k, t in enumerate(checkpoints)}
-    # white balls gained per step = base_w + drew_white @ bonus, integers in float64
-    inflow = rf.inflow.astype(float)
-    base_w = rf.on_black.sum(axis=0).astype(float)
-    bonus = (rf.on_white - rf.on_black).astype(float)
 
     out = EngineOutput(
         checkpoints=checkpoints,
@@ -343,29 +349,37 @@ def simulate_runs(
         sum_z=np.zeros((len(checkpoints), n)),
         sum_outer=np.zeros((len(checkpoints), n, n)),
     )
+    track_from = horizon + 1  # no deviation track
     if reference_path is not None:
         reference_path = np.asarray(reference_path, dtype=float)
         if reference_path.shape != (horizon + 1, n):
             raise InvalidParamsError("reference path must have shape (horizon+1, n)")
         out.sup_dev = np.zeros(n_runs)
+        track_from = deviation_start
+        dev = np.empty((n_runs, n))
 
-    w = np.repeat(initial.white.astype(float)[None, :], n_runs, axis=0)
-    totals = initial.totals().astype(float)
+    # white balls gained per step = base_w + drew_white @ bonus, integers in
+    # float64; one row per run, so no step broadcasts an n-vector
+    w, totals, inflow, base_w = (
+        np.tile(v.astype(float), (n_runs, 1))
+        for v in (initial.white, initial.totals(), rf.inflow, rf.on_black.sum(axis=0))
+    )
+    bonus = (rf.on_white - rf.on_black).astype(float)
+    z = w / totals
 
     def record(t: int):
+        if t >= track_from:
+            np.subtract(z, reference_path[t], out=dev)
+            np.maximum(out.sup_dev, np.abs(dev, out=dev).max(axis=1), out=out.sup_dev)
         k = cp_index.get(t)
         if k is not None:
-            z = w / totals
-            out.sum_z[k] += z.sum(axis=0)
-            out.sum_outer[k] += z.T @ z
+            np.sum(z, axis=0, out=out.sum_z[k])
+            np.matmul(z.T, z, out=out.sum_outer[k])
         if t in snapshot_set:
             out.snapshots[t] = w.astype(np.int64)
-            out.snapshot_totals[t] = totals.astype(np.int64)
+            out.snapshot_totals[t] = initial.totals() + t * rf.inflow
 
     record(0)
-    if reference_path is not None and deviation_start <= 0:
-        np.maximum(out.sup_dev, np.abs(w / totals - reference_path[0]).max(axis=1), out=out.sup_dev)
-
     if horizon == 0 or n_runs == 0:
         return out
 
@@ -378,9 +392,9 @@ def simulate_runs(
     block = max(1, min(horizon, _BLOCK_DOUBLES // max(1, n_runs * n)))
     if block < horizon:
         block = min(horizon, max(4, block - block % 4))
-    uniforms = np.empty((n_runs, block, n))
+    pad = -(-8 // n)  # ceil(8 / n) steps: at least one 64-byte cache line per run
+    uniforms = np.empty((n_runs, block + pad, n))
     # the step loop writes into these, so it allocates nothing per step
-    frac = np.empty((n_runs, n))
     drew_white = np.empty((n_runs, n))  # 1.0 where the urn drew white
     gain = np.empty((n_runs, n))
 
@@ -393,18 +407,14 @@ def simulate_runs(
             bitgen.state = rekey
             gen.random(out=uniforms[i, :this_block, :])
         for s in range(this_block):
-            np.divide(w, totals, out=frac)
-            np.less(uniforms[:, s, :], frac, out=drew_white)
+            np.less(uniforms[:, s, :], z, out=drew_white)
             np.matmul(drew_white, bonus, out=gain)
             gain += base_w
             w += gain
             totals += inflow
+            np.divide(w, totals, out=z)
             t += 1
-            if reference_path is not None and t >= deviation_start:
-                np.divide(w, totals, out=frac)
-                frac -= reference_path[t]
-                np.maximum(out.sup_dev, np.abs(frac, out=frac).max(axis=1), out=out.sup_dev)
-            if t in cp_index or t in snapshot_set:
+            if t >= track_from or t in cp_index or t in snapshot_set:
                 record(t)
     return out
 

@@ -292,6 +292,8 @@ def run_ensemble(
         workers = _usable_cores()
     if workers < 1:
         raise InvalidParamsError("workers must be >= 1")
+    if batch_size < 1:
+        raise InvalidParamsError("batch_size must be >= 1")
     if checkpoints is None:
         checkpoints = geometric_checkpoints(horizon) if horizon > 0 else [0]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))

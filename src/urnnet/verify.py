@@ -333,8 +333,11 @@ def verify_ode_tracking(
 
     The companion is the conditional-mean recursion, an Euler path of the
     limit ODE with the process's own step sizes; deviation is measured in
-    sup norm from `start_time` onward.
+    sup norm from `start_time` onward, so a shorter horizon is refused: it
+    would measure no step and pass.
     """
+    if horizon < start_time:
+        raise InvalidParamsError(f"suite ode-tracking needs horizon >= {start_time}, got {horizon}")
     if initial is None:
         initial = default_initial_state(g.n)
     reference = mean_field_path(g, scheme, initial, horizon)

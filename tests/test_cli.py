@@ -376,9 +376,10 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
     assert written[0] == written[1]
 
 
-# Flags the suite cannot use, rules its theory does not cover, and a
-# subcritical horizon too short for three decades.  The small sizes keep the
-# run short should a case be accepted by mistake.
+# Flags the suite cannot use, rules its theory does not cover, a subcritical
+# horizon too short for three decades, and an ode-tracking horizon that ends
+# before the deviation is measured.  The small sizes keep the run short should
+# a case be accepted by mistake.
 @pytest.mark.parametrize(
     "suite, flags",
     [
@@ -401,6 +402,7 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
         ("consensus", ["--m", "2"]),
         ("polya-rate", ["--polya", "--m", "3"]),
         ("heterogeneous", ["--m", "4"]),
+        ("ode-tracking", ["--horizon", "500"]),
     ],
 )
 def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flags):

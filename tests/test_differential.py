@@ -1,10 +1,11 @@
 """Randomized differential tests: each fast path against its exact reference.
 
 The batched float64 engine must reproduce `step` driven by the run's own
-stream, draw for draw; an ensemble run on a process pool must equal the
-same ensemble run in one process, bit for bit; and the integer-weight
-enumerator must return the same exact law as a plain Fraction enumeration
-over every draw vector.
+stream, draw for draw, and its moment sums and sup deviations must equal
+those recomputed from its snapshots, bit for bit; an ensemble run on a
+process pool must equal the same ensemble run in one process, bit for bit;
+and the integer-weight enumerator must return the same exact law as a plain
+Fraction enumeration over every draw vector.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from urnnet.dynamics import (
     ReplacementMatrix,
     UrnState,
     make_stream,
+    mean_field_path,
     simulate_runs,
     step,
 )
@@ -79,6 +81,36 @@ def test_engine_equals_exact_steps(problem, horizon, seed, runs, block_doubles):
             state = step(state, g, scheme, rng, allow_zero_in_degree=True)
             assert np.array_equal(out.snapshots[t][i], state.white), (r, t)
             assert np.array_equal(out.snapshot_totals[t], state.totals())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=urn_problems(),
+    horizon=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
+    runs=run_index_sets,
+    block_doubles=st.integers(1, 64),
+    deviation_start=st.integers(-1, 26),
+)
+def test_moment_sums_equal_snapshot_moments(
+    problem, horizon, seed, runs, block_doubles, deviation_start
+):
+    g, scheme, init = problem
+    times = range(horizon + 1)
+    ref = mean_field_path(g, scheme, init, horizon)
+    with mock.patch.object(dynamics, "_BLOCK_DOUBLES", block_doubles):
+        out = simulate_runs(
+            g, scheme, init, horizon, seed, runs, checkpoints=times, snapshot_times=times,
+            reference_path=ref, deviation_start=deviation_start, allow_zero_in_degree=True,
+        )
+    sup_dev = np.zeros(len(runs))
+    for k, t in enumerate(times):
+        z = out.snapshots[t] / out.snapshot_totals[t]
+        assert np.array_equal(out.sum_z[k], z.sum(axis=0)), t
+        assert np.array_equal(out.sum_outer[k], z.T @ z), t
+        if t >= deviation_start:
+            sup_dev = np.maximum(sup_dev, np.abs(z - ref[t]).max(axis=1))
+    assert np.array_equal(out.sup_dev, sup_dev)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -391,6 +391,14 @@ class TestProcessPool:
         with pytest.raises(InvalidParamsError):
             run_ensemble(two_cycle(), POLYA, default_initial_state(2), 5, 4, 0, workers=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        # -1 used to run no batch and report all-zero means for 4 runs
+        with pytest.raises(InvalidParamsError, match="batch_size"):
+            run_ensemble(
+                two_cycle(), POLYA, default_initial_state(2), 5, 4, 0, batch_size=batch_size
+            )
+
 
 def test_import_loads_no_pool_or_scipy():
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))

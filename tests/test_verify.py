@@ -10,7 +10,7 @@ import pytest
 
 from urnnet import cli, spectral, verify
 from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state
-from urnnet.errors import WrongRegimeError
+from urnnet.errors import InvalidParamsError, WrongRegimeError
 from urnnet.graph import DirectedGraph, generate_graph
 
 import numpy as np
@@ -133,6 +133,17 @@ def test_ode_tracking_report():
     )
     _check_report(rep, "ode-tracking")
     assert 0.0 <= rep["fraction_within"] <= 1.0
+
+
+def test_ode_tracking_refuses_horizon_before_start_time():
+    # no step would reach start_time, so every deviation would stay 0 and pass
+    g = generate_graph("star_undirected", {"n": 5})
+    with pytest.raises(InvalidParamsError, match="horizon >= 1000"):
+        verify.verify_ode_tracking(g, ReplacementMatrix(1, 1, 4), horizon=500, runs=4)
+    rep = verify.verify_ode_tracking(
+        g, ReplacementMatrix(1, 1, 4), horizon=100, runs=4, seed=8, start_time=100
+    )
+    assert rep["max_sup_deviation"] > 0.0
 
 
 def test_heterogeneous_report():
