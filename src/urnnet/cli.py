@@ -27,17 +27,7 @@ from .dynamics import (
     record_times,
     run_trajectory,
 )
-from .errors import (
-    EigenConvergenceError,
-    InvalidParamsError,
-    NonDiagonalizableError,
-    NotCriticalRegimeError,
-    SingularLimitSystemError,
-    SingularMatrixError,
-    SingularSylvesterError,
-    UrnNetError,
-    ZeroInDegreeError,
-)
+from .errors import InvalidParamsError, NumericalError, UrnNetError, ZeroInDegreeError
 from .graph import FAMILIES, DirectedGraph, generate_graph
 from .montecarlo import oracle_check, run_ensemble
 
@@ -52,15 +42,6 @@ _FAMILY_ALIASES = {
 }
 
 _RULE_FLAGS = ("a", "b", "m", "polya", "hetero")
-
-_NUMERICAL_ERRORS = (
-    SingularMatrixError,
-    SingularSylvesterError,
-    SingularLimitSystemError,
-    NotCriticalRegimeError,
-    NonDiagonalizableError,
-    EigenConvergenceError,
-)
 
 
 def _family_params(args) -> dict:
@@ -209,16 +190,15 @@ def cmd_simulate(args) -> int:
     g = _load_graph(args)
     scheme = _load_scheme(args)
     initial = _initial_state(args, g)
+    if not args.allow_violations:
+        g.check_reinforced()
     config = _resolved_config(args, "simulate")
     policy = {"every": "every_step", "geometric": "geometric_checkpoints", "final": "final_only"}[
         args.checkpoints
     ]
 
     if args.runs == 1:
-        traj = run_trajectory(
-            g, scheme, initial, args.horizon, args.seed,
-            record=policy, allow_zero_in_degree=args.allow_violations,
-        )
+        traj = run_trajectory(g, scheme, initial, args.horizon, args.seed, record=policy)
         out = args.out or "trajectory.csv"
         if args.format == "jsonl":
             fileio.write_trajectory_jsonl(out, traj, config, __version__)
@@ -229,8 +209,7 @@ def cmd_simulate(args) -> int:
 
     checkpoints = record_times(args.horizon, policy)
     result = run_ensemble(
-        g, scheme, initial, args.horizon, args.runs, args.seed,
-        checkpoints=checkpoints, allow_zero_in_degree=args.allow_violations,
+        g, scheme, initial, args.horizon, args.runs, args.seed, checkpoints=checkpoints,
     )
     out = args.out or "ensemble.json"
     fileio.write_ensemble_json(out, result, config, __version__)
@@ -269,10 +248,9 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args)
     scheme = _load_scheme(args)
     initial = _initial_state(args, g)
-    report = oracle_check(
-        g, scheme, initial, args.horizon, args.runs, args.seed,
-        allow_zero_in_degree=args.allow_violations,
-    )
+    if not args.allow_violations:
+        g.check_reinforced()
+    report = oracle_check(g, scheme, initial, args.horizon, args.runs, args.seed)
     print(
         f"TV = {report.tv_distance:.6f}  threshold = {report.threshold:.6f}  "
         f"support = {report.support_size}  runs = {report.runs}"
@@ -408,7 +386,7 @@ def main(argv=None) -> int:
     except ZeroInDegreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (UrnNetError, OSError) as exc:

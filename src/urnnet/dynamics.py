@@ -189,17 +189,14 @@ def step(
     g: DirectedGraph,
     scheme,
     rng: np.random.Generator,
-    allow_zero_in_degree: bool = False,
 ) -> UrnState:
     """Advance the exact integer state by one draw-and-reinforce step.
 
     Consumes exactly n uniforms (one per urn, urn order).  Urns at vertices
-    with no in-neighbours never change; by default their presence is an
-    error because the limit theory assumes every urn is reinforced.
+    with no in-neighbours never change; the code that claims a limit, which
+    needs every urn reinforced, refuses such graphs itself.
     """
     check_state(g, state)
-    if not allow_zero_in_degree:
-        g.check_reinforced()
     rf = Reinforcement.of(g, scheme)
     drew_white = rng.random(g.n) < state.fractions()
     add_white = np.where(drew_white[:, None], rf.on_white, rf.on_black).sum(axis=0)
@@ -269,22 +266,20 @@ def check_batch(
     horizon: int,
     run_indices,
     recording_times=(),
-    allow_zero_in_degree: bool = False,
 ) -> Reinforcement:
     """Raise the error `simulate_runs` would raise for these arguments, and
     return the rule's `Reinforcement` on `g` otherwise.
 
-    Runs every check on the inputs before the first draw: sizes, a
-    reinforced graph, the scheme, integer exactness of the ball counts up
-    to `horizon`, run indices in [0, 2**64) and recording times in
-    [0, horizon].  Cheap, so callers that hand batches to other processes
-    run it first and report bad input in their own process.
+    Runs every check on the inputs before the first draw: sizes, the
+    scheme, integer exactness of the ball counts up to `horizon`, run
+    indices in [0, 2**64) and recording times in [0, horizon].  A vertex
+    without in-edges is no error: its urn stays frozen.  Cheap, so callers
+    that hand batches to other processes run it first and report bad input
+    in their own process.
     """
     check_state(g, initial)
     if horizon < 0:
         raise InvalidParamsError("horizon must be non-negative")
-    if not allow_zero_in_degree:
-        g.check_reinforced()
     rf = Reinforcement.of(g, scheme)
     if float(initial.totals().max()) + horizon * float(rf.inflow.max()) >= MAX_EXACT_COUNT:
         raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
@@ -306,7 +301,6 @@ def simulate_runs(
     snapshot_times=(),
     reference_path: np.ndarray | None = None,
     deviation_start: int = 0,
-    allow_zero_in_degree: bool = False,
 ) -> EngineOutput:
     """Run a batch of independent trajectories in lockstep.
 
@@ -335,10 +329,7 @@ def simulate_runs(
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     snapshot_set = set(int(t) for t in snapshot_times)
-    rf = check_batch(
-        g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set),
-        allow_zero_in_degree,
-    )
+    rf = check_batch(g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set))
     n = g.n
     n_runs = len(run_indices)
     cp_index = {t: k for k, t in enumerate(checkpoints)}
@@ -427,7 +418,6 @@ def run_trajectory(
     seed: int,
     record: str = "every_step",
     run_index: int = 0,
-    allow_zero_in_degree: bool = False,
 ) -> list:
     """Simulate one seeded run and return [(t, Z_t)] at the recorded times.
 
@@ -443,7 +433,6 @@ def run_trajectory(
         seed,
         [run_index],
         snapshot_times=times,
-        allow_zero_in_degree=allow_zero_in_degree,
     )
     return [(t, out.snapshots[t][0] / out.snapshot_totals[t]) for t in times]
 

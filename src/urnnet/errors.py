@@ -24,15 +24,19 @@ class ZeroInDegreeError(UrnNetError):
         return type(self), (self.vertices,)
 
 
-class EigenConvergenceError(UrnNetError):
+class NumericalError(UrnNetError):
+    """A numerical solve is singular or did not converge."""
+
+
+class EigenConvergenceError(NumericalError):
     """The eigenvalue iteration did not converge."""
 
 
-class SingularSylvesterError(UrnNetError):
+class SingularSylvesterError(NumericalError):
     """Two eigenvalues of the coefficient matrix sum to zero."""
 
 
-class SingularMatrixError(UrnNetError):
+class SingularMatrixError(NumericalError):
     """Matrix is singular or too ill-conditioned to invert."""
 
     def __init__(self, condition: float):
@@ -43,11 +47,11 @@ class SingularMatrixError(UrnNetError):
         return type(self), (self.condition,)
 
 
-class NotCriticalRegimeError(UrnNetError):
+class NotCriticalRegimeError(NumericalError):
     """No eigenvalue sits on the critical line Re = 1/2."""
 
 
-class NonDiagonalizableError(UrnNetError):
+class NonDiagonalizableError(NumericalError):
     """Eigenvector matrix is too ill-conditioned for a spectral solve."""
 
 
@@ -63,7 +67,7 @@ class NotRegularError(UrnNetError):
     """Operation requires an undirected regular graph."""
 
 
-class SingularLimitSystemError(UrnNetError):
+class SingularLimitSystemError(NumericalError):
     """The linear system for the heterogeneous limit is singular."""
 
 

@@ -143,6 +143,8 @@ def generate_graph(family: str, params: Mapping, seed: int = 0) -> DirectedGraph
     """
     if family not in FAMILIES:
         raise InvalidParamsError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if int(seed) < 0:
+        raise InvalidParamsError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(int(seed))
 
     if family == "complete_with_loops":

@@ -39,7 +39,8 @@ from .theory import REGIME_CRITICAL, REGIME_SQRT_T, Fluctuations
 #: bound on n * horizon for exact enumeration (2^(n*T) draw sequences)
 BRUTE_FORCE_MAX_BITS = 20
 
-_DEFAULT_BATCH = 1024
+#: runs per batch; fixed, so no result depends on how the runs are split
+_BATCH_RUNS = 1024
 
 #: (workers, executor) of the process pool that run_ensemble reuses
 _pool = None
@@ -273,18 +274,17 @@ def run_ensemble(
     checkpoints=None,
     snapshot_times=(),
     workers: int | None = None,
-    allow_zero_in_degree: bool = False,
-    batch_size: int = _DEFAULT_BATCH,
 ) -> EnsembleResult:
     """Simulate `runs` seeded trajectories and stream their moments.
 
     Deterministic in master_seed; run r always consumes substream
     (master_seed, r), so adding runs or changing `workers` never perturbs
-    existing ones.  Runs go in batches of `batch_size`; with more than one
+    existing ones.  Runs go in fixed batches of 1,024; with more than one
     batch, the batches run on a shared pool of `workers` forked processes
     (default: every core this process may use), and their sums merge in
     batch order, so the result is bit-identical for every worker count.
     One batch, one worker, or a platform without fork runs in this process.
+    Urns without in-edges stay frozen.
     """
     if runs < 1:
         raise InvalidParamsError("runs must be >= 1")
@@ -292,20 +292,15 @@ def run_ensemble(
         workers = _usable_cores()
     if workers < 1:
         raise InvalidParamsError("workers must be >= 1")
-    if batch_size < 1:
-        raise InvalidParamsError("batch_size must be >= 1")
     if checkpoints is None:
         checkpoints = geometric_checkpoints(horizon) if horizon > 0 else [0]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
-    check_batch(
-        g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times),
-        allow_zero_in_degree,
-    )
+    check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times))
 
-    batches = [range(lo, min(lo + batch_size, runs)) for lo in range(0, runs, batch_size)]
+    batches = [range(lo, min(lo + _BATCH_RUNS, runs)) for lo in range(0, runs, _BATCH_RUNS)]
     work = functools.partial(
         simulate_runs, g, scheme, initial, horizon, master_seed, checkpoints=checkpoints,
-        snapshot_times=snapshot_times, allow_zero_in_degree=allow_zero_in_degree,
+        snapshot_times=snapshot_times,
     )
     pool = _batch_pool(workers) if workers > 1 and len(batches) > 1 else None
     if pool is None:
@@ -466,7 +461,6 @@ def brute_force_distribution(
     scheme,
     initial: UrnState,
     horizon: int,
-    allow_zero_in_degree: bool = False,
 ) -> list:
     """Exact law of the urn state at time `horizon` by path enumeration.
 
@@ -484,7 +478,7 @@ def brute_force_distribution(
         raise EnumerationTooLargeError(
             f"n * horizon = {n * horizon} exceeds {BRUTE_FORCE_MAX_BITS}"
         )
-    rf = check_batch(g, scheme, initial, horizon, (), allow_zero_in_degree=allow_zero_in_degree)
+    rf = check_batch(g, scheme, initial, horizon, ())
     inflow = rf.inflow.tolist()
     # white balls vertex j adds to every urn when it draws white / black
     sends = list(zip(map(tuple, rf.on_white.tolist()), map(tuple, rf.on_black.tolist())))
@@ -554,13 +548,10 @@ def oracle_check(
     horizon: int,
     runs: int,
     master_seed: int,
-    allow_zero_in_degree: bool = False,
 ) -> OracleReport:
     """Total-variation distance between the simulator's empirical law and
     the enumerated exact law at the same horizon."""
-    exact = brute_force_distribution(
-        g, scheme, initial, horizon, allow_zero_in_degree=allow_zero_in_degree
-    )
+    exact = brute_force_distribution(g, scheme, initial, horizon)
     result = run_ensemble(
         g,
         scheme,
@@ -570,7 +561,6 @@ def oracle_check(
         master_seed,
         checkpoints=[horizon],
         snapshot_times=[horizon],
-        allow_zero_in_degree=allow_zero_in_degree,
     )
     whites = result.snapshots[horizon]
     counts: dict = {}

@@ -1,8 +1,9 @@
 """Named verification suites: desk-scale statistical reproductions of the
 limit theory, plus exact oracle comparisons.
 
-Every runner takes (g, scheme, initial=None, *, horizon, runs, seed[, tol]);
-the heterogeneous one builds its own graphs and takes only the keywords.
+Every runner takes (g, scheme, initial=None, *, horizon, runs, seed[, tol])
+and refuses a graph with an unreinforced urn (`ZeroInDegreeError`); the
+heterogeneous one builds its own graphs and takes only the keywords.
 Each returns a JSON-ready report with the statistics behind its verdict,
 "checks" as {name, value, bound, pass} records, and "pass", true when every
 check passes.  Thresholds default to the documented acceptance values;
@@ -54,13 +55,20 @@ def _verdict(report: dict, checks) -> dict:
     return report
 
 
+def _initial(g, initial) -> UrnState:
+    """Refuse a graph with unreinforced urns, which the suites' limits
+    exclude, then return the start state, by default one ball of each
+    colour per urn."""
+    g.check_reinforced()
+    return default_initial_state(g.n) if initial is None else initial
+
+
 def _start(g, scheme, initial, suite: str, polya: bool = False) -> UrnState:
-    """Refuse a scheme the suite's theory does not cover, then return the
-    start state, by default one ball of each colour per urn."""
+    """Refuse a scheme the suite's theory does not cover, then `_initial`."""
     if not isinstance(scheme, ReplacementMatrix) or (polya and not scheme.is_polya()):
         need = "a Polya-type rule a = b = m" if polya else "one replacement matrix for every vertex"
         raise InvalidParamsError(f"suite {suite} needs {need}, got {scheme}")
-    return default_initial_state(g.n) if initial is None else initial
+    return _initial(g, initial)
 
 
 def verify_consensus(
@@ -199,7 +207,8 @@ def verify_subcritical(
     for t in horizons:
         norms = np.linalg.norm(result.z_at(t) - fl.c, axis=1)
         medians.append(float(t**fl.rho * np.median(norms)))
-    ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
+    # a vanished median has no ratio: null, and the check fails
+    ratios = [b / a if a else None for a, b in zip(medians, medians[1:])]
     lo, hi = ratio_window
     report = {
         "suite": "subcritical",
@@ -212,7 +221,7 @@ def verify_subcritical(
     }
     return _verdict(report, [
         ("rho", fl.rho, 0.5, fl.regime == theory.REGIME_SUBCRITICAL),
-        ("ratios", ratios, [lo, hi], all(lo <= r <= hi for r in ratios)),
+        ("ratios", ratios, [lo, hi], all(r is not None and lo <= r <= hi for r in ratios)),
     ])
 
 
@@ -295,8 +304,7 @@ def verify_oracle(
 ) -> dict:
     """Simulator law against exact enumeration, plus the exact one-step
     conditional mean identity."""
-    if initial is None:
-        initial = default_initial_state(g.n)
+    initial = _initial(g, initial)
     rep = montecarlo.oracle_check(g, scheme, initial, horizon, runs, seed)
     one_step = montecarlo.brute_force_distribution(g, scheme, initial, 1)
     mean_exact = montecarlo.distribution_mean_fractions(one_step)
@@ -338,8 +346,9 @@ def verify_ode_tracking(
     """
     if horizon < start_time:
         raise InvalidParamsError(f"suite ode-tracking needs horizon >= {start_time}, got {horizon}")
-    if initial is None:
-        initial = default_initial_state(g.n)
+    if runs < 1:
+        raise InvalidParamsError("runs must be >= 1")
+    initial = _initial(g, initial)
     reference = mean_field_path(g, scheme, initial, horizon)
     out = simulate_runs(
         g,
@@ -411,10 +420,8 @@ def verify_heterogeneous(
         white=np.array([1] + [1] * d, dtype=np.int64),
         black=np.array([1] + [0] * d, dtype=np.int64),
     )
-    res_star = run_ensemble(
-        g_star, scheme_star, init_star, horizon, runs, seed + 1,
-        checkpoints=[horizon], allow_zero_in_degree=True,
-    )
+    res_star = run_ensemble(g_star, scheme_star, init_star, horizon, runs, seed + 1,
+                            checkpoints=[horizon])
     sim_err_star = abs(float(res_star.mean_z[-1][0]) - expected_star)
 
     # Threshold sweep: first-hit property re-derived with exact rationals.

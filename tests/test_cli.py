@@ -49,6 +49,16 @@ def test_generate_invalid_params_exit_2(tmp_path):
     assert run_cli("generate", "--family", "d-regular", "--n", "5", "--d", "3") == 2
     assert run_cli("generate", "--family", "star") == 2  # missing --n
     assert run_cli("generate", "--n", "5") == 2  # neither --family nor --graph
+    # negative generator seeds
+    assert run_cli("generate", "--family", "complete", "--n", "3", "--seed", "-1") == 2
+    assert run_cli(
+        "predict", "--family", "er-min-indegree", "--n", "5", "--p", "0.5", "--seed", "-3",
+        "--a", "1", "--b", "1", "--m", "4",
+    ) == 2
+    assert run_cli(
+        "simulate", "--family", "star", "--n", "3", "--a", "1", "--b", "1", "--horizon", "2",
+        "--seed", "-1", "--out", str(tmp_path / "traj.csv"),
+    ) == 2
 
 
 @pytest.mark.parametrize(
@@ -199,6 +209,26 @@ def test_predict_heterogeneous_singular_exit_4(tmp_path):
     hetero = tmp_path / "scheme.json"
     hetero.write_text(json.dumps([{"a": 1, "b": 1, "m": 1}, {"a": 1, "b": 1, "m": 1}]))
     assert run_cli("predict", "--graph", str(graph), "--hetero", str(hetero)) == 4
+
+
+def test_numerical_errors_share_one_class(monkeypatch, capsys):
+    from urnnet import errors, theory
+
+    six = (
+        errors.SingularMatrixError, errors.SingularSylvesterError,
+        errors.SingularLimitSystemError, errors.NotCriticalRegimeError,
+        errors.NonDiagonalizableError, errors.EigenConvergenceError,
+    )
+    for cls in six:
+        assert issubclass(cls, errors.NumericalError)
+        exc = cls(2.0) if cls is errors.SingularMatrixError else cls("injected")
+
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(theory, "predict", fail)
+        assert run_cli("predict", "--family", "complete", "--n", "3", "--polya") == 4
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_simulate_trajectory_reproducible(tmp_path):
@@ -377,9 +407,9 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
 
 
 # Flags the suite cannot use, rules its theory does not cover, a subcritical
-# horizon too short for three decades, and an ode-tracking horizon that ends
-# before the deviation is measured.  The small sizes keep the run short should
-# a case be accepted by mistake.
+# horizon too short for three decades, an ode-tracking horizon that ends
+# before the deviation is measured, and ode-tracking without runs.  The small
+# sizes keep the run short should a case be accepted by mistake.
 @pytest.mark.parametrize(
     "suite, flags",
     [
@@ -403,6 +433,8 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
         ("polya-rate", ["--polya", "--m", "3"]),
         ("heterogeneous", ["--m", "4"]),
         ("ode-tracking", ["--horizon", "500"]),
+        ("ode-tracking", ["--runs", "0"]),
+        ("ode-tracking", ["--runs", "-2"]),
     ],
 )
 def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flags):
@@ -484,12 +516,31 @@ def test_rule_flags_default_to_unset():
     assert seen == {"predict", "simulate", "verify", "oracle"}
 
 
-@pytest.mark.parametrize("argv", [["oracle", "--polya"], ["verify", "--suite", "oracle"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--polya", "--runs", "16"],
+        ["verify", "--suite", "oracle", "--runs", "16"],
+        # every other command and suite that claims a limit refuses the same way
+        ["predict", "--a", "1", "--b", "2", "--m", "4"],
+        ["simulate", "--polya", "--horizon", "10", "--runs", "1", "--out", "OUT"],
+        ["simulate", "--polya", "--horizon", "10", "--runs", "2048", "--out", "OUT"],
+        *(
+            ["verify", "--suite", suite, "--runs", "16"]
+            for suite in (
+                "consensus", "clt", "clt-critical", "polya-rate", "martingale",
+                "ode-tracking", "subcritical",
+            )
+        ),
+    ],
+)
 def test_oracle_unreinforced_exit_3(tmp_path, capsys, argv):
     graph = tmp_path / "instar.edges"
     _write_in_star(graph)
-    assert run_cli(*argv, "--graph", str(graph), "--runs", "16") == 3
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert run_cli(*argv, "--graph", str(graph)) == 3
     assert "zero in-degree at vertices (2, 3, 4, 5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_old_configs_with_default_m_rerun(tmp_path):

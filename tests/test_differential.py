@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnnet import dynamics
+from urnnet import dynamics, montecarlo
 from urnnet.dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
@@ -72,13 +72,13 @@ def test_engine_equals_exact_steps(problem, horizon, seed, runs, block_doubles):
     with mock.patch.object(dynamics, "_BLOCK_DOUBLES", block_doubles):
         out = simulate_runs(
             g, scheme, init, horizon, seed, runs,
-            snapshot_times=range(horizon + 1), allow_zero_in_degree=True,
+            snapshot_times=range(horizon + 1),
         )
     for i, r in enumerate(runs):
         rng = make_stream(seed, r)
         state = init
         for t in range(1, horizon + 1):
-            state = step(state, g, scheme, rng, allow_zero_in_degree=True)
+            state = step(state, g, scheme, rng)
             assert np.array_equal(out.snapshots[t][i], state.white), (r, t)
             assert np.array_equal(out.snapshot_totals[t], state.totals())
 
@@ -101,7 +101,7 @@ def test_moment_sums_equal_snapshot_moments(
     with mock.patch.object(dynamics, "_BLOCK_DOUBLES", block_doubles):
         out = simulate_runs(
             g, scheme, init, horizon, seed, runs, checkpoints=times, snapshot_times=times,
-            reference_path=ref, deviation_start=deviation_start, allow_zero_in_degree=True,
+            reference_path=ref, deviation_start=deviation_start,
         )
     sup_dev = np.zeros(len(runs))
     for k, t in enumerate(times):
@@ -123,12 +123,11 @@ def test_moment_sums_equal_snapshot_moments(
 )
 def test_ensemble_equal_across_workers(problem, horizon, seed, runs, batch_size):
     g, scheme, init = problem
-    kw = dict(
-        checkpoints=range(horizon + 1), snapshot_times=[horizon],
-        allow_zero_in_degree=True, batch_size=batch_size,
-    )
-    one = run_ensemble(g, scheme, init, horizon, runs, seed, workers=1, **kw)
-    two = run_ensemble(g, scheme, init, horizon, runs, seed, workers=2, **kw)
+    kw = dict(checkpoints=range(horizon + 1), snapshot_times=[horizon])
+    # a small batch makes the runs span several batches
+    with mock.patch.object(montecarlo, "_BATCH_RUNS", batch_size):
+        one = run_ensemble(g, scheme, init, horizon, runs, seed, workers=1, **kw)
+        two = run_ensemble(g, scheme, init, horizon, runs, seed, workers=2, **kw)
     for name in ("mean_z", "cov_z", "var_phi"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
     assert np.array_equal(one.snapshots[horizon], two.snapshots[horizon])
@@ -182,6 +181,6 @@ def as_rows(dist):
 @given(problem=urn_problems(max_n=4), horizon=st.integers(0, 3))
 def test_enumeration_equals_fraction_reference(problem, horizon):
     g, scheme, init = problem
-    dist = brute_force_distribution(g, scheme, init, horizon, allow_zero_in_degree=True)
+    dist = brute_force_distribution(g, scheme, init, horizon)
     assert all(type(p) is Fraction and p > 0 for _, p in dist)
     assert as_rows(dist) == as_rows(reference_distribution(g, scheme, init, horizon))

@@ -20,7 +20,7 @@ from urnnet.dynamics import (
     simulate_runs,
     step,
 )
-from urnnet.errors import InvalidParamsError, ZeroInDegreeError
+from urnnet.errors import InvalidParamsError
 from urnnet.graph import DirectedGraph, generate_graph
 from urnnet.montecarlo import brute_force_distribution
 
@@ -186,9 +186,9 @@ def test_all_white_rule_is_deterministic():
 def test_step_requires_reinforced_graph():
     g = DirectedGraph(2, frozenset({(1, 2)}))
     s = default_initial_state(2)
-    with pytest.raises(ZeroInDegreeError):
-        step(s, g, ReplacementMatrix(1, 1, 1), make_stream(0))
-    nxt = step(s, g, ReplacementMatrix(1, 1, 1), make_stream(0), allow_zero_in_degree=True)
+    # the stepper runs any graph: vertex 1 has no in-edge, and its urn stays
+    # frozen; the code that claims a limit refuses such graphs
+    nxt = step(s, g, ReplacementMatrix(1, 1, 1), make_stream(0))
     assert int(nxt.white[0]) == 1 and int(nxt.black[0]) == 1
 
 
@@ -292,11 +292,7 @@ def test_engine_zero_in_degree_freezes_urn():
     g = DirectedGraph(3, frozenset({(1, 2), (2, 1), (3, 1)}))  # vertex 3 never reinforced
     scheme = ReplacementMatrix(1, 1, 1)
     init = default_initial_state(3)
-    with pytest.raises(ZeroInDegreeError):
-        simulate_runs(g, scheme, init, 10, 0, [0])
-    out = simulate_runs(
-        g, scheme, init, 10, 0, [0], snapshot_times=[10], allow_zero_in_degree=True
-    )
+    out = simulate_runs(g, scheme, init, 10, 0, [0], snapshot_times=[10])
     assert out.snapshots[10][0][2] == 1
     assert out.snapshot_totals[10][2] == 2
 

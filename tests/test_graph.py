@@ -62,6 +62,12 @@ def test_weighted_adjacency_zero_in_degree_raises():
     DirectedGraph(2, frozenset({(1, 2), (2, 1)})).check_reinforced()
 
 
+@pytest.mark.parametrize("family", ["complete", "erdos_renyi_min_indegree"])
+def test_generator_refuses_negative_seed(family):
+    with pytest.raises(InvalidParamsError, match="seed must be non-negative"):
+        generate_graph(family, {"complete": {"n": 3}}.get(family, {"n": 5, "p": 0.5}), seed=-1)
+
+
 @pytest.mark.parametrize(
     "family,params",
     [

@@ -30,7 +30,7 @@ from urnnet.errors import (
     WrongRegimeError,
     ZeroInDegreeError,
 )
-from urnnet.graph import DirectedGraph, generate_graph
+from urnnet.graph import generate_graph
 from urnnet.theory import Fluctuations
 from urnnet.montecarlo import (
     EnsembleResult,
@@ -71,10 +71,11 @@ class TestRunEnsemble:
         large = run_ensemble(g, POLYA, init, 40, 8, 9, checkpoints=[40], snapshot_times=[40])
         assert np.array_equal(small.snapshots[40], large.snapshots[40][:4])
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
         g = generate_graph("cycle_undirected", {"n": 6})
         init = default_initial_state(6)
-        kw = dict(checkpoints=[0, 30, 60], snapshot_times=[30, 60], batch_size=8)
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 8)
+        kw = dict(checkpoints=[0, 30, 60], snapshot_times=[30, 60])
         serial = run_ensemble(g, POLYA, init, 60, 20, 77, workers=1, **kw)
         for workers in (2, 3):
             pooled = run_ensemble(g, POLYA, init, 60, 20, 77, workers=workers, **kw)
@@ -361,14 +362,16 @@ class TestProcessPool:
             assert str(back) == str(exc)
             assert vars(back) == vars(exc)
 
-    def test_zero_in_degree_raised_before_dispatch(self):
-        star = DirectedGraph(5, frozenset((j, 1) for j in range(2, 6)))
-        with pytest.raises(ZeroInDegreeError) as info:
-            run_ensemble(star, POLYA, default_initial_state(5), 10, 3000, 0, workers=2)
-        assert info.value.vertices == (2, 3, 4, 5)
+    def test_zero_in_degree_raised_before_dispatch(self, monkeypatch):
+        # input the calling process must reject before any of the three
+        # batches reaches a worker: ball counts past integer exactness
+        big = ReplacementMatrix(2**40, 2**40, 2**40)
+        with pytest.raises(InvalidParamsError, match="exactness") as info:
+            run_ensemble(two_cycle(), big, default_initial_state(2), 2**14, 3000, 0, workers=2)
         assert info.value.__cause__ is None  # raised here, not carried back from a worker
         g = two_cycle()
-        kw = dict(checkpoints=[20], batch_size=4)
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)
+        kw = dict(checkpoints=[20])
         pooled = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=2, **kw)
         serial = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=1, **kw)
         assert np.array_equal(pooled.cov_z, serial.cov_z)
@@ -376,7 +379,8 @@ class TestProcessPool:
     def test_broken_pool_is_replaced(self, monkeypatch):
         g = two_cycle()
         args = (g, POLYA, default_initial_state(2), 20, 12, 1)
-        kw = dict(checkpoints=[20], batch_size=4, workers=2)
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)
+        kw = dict(checkpoints=[20], workers=2)
         from concurrent.futures.process import BrokenProcessPool
 
         with monkeypatch.context() as patch:
@@ -390,14 +394,6 @@ class TestProcessPool:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(InvalidParamsError):
             run_ensemble(two_cycle(), POLYA, default_initial_state(2), 5, 4, 0, workers=0)
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_rejects_nonpositive_batch_size(self, batch_size):
-        # -1 used to run no batch and report all-zero means for 4 runs
-        with pytest.raises(InvalidParamsError, match="batch_size"):
-            run_ensemble(
-                two_cycle(), POLYA, default_initial_state(2), 5, 4, 0, batch_size=batch_size
-            )
 
 
 def test_import_loads_no_pool_or_scipy():

@@ -8,9 +8,9 @@ import json
 
 import pytest
 
-from urnnet import cli, spectral, verify
-from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state
-from urnnet.errors import InvalidParamsError, WrongRegimeError
+from urnnet import cli, montecarlo, spectral, verify
+from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state, run_trajectory
+from urnnet.errors import InvalidParamsError, WrongRegimeError, ZeroInDegreeError
 from urnnet.graph import DirectedGraph, generate_graph
 
 import numpy as np
@@ -86,6 +86,20 @@ def test_subcritical_report():
     assert len(rep["ratios"]) == 2
 
 
+def test_subcritical_vanished_median_fails_check(capsys):
+    # one run at seed 17: every urn sits exactly at c = 1/2 at t = 10, so the
+    # scaled median there is 0 and its ratio is reported as null
+    g = generate_graph("cycle_undirected", {"n": 5})
+    for horizon, ratios in ((100, [0.0, None]), (1000, [None, pytest.approx(0.6738, abs=1e-4)])):
+        rep = verify.verify_subcritical(g, ReplacementMatrix(0, 0, 1), horizon=horizon, runs=1)
+        assert rep["ratios"] == ratios
+        assert not rep["pass"] and not rep["checks"][1]["pass"]
+        json.dumps(rep, allow_nan=False)
+        argv = ["verify", "--suite", "subcritical", "--horizon", str(horizon), "--runs", "1"]
+        assert cli.main(argv) == 1
+        assert "suite subcritical: FAIL" in capsys.readouterr().out
+
+
 def test_other_regimes_on_defective_graph_need_no_solve():
     # a critical rule on a path with loops, where the log-averaged Gram
     # solve refuses (H is defective): the subcritical suite reports its
@@ -144,6 +158,38 @@ def test_ode_tracking_refuses_horizon_before_start_time():
         g, ReplacementMatrix(1, 1, 4), horizon=100, runs=4, seed=8, start_time=100
     )
     assert rep["max_sup_deviation"] > 0.0
+
+
+@pytest.mark.parametrize("runs", [0, -2])
+def test_ode_tracking_refuses_nonpositive_runs(runs):
+    g = generate_graph("star_undirected", {"n": 5})
+    with pytest.raises(InvalidParamsError, match="runs must be >= 1"):
+        verify.verify_ode_tracking(g, ReplacementMatrix(1, 1, 4), horizon=1000, runs=runs)
+
+
+def test_unreinforced_urns_refused_by_suites_run_frozen_by_engine(monkeypatch):
+    # four vertices all pointing at vertex 1; vertices 2-5 are never reinforced
+    star = DirectedGraph(5, frozenset((j, 1) for j in range(2, 6)))
+    for name, suite in verify.SUITES.items():
+        if suite.graph is None:
+            continue
+        with pytest.raises(ZeroInDegreeError) as info:
+            suite.run(star, ReplacementMatrix(*suite.rule), horizon=1000, runs=4)
+        assert info.value.vertices == (2, 3, 4, 5), name
+
+    init = UrnState(np.array([1, 1, 2, 3, 1]), np.array([1, 3, 1, 1, 1]))
+    monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)  # three batches on two workers
+    res = montecarlo.run_ensemble(
+        star, ReplacementMatrix(1, 1, 1), init, 20, 12, 5, snapshot_times=[20], workers=2
+    )
+    assert np.array_equal(res.snapshots[20][:, 1:], np.tile(init.white[1:], (12, 1)))
+    assert np.array_equal(res.snapshot_totals[20][1:], init.totals()[1:])
+    assert res.snapshots[20][:, 0].min() > 1  # the centre is reinforced
+    rep = montecarlo.oracle_check(star, ReplacementMatrix(1, 1, 1), init, 1, 2000, 3)
+    assert rep.support_size == 5 and rep.passed
+    traj = run_trajectory(star, ReplacementMatrix(1, 2, 3), init, 30, 7)
+    for _, z in traj:
+        assert np.array_equal(z[1:], init.fractions()[1:])
 
 
 def test_heterogeneous_report():
