@@ -29,7 +29,7 @@ from .graph import DirectedGraph
 MAX_EXACT_COUNT = 2.0**53
 
 #: target number of uniforms held in memory per random block
-_BLOCK_DOUBLES = 1 << 24
+_BLOCK_DOUBLES = 1 << 22
 
 RECORD_POLICIES = ("every_step", "geometric_checkpoints", "final_only")
 
@@ -323,8 +323,9 @@ def simulate_runs(
     (runs, n) arrays, so no step broadcasts an n-vector across the runs, but
     for the reference row of the deviation track.  Z = W / T is divided once
     per step, after the update; the next draw, the deviation track and the
-    checkpoint sums all read it.  The cost is three (runs, n) arrays and the
-    pad on top of the uniform block.
+    checkpoint sums all read it.  Memory: the uniform block of at most 32 MB
+    (2**22 doubles) plus the pad, the (checkpoints, n, n) and (checkpoints,
+    n) moment sums, and these three and a few more (runs, n) arrays.
     """
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))

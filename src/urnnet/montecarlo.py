@@ -5,6 +5,12 @@ checkpoint grid, so memory stays flat in the number of runs.  Runs are
 independent work items keyed by (master_seed, run_index); batches run on a
 pool of worker processes and merge in fixed index order, which makes
 results identical for any worker count.
+
+The second-moment sums, (checkpoints, n, n) doubles, are the largest arrays
+(80 MB at n = 200 with 250 steps recorded).  Later batches add into the first
+one's sums and the covariance is written over them, so one array is held per
+batch: a one-batch ensemble holds one, where a fresh total and a fresh
+covariance would make three (240 MB at that shape).
 """
 
 from __future__ import annotations
@@ -101,14 +107,18 @@ class EnsembleResult:
         snapshots=None,
         snapshot_totals=None,
     ) -> "EnsembleResult":
+        """Normalise moment sums over `runs` into a result.  Consumes
+        `sum_outer`: each checkpoint's covariance is written over its slice."""
         checkpoints = tuple(checkpoints)
         n = sum_z.shape[1]
         mean = sum_z / runs
-        cov = np.zeros_like(sum_outer)
-        if runs > 1:
+        cov = sum_outer
+        if runs == 1:
+            cov.fill(0.0)
+        else:
             for k in range(len(checkpoints)):
-                cov[k] = (sum_outer[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
-                cov[k] = 0.5 * (cov[k] + cov[k].T)
+                c = (cov[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
+                cov[k] = 0.5 * (c + c.T)
         centering = np.eye(n) - np.full((n, n), 1.0 / n)
         var_phi = np.array(
             [np.trace(centering @ cov[k] @ centering) / n for k in range(len(checkpoints))]
@@ -128,39 +138,6 @@ class EnsembleResult:
             regular_graph=regular_graph,
             snapshots=dict(snapshots or {}),
             snapshot_totals=dict(snapshot_totals or {}),
-        )
-
-    @classmethod
-    def from_z_samples(
-        cls,
-        z: np.ndarray,
-        checkpoints,
-        horizon: int,
-        raw_seed: int = 0,
-        initial: UrnState | None = None,
-        is_polya: bool = False,
-        regular_graph: bool = False,
-    ) -> "EnsembleResult":
-        """Build a result from explicit per-run fraction samples (R, C, n);
-        used for estimator calibration on synthetic data."""
-        z = np.asarray(z, dtype=float)
-        runs, n_cp, n = z.shape
-        if n_cp != len(tuple(checkpoints)):
-            raise InvalidParamsError("sample and checkpoint counts differ")
-        sum_z = z.sum(axis=0)
-        sum_outer = np.einsum("rki,rkj->kij", z, z)
-        if initial is None:
-            initial = UrnState(np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64))
-        return cls.from_moments(
-            runs,
-            horizon,
-            tuple(checkpoints),
-            sum_z,
-            sum_outer,
-            raw_seed,
-            initial,
-            is_polya,
-            regular_graph,
         )
 
     def to_dict(self) -> dict:
@@ -316,16 +293,17 @@ def run_ensemble(
             _discard_pool()
             raise
 
-    sum_z = np.zeros((len(checkpoints), g.n))
-    sum_outer = np.zeros((len(checkpoints), g.n, g.n))
-    for out in outs:  # fixed batch order keeps merging schedule-independent
+    # later batches add into the first one's sums, in the fixed batch order
+    # that keeps merging schedule-independent
+    sum_z, sum_outer = outs[0].sum_z, outs[0].sum_outer
+    for out in outs[1:]:
         sum_z += out.sum_z
         sum_outer += out.sum_outer
     snapshots = {
         t: np.concatenate([out.snapshots[t] for out in outs], axis=0)
-        for t in (outs[0].snapshots if outs else {})
+        for t in outs[0].snapshots
     }
-    snapshot_totals = dict(outs[0].snapshot_totals) if outs else {}
+    snapshot_totals = dict(outs[0].snapshot_totals)
 
     return EnsembleResult.from_moments(
         runs,

@@ -81,8 +81,11 @@ def verify_consensus(
     seed: int = 2024,
     tol: float = 0.02,
 ) -> dict:
-    """Per-vertex ensemble means against the predicted consensus value."""
+    """Per-vertex ensemble means against the predicted consensus value; a
+    horizon below 100 is refused, as it would mostly measure the start."""
     initial = _start(g, scheme, initial, "consensus")
+    if horizon < 100:
+        raise InvalidParamsError(f"suite consensus needs horizon >= 100, got {horizon}")
     c = theory.consensus_equilibrium(scheme.alpha, scheme.beta)
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     worst = float(np.abs(result.mean_z[-1] - c).max())

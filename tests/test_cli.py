@@ -376,7 +376,7 @@ def test_verify_oracle_passes(tmp_path, capsys):
 
 def test_verify_consensus_fails_with_absurd_tolerance(tmp_path):
     code = run_cli(
-        "verify", "--suite", "consensus", "--horizon", "50", "--runs", "10",
+        "verify", "--suite", "consensus", "--horizon", "100", "--runs", "10",
         "--seed", "1", "--tol", "1e-9",
     )
     assert code == 1
@@ -407,9 +407,10 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
 
 
 # Flags the suite cannot use, rules its theory does not cover, a subcritical
-# horizon too short for three decades, an ode-tracking horizon that ends
-# before the deviation is measured, and ode-tracking without runs.  The small
-# sizes keep the run short should a case be accepted by mistake.
+# horizon too short for three decades, a consensus horizon that would mostly
+# measure the start state, an ode-tracking horizon that ends before the
+# deviation is measured, and ode-tracking without runs.  The small sizes keep
+# the run short should a case be accepted by mistake.
 @pytest.mark.parametrize(
     "suite, flags",
     [
@@ -435,6 +436,7 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
         ("ode-tracking", ["--horizon", "500"]),
         ("ode-tracking", ["--runs", "0"]),
         ("ode-tracking", ["--runs", "-2"]),
+        ("consensus", ["--horizon", "0"]),
     ],
 )
 def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flags):
@@ -566,7 +568,7 @@ def test_old_configs_with_default_m_rerun(tmp_path):
 
     assert normalised(out2) == normalised(out1)
     cfg.write_text(format_config({
-        "command": "verify", "suite": "consensus", "horizon": "50", "runs": "4",
+        "command": "verify", "suite": "consensus", "horizon": "100", "runs": "4",
         "seed": "1", "m": "1", "polya": "false",
     }))
     assert run_cli("verify", "--config", str(cfg)) in (0, 1)

@@ -5,12 +5,13 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from urnnet import montecarlo, theory
+from urnnet import dynamics, montecarlo, theory
 from urnnet.dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
@@ -18,6 +19,7 @@ from urnnet.dynamics import (
     default_initial_state,
     expected_fractions_after_step,
     run_trajectory,
+    simulate_runs,
 )
 from urnnet import errors
 from urnnet.errors import (
@@ -98,6 +100,77 @@ class TestRunEnsemble:
         res = run_ensemble(g, POLYA, default_initial_state(2), 1000, 2, 5)
         assert res.checkpoints[0] == 1 and res.checkpoints[-1] == 1000
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_place_merge_keeps_every_bit(self, monkeypatch, workers):
+        g = generate_graph("cycle_directed", {"n": 5})
+        scheme, init = ReplacementMatrix(1, 2, 3), default_initial_state(5)
+        runs, horizon, seed, cps = 11, 30, 5, (0, 7, 30)
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)  # batches of 4, 4 and 3 runs
+        res = run_ensemble(g, scheme, init, horizon, runs, seed, cps, workers=workers)
+
+        # the out-of-place arithmetic: batch sums added into fresh zeros, and
+        # the covariance formed in an array of its own
+        sum_z, sum_outer = np.zeros((3, 5)), np.zeros((3, 5, 5))
+        for lo in (0, 4, 8):
+            out = simulate_runs(g, scheme, init, horizon, seed, range(lo, min(lo + 4, runs)), cps)
+            sum_z += out.sum_z
+            sum_outer += out.sum_outer
+        mean = sum_z / runs
+        cov = np.zeros_like(sum_outer)
+        for k in range(3):
+            cov[k] = (sum_outer[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
+            cov[k] = 0.5 * (cov[k] + cov[k].T)
+        centering = np.eye(5) - np.full((5, 5), 1.0 / 5)
+        var_phi = np.array([np.trace(centering @ cov[k] @ centering) / 5 for k in range(3)])
+        assert np.array_equal(res.mean_z, mean)
+        assert np.array_equal(res.cov_z, cov)
+        assert np.array_equal(res.var_phi, var_phi)
+
+        # the result shares no memory with what the caller holds; from_moments
+        # consumes only the second-moment sums it is handed
+        for got in (res.mean_z, res.cov_z, res.var_phi, res.initial_white, res.initial_black):
+            assert not any(np.shares_memory(got, held) for held in (init.white, init.black))
+        held_z = sum_z.copy()
+        direct = EnsembleResult.from_moments(
+            runs, horizon, cps, held_z, sum_outer.copy(), seed, init, False, False
+        )
+        assert np.array_equal(held_z, sum_z) and not np.shares_memory(direct.mean_z, held_z)
+        assert np.array_equal(direct.cov_z, cov) and np.array_equal(direct.var_phi, var_phi)
+
+    def test_peak_memory_is_one_moment_array(self, monkeypatch):
+        n, runs, horizon = 64, 256, 60
+        g = generate_graph("d_regular_random", {"n": n, "d": 4}, seed=1)
+        monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", 1 << 14)  # the smallest block: 4 steps
+        moments = (horizon + 1) * n * n * 8  # one (checkpoints, n, n) array of sums
+        block = runs * (4 + 1) * n * 8  # the uniform block, padded by one step
+        work = 12 * runs * n * 8  # allowance: the engine's (runs, n) arrays and temporaries
+        tracing = tracemalloc.is_tracing()  # numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_ensemble(
+                g, ReplacementMatrix(1, 1, 4), default_initial_state(n), horizon, runs, 0,
+                checkpoints=range(horizon + 1), workers=1,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= moments + block + work, peak / moments
+
+
+def _from_z_samples(z, checkpoints, horizon, is_polya=False):
+    """A result built from explicit per-run fraction samples, shape
+    (runs, checkpoints, n), for estimator calibration on synthetic data."""
+    z = np.asarray(z, dtype=float)
+    runs, _, n = z.shape
+    ones = np.ones(n, dtype=np.int64)
+    return EnsembleResult.from_moments(
+        runs, horizon, checkpoints, z.sum(axis=0), np.einsum("rki,rkj->kij", z, z), 0,
+        UrnState(ones, ones), is_polya, False,
+    )
+
 
 def _record(regime, rho=1.0, c=0.5):
     return Fluctuations(c=c, rho=rho, regime=regime, sigma=None)
@@ -109,7 +182,7 @@ SQRT_T = _record(theory.REGIME_SQRT_T)
 class TestScaledCovariance:
     def test_constant_runs_give_zero(self):
         z = np.full((30, 1, 3), 0.5)
-        res = EnsembleResult.from_z_samples(z, [100], horizon=100)
+        res = _from_z_samples(z, [100], horizon=100)
         out = scaled_covariance(res, SQRT_T)
         assert np.abs(out).max() <= 1e-15
 
@@ -118,7 +191,7 @@ class TestScaledCovariance:
         t = 10_000
         target = np.full((2, 2), 1 / 64)
         samples = 0.5 + rng.multivariate_normal([0, 0], target / t, size=20_000)
-        res = EnsembleResult.from_z_samples(samples[:, None, :], [t], horizon=t)
+        res = _from_z_samples(samples[:, None, :], [t], horizon=t)
         out = scaled_covariance(res, SQRT_T)
         rel = np.linalg.norm(out - target) / np.linalg.norm(target)
         assert rel <= 0.05
@@ -136,7 +209,7 @@ class TestScaledCovariance:
         # every run sits 0.1 from c = 0.5 at both checkpoints, so the second
         # moment about c is 0.01 and the output is 0.01 s(t)^2
         z = np.stack([np.full((40, 2), 0.4), np.full((40, 2), 0.6)], axis=1)
-        res = EnsembleResult.from_z_samples(z, [20, 400], horizon=400)
+        res = _from_z_samples(z, [20, 400], horizon=400)
         record = _record(regime, rho=rho)
         for t in (20, 400):
             out = scaled_covariance(res, record, t=t)
@@ -147,7 +220,7 @@ class TestScaledCovariance:
 
     def test_polya_guard(self):
         z = np.full((10, 1, 2), 0.5)
-        res = EnsembleResult.from_z_samples(z, [50], horizon=50, is_polya=True)
+        res = _from_z_samples(z, [50], horizon=50, is_polya=True)
         with pytest.raises(WrongRegimeError):
             scaled_covariance(res, SQRT_T)
 

@@ -37,6 +37,14 @@ def test_consensus_absurd_tolerance_fails():
     assert not rep["pass"]
 
 
+@pytest.mark.parametrize("horizon", [0, 99])
+def test_consensus_refuses_short_horizon(horizon):
+    # the default start already sits at c = 1/2 for the rule (1, 1, 4)
+    g = generate_graph("complete_with_loops", {"n": 2})
+    with pytest.raises(InvalidParamsError, match="horizon >= 100"):
+        verify.verify_consensus(g, ReplacementMatrix(1, 1, 4), horizon=horizon, runs=2)
+
+
 def test_clt_report():
     g = generate_graph("complete_with_loops", {"n": 2})
     rep = verify.verify_clt(
