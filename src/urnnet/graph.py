@@ -52,16 +52,10 @@ class DirectedGraph:
 
     def in_degrees(self) -> np.ndarray:
         """Number of incoming edges per vertex, index k for vertex k+1."""
-        d = np.zeros(self.n_vertices, dtype=np.int64)
-        for _, j in self.edges:
-            d[j - 1] += 1
-        return d
+        return self.adjacency().sum(axis=0)
 
     def out_degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_vertices, dtype=np.int64)
-        for i, _ in self.edges:
-            d[i - 1] += 1
-        return d
+        return self.adjacency().sum(axis=1)
 
     def has_positive_in_degrees(self) -> bool:
         """True iff every urn receives reinforcement (in-degree >= 1 everywhere)."""
@@ -87,9 +81,11 @@ class DirectedGraph:
         Every column of the result sums to one, which vertices without
         incoming edges make impossible: they raise ZeroInDegreeError.
         """
-        self.check_reinforced()
         a = self.adjacency()
-        return a / a.sum(axis=0)
+        d = a.sum(axis=0)
+        if not d.all():
+            self.check_reinforced()
+        return a / d
 
     def is_undirected(self) -> bool:
         return all((j, i) in self.edges for i, j in self.edges)

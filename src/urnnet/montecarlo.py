@@ -7,10 +7,10 @@ pool of worker processes and merge in fixed index order, which makes
 results identical for any worker count.
 
 The second-moment sums, (checkpoints, n, n) doubles, are the largest arrays
-(80 MB at n = 200 with 250 steps recorded).  Later batches add into the first
-one's sums and the covariance is written over them, so one array is held per
-batch: a one-batch ensemble holds one, where a fresh total and a fresh
-covariance would make three (240 MB at that shape).
+(80 MB at n = 200 with 250 steps recorded).  Each batch adds into the first
+one's sums as it arrives and the covariance is written over them, so the
+total and one batch's sums are held: a one-batch ensemble holds one array,
+where a fresh total and a fresh covariance would make three (240 MB).
 """
 
 from __future__ import annotations
@@ -281,29 +281,27 @@ def run_ensemble(
     )
     pool = _batch_pool(workers) if workers > 1 and len(batches) > 1 else None
     if pool is None:
-        outs = [work(b) for b in batches]
+        outs, broken = map(work, batches), ()
     else:
         from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            outs = list(pool.map(work, batches))
-        except (BrokenProcessPool, KeyboardInterrupt):
-            # a dead worker, or an interrupt that reached the workers too:
-            # the next call starts a fresh pool
-            _discard_pool()
-            raise
-
-    # later batches add into the first one's sums, in the fixed batch order
-    # that keeps merging schedule-independent
-    sum_z, sum_outer = outs[0].sum_z, outs[0].sum_outer
-    for out in outs[1:]:
-        sum_z += out.sum_z
-        sum_outer += out.sum_outer
-    snapshots = {
-        t: np.concatenate([out.snapshots[t] for out in outs], axis=0)
-        for t in outs[0].snapshots
-    }
-    snapshot_totals = dict(outs[0].snapshot_totals)
+        outs, broken = pool.map(work, batches), (BrokenProcessPool, KeyboardInterrupt)
+    try:
+        # batches add into the first one's sums as they arrive, in the fixed
+        # batch order that keeps merging schedule-independent
+        first = next(outs)
+        sum_z, sum_outer, snapshots = first.sum_z, first.sum_outer, [first.snapshots]
+        for out in outs:
+            sum_z += out.sum_z
+            sum_outer += out.sum_outer
+            snapshots.append(out.snapshots)
+            del out  # else it holds this batch while the next one runs
+    except broken:
+        # a dead worker, or an interrupt that reached the workers too: the
+        # next call starts a fresh pool
+        _discard_pool()
+        raise
+    snapshots = {t: np.concatenate([s[t] for s in snapshots], axis=0) for t in first.snapshots}
 
     return EnsembleResult.from_moments(
         runs,
@@ -316,7 +314,7 @@ def run_ensemble(
         scheme.is_polya(),
         g.is_regular_undirected(),
         snapshots,
-        snapshot_totals,
+        first.snapshot_totals,
     )
 
 

@@ -3,7 +3,8 @@
 Everything here operates on small dense matrices (target scale n <= 200):
 full spectra of nonsymmetric real matrices, Lyapunov-type solves, guarded
 inversion, and the log-averaged Gram integral that appears in the critical
-fluctuation regime.
+fluctuation regime.  Each solve factors its matrix once, and symmetric
+inputs (one shared test) take the symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class Spectrum:
         return float(rest.real.max())
 
 
+def _is_symmetric(m: np.ndarray) -> bool:
+    """The one symmetry test: symmetric inputs take the symmetric solvers."""
+    return np.allclose(m, m.T, rtol=0.0, atol=1e-13)
+
+
 def eigenvalues(m: np.ndarray) -> Spectrum:
     """Spectrum of a real square matrix.
 
@@ -79,7 +85,7 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     if not np.all(np.isfinite(m)):
         raise InvalidParamsError("matrix has non-finite entries")
     try:
-        if np.allclose(m, m.T, rtol=0.0, atol=1e-13):
+        if _is_symmetric(m):
             lam = np.linalg.eigvalsh(m).astype(complex)
         else:
             lam = np.linalg.eigvals(m)
@@ -93,13 +99,15 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A^T S + S A = Q for symmetric Q.
 
     Solvable iff no two eigenvalues of A sum to zero (always true when all
-    real parts are positive).  Uses the Schur-based Bartels-Stewart method
-    (scipy's `solve_continuous_lyapunov`), which costs O(n^3) and needs no
-    eigenvector basis, so defective A (Jordan blocks) solve like any other.
+    real parts are positive).  Bartels-Stewart, O(n^3): one real Schur form
+    A^T = U R U^T (eigh's for a symmetric A, else schur's, defective or not)
+    gives the eigenvalues for that check and, by LAPACK's trsyl, the X of
+    R X + X R^T = U^T Q U; then S = U X U^T.
     """
     # scipy.linalg takes longer to import than the whole package; only the
     # callers of this function pay for it.
-    from scipy.linalg import solve_continuous_lyapunov
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import dtrsyl
 
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -107,7 +115,15 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if a.shape != (n, n) or q.shape != (n, n):
         raise InvalidParamsError("A and Q must be square with equal shape")
 
-    lam = np.linalg.eigvals(a)
+    if _is_symmetric(a):
+        lam, u = np.linalg.eigh(a)
+        r = np.diag(lam)
+    else:
+        r, u = schur(a.T, output="real")
+        lam = np.diag(r).astype(complex)
+        k = np.flatnonzero(np.diag(r, -1))  # 2x2 blocks [[x, b], [c, x]], bc < 0
+        lam[k] += 1j * np.sqrt(-r[k, k + 1] * r[k + 1, k])
+        lam[k + 1] = lam[k].conj()
     pair_sums = np.abs(lam[:, None] + lam[None, :])
     scale = max(1.0, float(np.abs(lam).max()))
     if pair_sums.min() <= 1e-12 * scale:
@@ -115,7 +131,11 @@ def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"eigenvalue pair sums reach {pair_sums.min():.3e}; equation is singular"
         )
 
-    s = solve_continuous_lyapunov(a.T, q)
+    # trsyl solves R X + X R^T = scale * C, scaling down to avoid overflow
+    x, trsyl_scale, info = dtrsyl(r, r, u.T @ q @ u, tranb="T")
+    if info != 0:
+        raise SingularSylvesterError(f"trsyl perturbed nearly cancelling eigenvalues (info {info})")
+    s = u @ (x / trsyl_scale) @ u.T
     return 0.5 * (s + s.T)
 
 
@@ -147,11 +167,13 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     if h.shape != (n, n) or gamma.shape != (n, n):
         raise InvalidParamsError("H and Gamma must be square with equal shape")
 
+    symmetric = _is_symmetric(h)
     try:
-        lam, v = np.linalg.eig(h)
+        # a symmetric H has orthonormal eigenvectors: condition 1, V^-1 = V^T
+        lam, v = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    cond = float(np.linalg.cond(v))
+    cond = 1.0 if symmetric else float(np.linalg.cond(v))
     if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_MAX:
         raise NonDiagonalizableError(
             f"eigenvector condition {cond:.3e}: H is numerically defective, and a "
@@ -164,8 +186,12 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     if np.abs(mu.real).min() > UNIT_EIGENVALUE_TOL:
         raise NotCriticalRegimeError("no eigenvalue of H on the critical line Re = 1/2")
 
+    # a surviving pair has Re mu_i + Re mu_j <= tol with both >= -tol, so both
+    # modes lie within 2 tol of the critical line: project onto those only
+    k = np.flatnonzero(mu.real <= 2 * UNIT_EIGENVALUE_TOL)
+    mu, v_k = mu[k], v[:, k]
+    w_k = v_k.T if symmetric else np.linalg.inv(v)[k]
     surviving = np.abs(mu[:, None] + mu[None, :]) <= UNIT_EIGENVALUE_TOL
-    g = v.T @ gamma.astype(complex) @ v
-    v_inv = np.linalg.inv(v)
-    s = (v_inv.T @ (g * surviving) @ v_inv).real
+    g = v_k.T @ gamma @ v_k
+    s = (w_k.T @ (g * surviving) @ w_k).real
     return 0.5 * (s + s.T)

@@ -143,3 +143,25 @@ def test_generation_is_deterministic(seed):
 def test_star_matches_hand_built_edge_set():
     expected = {(1, j) for j in range(2, 6)} | {(j, 1) for j in range(2, 6)}
     assert star5().edges == frozenset(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    edges=st.sets(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=40),
+)
+def test_degrees_and_weights_match_edge_counts(n, edges):
+    g = DirectedGraph(n, frozenset((i, j) for i, j in edges if i <= n and j <= n))
+    d_in = [sum(1 for _, j in g.edges if j == v) for v in range(1, n + 1)]
+    d_out = [sum(1 for i, _ in g.edges if i == v) for v in range(1, n + 1)]
+    assert g.in_degrees().tolist() == d_in and g.out_degrees().tolist() == d_out
+    unreinforced = tuple(v for v in range(1, n + 1) if d_in[v - 1] == 0)
+    if unreinforced:
+        with pytest.raises(ZeroInDegreeError) as exc:
+            g.weighted_adjacency()
+        assert exc.value.vertices == unreinforced
+    else:
+        w = g.weighted_adjacency()
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert w[i - 1, j - 1] == ((i, j) in g.edges) / d_in[j - 1]

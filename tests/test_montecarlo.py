@@ -138,26 +138,33 @@ class TestRunEnsemble:
         assert np.array_equal(direct.cov_z, cov) and np.array_equal(direct.var_phi, var_phi)
 
     def test_peak_memory_is_one_moment_array(self, monkeypatch):
-        n, runs, horizon = 64, 256, 60
+        n, horizon = 64, 60
         g = generate_graph("d_regular_random", {"n": n, "d": 4}, seed=1)
         monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", 1 << 14)  # the smallest block: 4 steps
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 256)
         moments = (horizon + 1) * n * n * 8  # one (checkpoints, n, n) array of sums
-        block = runs * (4 + 1) * n * 8  # the uniform block, padded by one step
-        work = 12 * runs * n * 8  # allowance: the engine's (runs, n) arrays and temporaries
-        tracing = tracemalloc.is_tracing()  # numpy reports its buffers to tracemalloc
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            run_ensemble(
-                g, ReplacementMatrix(1, 1, 4), default_initial_state(n), horizon, runs, 0,
-                checkpoints=range(horizon + 1), workers=1,
-            )
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= moments + block + work, peak / moments
+        block = 256 * (4 + 1) * n * 8  # the uniform block, padded by one step
+        work = 12 * 256 * n * 8  # allowance: the engine's (runs, n) arrays and temporaries
+
+        def peak(runs):
+            tracing = tracemalloc.is_tracing()  # numpy reports its buffers to tracemalloc
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run_ensemble(
+                    g, ReplacementMatrix(1, 1, 4), default_initial_state(n), horizon, runs, 0,
+                    checkpoints=range(horizon + 1), workers=1,
+                )
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        one, three = peak(256), peak(3 * 256)
+        assert one <= moments + block + work, one / moments
+        # three batches: the total, and the sums of the batch being added into it
+        assert three <= 2 * moments + block + work, three / moments
 
 
 def _from_z_samples(z, checkpoints, horizon, is_polya=False):

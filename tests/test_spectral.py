@@ -115,9 +115,15 @@ def _shifted_drift(a_tilde):
     return theory.drift_matrix(0.25, 0.25, a_tilde) - 0.5 * np.eye(n), a_tilde.T @ a_tilde
 
 
-def _random_case(n):
+def _random_case(n, asymmetry=None):
+    """A random stable A and PSD Q; with `asymmetry`, A is symmetric plus a
+    perturbation of that size, so 0 gives an exactly symmetric A."""
     rng = np.random.default_rng(n)
-    a = _random_stable(n, rng)
+    if asymmetry is None:
+        a = _random_stable(n, rng)
+    else:
+        x = rng.standard_normal((n, n))
+        a = x @ x.T / n + np.eye(n) + asymmetry * rng.uniform(-1.0, 1.0, (n, n))
     q0 = rng.standard_normal((n, n))
     return a, q0 @ q0.T
 
@@ -131,6 +137,12 @@ LYAPUNOV_CASES = {
     },
     "er40": lambda: _shifted_drift(
         generate_graph("erdos_renyi_min_indegree", {"n": 40, "p": 0.1}, seed=3).weighted_adjacency()
+    ),
+    **{f"sym{n}": lambda n=n: _random_case(n, 0.0) for n in (5, 64, 65, 200)},
+    # below the symmetry test's 1e-13: these take the symmetric factor too
+    **{f"near_sym{n}": lambda n=n: _random_case(n, 5e-14) for n in (5, 65)},
+    "reg64": lambda: _shifted_drift(
+        generate_graph("d_regular_random", {"n": 64, "d": 4}, seed=2).weighted_adjacency()
     ),
 }
 
@@ -167,6 +179,64 @@ def test_clt_covariance_on_defective_path():
 def test_lyapunov_singular_pair_detected():
     with pytest.raises(SingularSylvesterError):
         spectral.lyapunov_solve(np.diag([1.0, -1.0]), np.eye(2))
+    # a complex pair +-i, read from the 2x2 block of the Schur factor
+    with pytest.raises(SingularSylvesterError):
+        spectral.lyapunov_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+
+
+def _factorisations(monkeypatch):
+    """Count the spectral factorisations numpy and scipy run from here on;
+    the eigenvalue-only routines raise."""
+    calls = {"eigh": 0, "eig": 0, "schur": 0}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigenvalues computed apart from the factorisation")
+
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "eig")
+    counted(scipy.linalg, "schur")
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case,factor", [("sym5", "eigh"), ("near_sym65", "eigh"), ("9", "schur"), ("path65", "schur")]
+)
+def test_lyapunov_factors_once(monkeypatch, case, factor):
+    a, q = LYAPUNOV_CASES[case]()
+    calls = _factorisations(monkeypatch)
+    spectral.lyapunov_solve(a, q)
+    assert calls == {"eigh": 0, "eig": 0, "schur": 0, factor: 1}
+
+
+@pytest.mark.parametrize("scale,info", [(0.5, 0), (1.0, 1)])
+def test_lyapunov_honours_trsyl_scale_and_info(monkeypatch, scale, info):
+    # trsyl returns X with R X + X R^T = scale * C, and info 1 when it had to
+    # perturb nearly cancelling eigenvalues
+    a, q = LYAPUNOV_CASES["9"]()
+    dtrsyl = scipy.linalg.lapack.dtrsyl
+
+    def scaled(*args, **kwargs):
+        x, _, _ = dtrsyl(*args, **kwargs)
+        return scale * x, scale, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", scaled)
+    if info:
+        with pytest.raises(SingularSylvesterError):
+            spectral.lyapunov_solve(a, q)
+    else:
+        oracle = scipy.linalg.solve_sylvester(a.T, a, q)
+        assert np.allclose(spectral.lyapunov_solve(a, q), oracle, atol=1e-9)
 
 
 def test_invert_basics():
@@ -235,6 +305,73 @@ def test_log_averaged_gram_not_critical():
 def test_log_averaged_gram_eigenvalue_below_half():
     with pytest.raises(InvalidParamsError):
         spectral.log_averaged_gram(0.25 * np.eye(2), np.eye(2))
+
+
+def _critical_graph_case(g, alpha_plus_beta=1.5, seed=0):
+    """H for the given alpha + beta on g, and a random PSD Gamma."""
+    rng = np.random.default_rng(seed)
+    h = theory.drift_matrix(alpha_plus_beta / 2, alpha_plus_beta / 2, g.weighted_adjacency())
+    x = rng.standard_normal((g.n, g.n))
+    return h, x @ x.T
+
+
+def _two_components(g1, g2):
+    edges = g1.edges | {(i + g1.n, j + g1.n) for i, j in g2.edges}
+    return DirectedGraph(n_vertices=g1.n + g2.n, edges=frozenset(edges))
+
+
+GRAM_CASES = {
+    **{
+        f"er{n}": lambda n=n: _critical_graph_case(
+            generate_graph("erdos_renyi_min_indegree", {"n": n, "p": 0.3}, seed=n + 1), seed=n
+        )
+        for n in (6, 12, 40)
+    },
+    # two closed classes: eigenvalue 1 of A~, so 1/2 of H, twice
+    "er_two_classes": lambda: _critical_graph_case(
+        _two_components(
+            generate_graph("erdos_renyi_min_indegree", {"n": 7, "p": 0.4}, seed=1),
+            generate_graph("erdos_renyi_min_indegree", {"n": 5, "p": 0.5}, seed=2),
+        )
+    ),
+    "reg12": lambda: _critical_graph_case(
+        generate_graph("d_regular_random", {"n": 12, "d": 3}, seed=4)
+    ),
+    # bipartite: alpha + beta = 1/2 puts the eigenvalue -1 of A~ on the line
+    "cycle6_bipartite": lambda: _critical_graph_case(
+        generate_graph("cycle_undirected", {"n": 6}), alpha_plus_beta=0.5
+    ),
+    "two_K4": lambda: _critical_graph_case(
+        _two_components(*[generate_graph("complete_with_loops", {"n": 4})] * 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GRAM_CASES)
+def test_log_averaged_gram_is_projector_form(case):
+    # Every critical mode here is real, so the average keeps exactly the
+    # modes of ker(H - I/2): sigma = P^T Gamma P, with P the projector onto
+    # that kernel along the range of H - I/2.
+    h, gamma = GRAM_CASES[case]()
+    m = h - 0.5 * np.eye(h.shape[0])
+    right, left = scipy.linalg.null_space(m, rcond=1e-10), scipy.linalg.null_space(m.T, rcond=1e-10)
+    proj = right @ np.linalg.solve(left.T @ right, left.T)
+    expected = proj.T @ gamma @ proj
+    out = spectral.log_averaged_gram(h, gamma)
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_log_averaged_gram_symmetric_needs_no_inverse(monkeypatch):
+    h, gamma = GRAM_CASES["reg12"]()
+    calls = _factorisations(monkeypatch)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("orthonormal eigenvectors need no condition number or inverse")
+
+    monkeypatch.setattr(np.linalg, "cond", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    spectral.log_averaged_gram(h, gamma)
+    assert calls == {"eigh": 1, "eig": 0, "schur": 0}
 
 
 def test_log_averaged_gram_defective():
