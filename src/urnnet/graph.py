@@ -1,12 +1,13 @@
 """Finite directed graphs: degrees, weighted adjacency, standard families.
 
-Vertices are labelled 1..n.  Undirected graphs are stored as symmetric
-directed edge sets, so a single representation serves both cases.
+Vertices are labelled 1..n; undirected graphs are symmetric directed edge
+sets.  Every query reads one read-only int64 adjacency built at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,14 +31,30 @@ class DirectedGraph:
 
     n_vertices: int
     edges: frozenset
+    _adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        n = self.n_vertices
+        if n < 1:
             raise InvalidParamsError("graph needs at least one vertex")
         object.__setattr__(self, "edges", frozenset((int(i), int(j)) for i, j in self.edges))
-        for i, j in self.edges:
-            if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
-                raise InvalidParamsError(f"edge ({i}, {j}) leaves vertex range 1..{self.n_vertices}")
+        try:
+            ij = np.fromiter(chain.from_iterable(self.edges), np.int64).reshape(-1, 2)
+            bad = ij[((ij < 1) | (ij > n)).any(axis=1)].tolist()
+        except OverflowError:  # a vertex beyond int64 is out of range too
+            bad = [e for e in self.edges if not (1 <= e[0] <= n and 1 <= e[1] <= n)]
+        if bad:
+            raise InvalidParamsError(f"edge {min(map(tuple, bad))} leaves vertex range 1..{n}")
+        try:
+            a = np.zeros((n, n), dtype=np.int64)
+        except (ValueError, MemoryError) as exc:
+            raise InvalidParamsError(f"n = {n} is too large for a dense n x n adjacency") from exc
+        a[ij[:, 0] - 1, ij[:, 1] - 1] = 1
+        a.flags.writeable = False
+        object.__setattr__(self, "_adjacency", a)
+
+    def __reduce__(self):  # copies go through the constructor: read-only adjacency
+        return type(self), (self.n_vertices, self.edges)
 
     @property
     def n(self) -> int:
@@ -48,25 +65,23 @@ class DirectedGraph:
         return len(self.edges)
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
+        return list(zip(*(np.argwhere(self._adjacency) + 1).T.tolist()))
 
     def in_degrees(self) -> np.ndarray:
         """Number of incoming edges per vertex, index k for vertex k+1."""
-        return self.adjacency().sum(axis=0)
+        return self._adjacency.sum(axis=0)
 
     def out_degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
+        return self._adjacency.sum(axis=1)
 
     def has_positive_in_degrees(self) -> bool:
         """True iff every urn receives reinforcement (in-degree >= 1 everywhere)."""
         return bool(np.all(self.in_degrees() > 0))
 
     def adjacency(self) -> np.ndarray:
-        """0/1 matrix with A[i-1, j-1] = 1 when (i, j) is an edge."""
-        a = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
-        for i, j in self.edges:
-            a[i - 1, j - 1] = 1
-        return a
+        """0/1 matrix with A[i-1, j-1] = 1 when (i, j) is an edge; the graph's
+        own read-only array, shared by every call, so copy it to modify it."""
+        return self._adjacency
 
     def check_reinforced(self) -> None:
         """Raise ZeroInDegreeError naming every vertex without incoming
@@ -81,22 +96,16 @@ class DirectedGraph:
         Every column of the result sums to one, which vertices without
         incoming edges make impossible: they raise ZeroInDegreeError.
         """
-        a = self.adjacency()
-        d = a.sum(axis=0)
+        d = self.in_degrees()
         if not d.all():
             self.check_reinforced()
-        return a / d
-
-    def is_undirected(self) -> bool:
-        return all((j, i) in self.edges for i, j in self.edges)
+        return self._adjacency / d
 
     def is_regular_undirected(self) -> bool:
         """Undirected with one common degree: the case with a symmetric,
         doubly stochastic weighted adjacency."""
-        if not self.is_undirected():
-            return False
-        d = self.in_degrees()
-        return bool(d.min() == d.max() and d.min() > 0)
+        a, d = self._adjacency, self.in_degrees()
+        return bool(np.array_equal(a, a.T) and d.min() == d.max() and d.min() > 0)
 
 
 def _undirected(pairs: Iterable) -> set:

@@ -190,7 +190,8 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     # modes lie within 2 tol of the critical line: project onto those only
     k = np.flatnonzero(mu.real <= 2 * UNIT_EIGENVALUE_TOL)
     mu, v_k = mu[k], v[:, k]
-    w_k = v_k.T if symmetric else np.linalg.inv(v)[k]
+    # rows k of V^-1 by one solve: more accurate than inv(V) near the condition limit
+    w_k = v_k.T if symmetric else np.linalg.solve(v.T, np.eye(n)[:, k]).T
     surviving = np.abs(mu[:, None] + mu[None, :]) <= UNIT_EIGENVALUE_TOL
     g = v_k.T @ gamma @ v_k
     s = (w_k.T @ (g * surviving) @ w_k).real

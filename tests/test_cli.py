@@ -45,7 +45,7 @@ def test_generate_er_reports_reinforced(tmp_path, capsys):
     assert "all vertices reinforced = True" in capsys.readouterr().out
 
 
-def test_generate_invalid_params_exit_2(tmp_path):
+def test_generate_invalid_params_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--family", "d-regular", "--n", "5", "--d", "3") == 2
     assert run_cli("generate", "--family", "star") == 2  # missing --n
     assert run_cli("generate", "--n", "5") == 2  # neither --family nor --graph
@@ -59,6 +59,13 @@ def test_generate_invalid_params_exit_2(tmp_path):
         "simulate", "--family", "star", "--n", "3", "--a", "1", "--b", "1", "--horizon", "2",
         "--seed", "-1", "--out", str(tmp_path / "traj.csv"),
     ) == 2
+    # too many vertices for a dense adjacency: n^2 * 8 bytes overflow, so
+    # numpy refuses before allocating
+    huge = tmp_path / "huge.edges"
+    huge.write_text("2000000000 1\n1 1\n")
+    capsys.readouterr()
+    assert run_cli("generate", "--graph", str(huge)) == 2
+    assert "n = 2000000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Graph structure, degree data, weighted adjacency, and generators."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,8 +37,12 @@ def test_positive_in_degree_check():
 
 
 def test_edge_validation():
-    with pytest.raises(InvalidParamsError):
-        DirectedGraph(2, frozenset({(1, 3)}))
+    for bad in ((1, 3), (0, 1), (1, -1), (1, 2**70)):  # 2**70 overflows int64
+        with pytest.raises(InvalidParamsError, match=rf"edge \({bad[0]}, {bad[1]}\)"):
+            DirectedGraph(2, frozenset({bad}))
+    # of several bad edges, the smallest is named
+    with pytest.raises(InvalidParamsError, match=r"edge \(1, 5\) leaves"):
+        DirectedGraph(2, frozenset({(1, 1), (3, 1), (1, 5)}))
     with pytest.raises(InvalidParamsError):
         DirectedGraph(0, frozenset())
 
@@ -152,6 +158,18 @@ def test_star_matches_hand_built_edge_set():
 )
 def test_degrees_and_weights_match_edge_counts(n, edges):
     g = DirectedGraph(n, frozenset((i, j) for i, j in edges if i <= n and j <= n))
+    a = np.zeros((n, n), dtype=np.int64)
+    for i, j in g.edges:
+        a[i - 1, j - 1] = 1
+    # one shared, read-only matrix
+    assert np.array_equal(g.adjacency(), a) and g.adjacency().dtype == np.int64
+    assert g.adjacency() is g.adjacency() and not g.adjacency().flags.writeable
+    assert g.sorted_edges() == sorted(g.edges)
+    undirected = all((j, i) in g.edges for i, j in g.edges)
+    regular = len({sum(1 for _, j in g.edges if j == v) for v in range(1, n + 1)}) == 1
+    assert g.is_regular_undirected() == (undirected and regular and bool(g.edges))
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g) and not copy.adjacency().flags.writeable
     d_in = [sum(1 for _, j in g.edges if j == v) for v in range(1, n + 1)]
     d_out = [sum(1 for i, _ in g.edges if i == v) for v in range(1, n + 1)]
     assert g.in_degrees().tolist() == d_in and g.out_degrees().tolist() == d_out
