@@ -9,14 +9,19 @@ its in-neighbours at every step.
 
 Two execution paths share one random stream layout: `step` advances a single
 exact integer state, and `simulate_runs` advances a whole batch of runs in
-lockstep on float64 (exact for integers below 2**53).  Run r of master seed
-s always consumes the same counter-based stream keyed by (s, r), so results
-never depend on batching or execution order.
+lockstep on float64 (exact for integers below 2**53), with the
+reinforcement product in float32 (exact while an urn gains fewer than 2**24
+balls a step).  Run r of master seed s always consumes the same
+counter-based stream keyed by (s, r), so results never depend on batching,
+execution order or the thread that draws them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import numbers
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,8 +33,16 @@ from .graph import DirectedGraph
 #: largest ball count the float64 fast path may reach while staying exact
 MAX_EXACT_COUNT = 2.0**53
 
-#: target number of uniforms held in memory per random block
+#: bound on the balls an urn gains per step: the float32 reinforcement
+#: product is exact below it
+MAX_EXACT_INFLOW = 2**24
+
+#: target number of uniforms held in memory per batch, over all its blocks
 _BLOCK_DOUBLES = 1 << 22
+
+#: cores one `simulate_runs` call may use; None is every usable core.  A
+#: pool worker's initializer sets its share (`set_core_budget`).
+_core_budget = None
 
 RECORD_POLICIES = ("every_step", "geometric_checkpoints", "final_only")
 
@@ -178,6 +191,68 @@ def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded at the first
+    call, found in /proc/self/maps; empty without it or with another BLAS."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    names = [
+        (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+        for prefix in ("scipy_openblas", "openblas")
+        for suffix in ("64_", "")
+    ]
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in names:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _blas_threads(threads: int):
+    """Cap OpenBLAS at `threads` threads, and restore each library's count on exit."""
+    libs = _openblas()
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(threads)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
+
+
+def set_core_budget(cores: int) -> None:
+    """Pool worker initializer: give each `simulate_runs` call in this
+    process `cores` cores, and cap OpenBLAS at as many threads, so that the
+    workers' BLAS threads do not contend for the same cores (2,048 runs x
+    250 steps at n = 200 on a 2-vCPU VM: 5.6-7.4 s on two uncapped workers,
+    2.5-3.1 s capped, 3.5 s in one process)."""
+    global _core_budget
+    _core_budget = cores
+    for _, put in _openblas():
+        put(cores)
+
+
 def check_state(g: DirectedGraph, state: UrnState) -> None:
     """Raise unless `state` holds one urn per vertex of `g`."""
     if state.n != g.n:
@@ -271,7 +346,8 @@ def check_batch(
     return the rule's `Reinforcement` on `g` otherwise.
 
     Runs every check on the inputs before the first draw: sizes, the
-    scheme, integer exactness of the ball counts up to `horizon`, run
+    scheme, integer exactness of the ball counts up to `horizon` (below
+    2**53) and of the balls an urn gains per step (below 2**24), run
     indices in [0, 2**64) and recording times in [0, horizon].  A vertex
     without in-edges is no error: its urn stays frozen.  Cheap, so callers
     that hand batches to other processes run it first and report bad input
@@ -283,6 +359,11 @@ def check_batch(
     rf = Reinforcement.of(g, scheme)
     if float(initial.totals().max()) + horizon * float(rf.inflow.max()) >= MAX_EXACT_COUNT:
         raise InvalidParamsError("horizon too large: ball counts would lose integer exactness")
+    if int(rf.inflow.max()) >= MAX_EXACT_INFLOW:
+        raise InvalidParamsError(
+            f"rule too large: an urn gains {int(rf.inflow.max())} balls a step, and the "
+            "float32 reinforcement product keeps integer exactness only below 2**24"
+        )
     if len(run_indices) and not (0 <= min(run_indices) and max(run_indices) < 2**64):
         raise InvalidParamsError("run index must fit in 64 bits")
     if any(t < 0 or t > horizon for t in recording_times):
@@ -316,16 +397,29 @@ def simulate_runs(
     the running sup-norm deviation from it is tracked per run from
     `deviation_start` onward.
 
-    Each run's row of the uniform buffer is padded by ceil(8 / n) steps, at
-    least one 64-byte cache line, so the rows one step reads do not all fall
-    in the same cache sets when a row's length is a power of two.  The
-    totals, the inflow and the gain of an all-black draw are held as full
-    (runs, n) arrays, so no step broadcasts an n-vector across the runs, but
-    for the reference row of the deviation track.  Z = W / T is divided once
-    per step, after the update; the next draw, the deviation track and the
-    checkpoint sums all read it.  Memory: the uniform block of at most 32 MB
-    (2**22 doubles) plus the pad, the (checkpoints, n, n) and (checkpoints,
-    n) moment sums, and these three and a few more (runs, n) arrays.
+    The call may use `_core_budget` cores: every usable core, or a pool
+    worker's share.  With two or more, and room in the 2**22-double budget
+    for two blocks of at least 4 steps, a helper thread fills block k + 1
+    into one of two half-budget buffers while this thread steps block k
+    from the other, and OpenBLAS runs on the remaining cores - 1 threads
+    until the helper is joined, on every exit path.  Otherwise this thread
+    fills one buffer and steps it in turn.  The generator is built here and,
+    while the loop runs, only the helper draws.
+
+    The white balls an urn gains are base + drew_white @ bonus, a float32
+    product of a 0/1 and an integer matrix: every partial sum is an integer
+    no larger in magnitude than the urn's inflow, below 2**24
+    (`check_batch`), so it is exact.  Each run's row of a uniform buffer is
+    padded by ceil(8 / n) steps, at least one 64-byte cache line, so the
+    rows one step reads do not all fall in the same cache sets when a row's
+    length is a power of two.  The totals, the inflow and the gain of an
+    all-black draw are held as full (runs, n) arrays, so no step broadcasts
+    an n-vector across the runs, but for the reference row of the deviation
+    track.  Z = W / T is divided once per step, after the update; the next
+    draw, the deviation track and the checkpoint sums all read it.  Memory:
+    the uniform buffers, 32 MB together plus a pad each, the (checkpoints,
+    n, n) and (checkpoints, n) moment sums, and these three and a few more
+    (runs, n) arrays.
     """
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
@@ -350,13 +444,13 @@ def simulate_runs(
         track_from = deviation_start
         dev = np.empty((n_runs, n))
 
-    # white balls gained per step = base_w + drew_white @ bonus, integers in
-    # float64; one row per run, so no step broadcasts an n-vector
-    w, totals, inflow, base_w = (
-        np.tile(v.astype(float), (n_runs, 1))
-        for v in (initial.white, initial.totals(), rf.inflow, rf.on_black.sum(axis=0))
+    # white balls gained per step = base_w + drew_white @ bonus, integers
+    # below 2**24 in float32; one row per run, so no step broadcasts an n-vector
+    w, totals, inflow = (
+        np.tile(v.astype(float), (n_runs, 1)) for v in (initial.white, initial.totals(), rf.inflow)
     )
-    bonus = (rf.on_white - rf.on_black).astype(float)
+    base_w = np.tile(rf.on_black.sum(axis=0).astype(np.float32), (n_runs, 1))
+    bonus = (rf.on_white - rf.on_black).astype(np.float32)
     z = w / totals
 
     def record(t: int):
@@ -381,33 +475,57 @@ def simulate_runs(
     key, counter = [int(master_seed), 0], [0, 0, 0, 0]
     rekey["state"] = {"key": key, "counter": counter}
     rekey["buffer_pos"] = 4  # empty buffer: the next draw starts a new counter
-    block = max(1, min(horizon, _BLOCK_DOUBLES // max(1, n_runs * n)))
+    cores = _core_budget or usable_cores()
+    per_step = max(1, n_runs * n)
+    half = _BLOCK_DOUBLES // 2 // per_step
+    prefetch = cores >= 2 and 4 <= half < horizon
+    block = max(1, min(horizon, half if prefetch else _BLOCK_DOUBLES // per_step))
     if block < horizon:
         block = min(horizon, max(4, block - block % 4))
+    starts = range(0, horizon, block)
     pad = -(-8 // n)  # ceil(8 / n) steps: at least one 64-byte cache line per run
-    uniforms = np.empty((n_runs, block + pad, n))
+    buffers = [np.empty((n_runs, block + pad, n)) for _ in range(2 if prefetch else 1)]
     # the step loop writes into these, so it allocates nothing per step
-    drew_white = np.empty((n_runs, n))  # 1.0 where the urn drew white
-    gain = np.empty((n_runs, n))
+    drew_white = np.empty((n_runs, n), dtype=np.float32)  # 1 where the urn drew white
+    gain = np.empty((n_runs, n), dtype=np.float32)
 
-    t = 0
-    while t < horizon:
-        this_block = min(block, horizon - t)
-        counter[0] = t * n // 4
+    def fill(k: int) -> np.ndarray:
+        """Draw block k into its buffer."""
+        uniforms = buffers[k % len(buffers)]
+        steps = min(block, horizon - starts[k])
+        counter[0] = starts[k] * n // 4
         for i, r in enumerate(run_indices):
             key[1] = r
             bitgen.state = rekey
-            gen.random(out=uniforms[i, :this_block, :])
-        for s in range(this_block):
-            np.less(uniforms[:, s, :], z, out=drew_white)
-            np.matmul(drew_white, bonus, out=gain)
-            gain += base_w
-            w += gain
-            totals += inflow
-            np.divide(w, totals, out=z)
-            t += 1
-            if t >= track_from or t in cp_index or t in snapshot_set:
-                record(t)
+            gen.random(out=uniforms[i, :steps, :])
+        return uniforms
+
+    with contextlib.ExitStack() as stack:
+        if prefetch:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # exits in reverse: the helper is joined, then BLAS restored
+            stack.enter_context(_blas_threads(cores - 1))
+            helper = stack.enter_context(ThreadPoolExecutor(1))
+            ahead = helper.submit(fill, 0)
+        t = 0
+        for k in range(len(starts)):
+            if prefetch:
+                uniforms = ahead.result()
+                if k + 1 < len(starts):
+                    ahead = helper.submit(fill, k + 1)
+            else:
+                uniforms = fill(k)
+            for s in range(min(block, horizon - t)):
+                np.less(uniforms[:, s, :], z, out=drew_white)
+                np.matmul(drew_white, bonus, out=gain)
+                gain += base_w
+                w += gain
+                totals += inflow
+                np.divide(w, totals, out=z)
+                t += 1
+                if t >= track_from or t in cp_index or t in snapshot_set:
+                    record(t)
     return out
 
 

@@ -199,11 +199,15 @@ def write_trajectory_jsonl(path, trajectory, config: dict, version: str) -> None
             fh.write(json.dumps({"t": int(t), "z": [float(v) for v in z]}) + "\n")
 
 
-def write_ensemble_json(path, result, config: dict, version: str) -> None:
-    payload = {"config": config, "version": version, "result": result.to_dict()}
+def _write_json(path, payload: dict) -> None:
+    """Indented, key-sorted JSON in one write: `json.dump` would make one
+    small write per token."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def write_ensemble_json(path, result, config: dict, version: str) -> None:
+    _write_json(path, {"config": config, "version": version, "result": result.to_dict()})
 
 
 def write_ensemble_summary_csv(path, result, config: dict, version: str) -> None:
@@ -220,7 +224,4 @@ def write_ensemble_summary_csv(path, result, config: dict, version: str) -> None
 
 
 def write_report_json(path, report: dict, config: dict, version: str) -> None:
-    payload = {"config": config, "version": version, "report": report}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, {"config": config, "version": version, "report": report})

@@ -19,7 +19,6 @@ import atexit
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,7 +29,9 @@ from .dynamics import (
     UrnState,
     check_batch,
     geometric_checkpoints,
+    set_core_budget,
     simulate_runs,
+    usable_cores,
 )
 from .errors import (
     EnumerationTooLargeError,
@@ -148,56 +149,14 @@ class EnsembleResult:
             "checkpoints": list(self.checkpoints),
             "n": self.n,
             "raw_seed": self.raw_seed,
-            "mean_Z": [list(map(float, row)) for row in self.mean_z],
-            "var_phi": list(map(float, self.var_phi)),
-            "cov_Z_final": [list(map(float, row)) for row in self.cov_z[final]]
-            if final >= 0
-            else None,
-            "initial_white": list(map(int, self.initial_white)),
-            "initial_black": list(map(int, self.initial_black)),
+            "mean_Z": self.mean_z.tolist(),
+            "var_phi": self.var_phi.tolist(),
+            "cov_Z_final": self.cov_z[final].tolist() if final >= 0 else None,
+            "initial_white": self.initial_white.tolist(),
+            "initial_black": self.initial_black.tolist(),
             "is_polya": self.is_polya,
             "regular_graph": self.regular_graph,
         }
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _limit_blas_threads(threads: int) -> None:
-    """Worker initializer: cap the OpenBLAS that numpy loaded at `threads`.
-
-    Every worker inherits a BLAS that starts one thread per core, so the
-    workers' threads would contend for the same cores: 2,048 runs x 250
-    steps at n = 200 on a 2-vCPU VM took 5.6-7.4 s on two workers against
-    3.5 s in one process, and 2.5-3.1 s with one BLAS thread per worker,
-    with the same bits.  The library is found in /proc/self/maps; without
-    it, or with another BLAS, workers keep the library's default.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return
-    names = (
-        "scipy_openblas_set_num_threads64_",
-        "scipy_openblas_set_num_threads",
-        "openblas_set_num_threads64_",
-        "openblas_set_num_threads",
-    )
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in names:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(threads)
-                return
 
 
 def _batch_pool(workers: int):
@@ -219,12 +178,11 @@ def _batch_pool(workers: int):
         # fork, not spawn: workers inherit the loaded package and need not
         # re-import the caller's main module
         context = multiprocessing.get_context("fork")
-        blas_threads = max(1, _usable_cores() // workers)
+        cores = max(1, usable_cores() // workers)
         _pool = (
             workers,
             ProcessPoolExecutor(
-                workers, mp_context=context,
-                initializer=_limit_blas_threads, initargs=(blas_threads,),
+                workers, mp_context=context, initializer=set_core_budget, initargs=(cores,),
             ),
         )
         # release it before interpreter teardown clears the modules its
@@ -261,12 +219,16 @@ def run_ensemble(
     (default: every core this process may use), and their sums merge in
     batch order, so the result is bit-identical for every worker count.
     One batch, one worker, or a platform without fork runs in this process.
-    Urns without in-edges stay frozen.
+    A batch run in this process may use every usable core, so it draws its
+    next uniform block on a helper thread while it steps the current one; a
+    pool worker's batches get (usable cores // workers) cores, which on a
+    2-core machine with 2 workers means filling and stepping on one thread
+    (see `simulate_runs`).  Urns without in-edges stay frozen.
     """
     if runs < 1:
         raise InvalidParamsError("runs must be >= 1")
     if workers is None:
-        workers = _usable_cores()
+        workers = usable_cores()
     if workers < 1:
         raise InvalidParamsError("workers must be >= 1")
     if checkpoints is None:
@@ -281,12 +243,14 @@ def run_ensemble(
     )
     pool = _batch_pool(workers) if workers > 1 and len(batches) > 1 else None
     if pool is None:
-        outs, broken = map(work, batches), ()
+        broken = ()
     else:
         from concurrent.futures.process import BrokenProcessPool
 
-        outs, broken = pool.map(work, batches), (BrokenProcessPool, KeyboardInterrupt)
+        broken = (BrokenProcessPool, KeyboardInterrupt)
     try:
+        # submitting can meet a worker that died on an earlier batch
+        outs = map(work, batches) if pool is None else pool.map(work, batches)
         # batches add into the first one's sums as they arrive, in the fixed
         # batch order that keeps merging schedule-independent
         first = next(outs)

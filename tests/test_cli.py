@@ -335,6 +335,16 @@ def test_simulate_ensemble_outputs(tmp_path):
     assert len(lines) > 5
 
 
+def test_simulate_refuses_rule_past_float32_exactness_exit_2(tmp_path, capsys):
+    graph = tmp_path / "loop.edges"
+    graph.write_text("1 1\n1 1\n")  # one urn reinforced by itself: it gains m a step
+    argv = ("simulate", "--graph", str(graph), "--a", "1", "--b", "1", "--horizon", "5",
+            "--out", str(tmp_path / "traj.csv"))
+    assert run_cli(*argv, "--m", str(2**24)) == 2
+    assert "exactness" in capsys.readouterr().err
+    assert run_cli(*argv, "--m", str(2**24 - 1)) == 0
+
+
 def test_simulate_jsonl_format(tmp_path):
     graph = tmp_path / "c2.edges"
     run_cli("generate", "--family", "cycle-directed", "--n", "2", "--out", str(graph))

@@ -2,7 +2,8 @@
 
 The batched float64 engine must reproduce `step` driven by the run's own
 stream, draw for draw, and its moment sums and sup deviations must equal
-those recomputed from its snapshots, bit for bit; an ensemble run on a
+those recomputed from its snapshots, bit for bit; its outputs must not
+depend on whether a helper thread prefetches the uniforms; an ensemble run on a
 process pool must equal the same ensemble run in one process, bit for bit;
 and the integer-weight enumerator must return the same exact law as a plain
 Fraction enumeration over every draw vector.
@@ -111,6 +112,43 @@ def test_moment_sums_equal_snapshot_moments(
         if t >= deviation_start:
             sup_dev = np.maximum(sup_dev, np.abs(z - ref[t]).max(axis=1))
     assert np.array_equal(out.sup_dev, sup_dev)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=urn_problems(),
+    horizon=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    runs=run_index_sets,
+    budget_steps=st.integers(1, 24),
+    deviation_start=st.integers(-1, 42),
+)
+def test_engine_output_independent_of_core_budget(
+    problem, horizon, seed, runs, budget_steps, deviation_start
+):
+    g, scheme, init = problem
+    times = range(horizon + 1)
+    ref = mean_field_path(g, scheme, init, horizon)
+    # a block budget of 1-24 steps of the batch: the small ones make many
+    # blocks, and from 8 steps on two blocks fit, so a helper can prefetch
+    block_doubles = budget_steps * len(runs) * g.n
+    outs = []
+    # one core: fill and step on this thread; two: a helper thread fills the
+    # next block, whenever the budget holds two blocks of 4 steps
+    for cores in (1, 2):
+        with mock.patch.object(dynamics, "_BLOCK_DOUBLES", block_doubles), \
+                mock.patch.object(dynamics, "_core_budget", cores):
+            outs.append(simulate_runs(
+                g, scheme, init, horizon, seed, runs, checkpoints=times, snapshot_times=times,
+                reference_path=ref, deviation_start=deviation_start,
+            ))
+    one, two = outs
+    assert np.array_equal(one.sum_z, two.sum_z)
+    assert np.array_equal(one.sum_outer, two.sum_outer)
+    assert np.array_equal(one.sup_dev, two.sup_dev)
+    for t in times:
+        assert np.array_equal(one.snapshots[t], two.snapshots[t]), t
+        assert np.array_equal(one.snapshot_totals[t], two.snapshot_totals[t]), t
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

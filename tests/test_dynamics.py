@@ -1,9 +1,12 @@
 """Exact state machine behaviour, stream determinism, and the batch engine."""
 
+import threading
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from urnnet import dynamics
 from urnnet.dynamics import (
     HeterogeneousScheme,
     Reinforcement,
@@ -303,6 +306,134 @@ def test_overflow_guard():
     scheme = ReplacementMatrix(big, big, big)
     with pytest.raises(InvalidParamsError):
         simulate_runs(g, scheme, default_initial_state(1), 2**14, 0, [0])
+
+
+def test_inflow_just_below_float32_bound_matches_exact_steps():
+    g = generate_graph("complete_with_loops", {"n": 3})
+    # every urn gains 2**23 + 2**22 + (2**22 - 1) = 2**24 - 1 balls a step, and
+    # 2**22 + drew_white @ (2**23, -2**22, 2**22 - 1) of them white: from 0
+    # (all black) to 2**24 - 1 (all white)
+    scheme = HeterogeneousScheme((
+        ReplacementMatrix(2**23, 2**23, 2**23),
+        ReplacementMatrix(0, 0, 2**22),
+        ReplacementMatrix(2**22 - 1, 2**22 - 1, 2**22 - 1),
+    ))
+    init = default_initial_state(3)
+    assert Reinforcement.of(g, scheme).inflow.max() == dynamics.MAX_EXACT_INFLOW - 1
+    horizon, runs = 30, range(4)
+    out = simulate_runs(g, scheme, init, horizon, 11, runs, snapshot_times=range(horizon + 1))
+    for i, r in enumerate(runs):
+        rng, state = make_stream(11, r), init
+        for t in range(1, horizon + 1):
+            state = step(state, g, scheme, rng)
+            assert np.array_equal(out.snapshots[t][i], state.white), (r, t)
+
+
+def test_inflow_at_float32_bound_refused():
+    g = DirectedGraph(1, frozenset({(1, 1)}))
+    scheme = ReplacementMatrix(1, 1, dynamics.MAX_EXACT_INFLOW)
+    init = default_initial_state(1)
+    with pytest.raises(InvalidParamsError, match="exactness"):
+        check_batch(g, scheme, init, 5, [0])
+    with pytest.raises(InvalidParamsError, match="exactness"):
+        simulate_runs(g, scheme, init, 5, 0, [0])
+
+
+def _blas_counts():
+    return [get() for get, _ in dynamics._openblas()]
+
+
+class _WatchedStream:
+    """A generator whose draws note whether they run on the main thread and
+    the OpenBLAS thread counts, then call `on_draw(number_of_the_draw)`."""
+
+    def __init__(self, gen, on_draw=lambda k: None):
+        self._gen, self._on_draw, self.draws = gen, on_draw, []
+
+    @property
+    def bit_generator(self):
+        return self._gen.bit_generator
+
+    def random(self, *args, **kwargs):
+        self.draws.append((threading.current_thread() is threading.main_thread(), _blas_counts()))
+        self._on_draw(len(self.draws))
+        return self._gen.random(*args, **kwargs)
+
+
+def _watch_streams(monkeypatch, on_draw=lambda k: None):
+    streams = []
+
+    def watched(*args):
+        streams.append(_WatchedStream(make_stream(*args), on_draw))
+        return streams[-1]
+
+    monkeypatch.setattr(dynamics, "make_stream", watched)
+    return streams
+
+
+# 4 runs x 3 urns: a budget of 96 doubles holds two blocks of 4 steps
+_PREFETCH_CASE = dict(n=3, runs=range(4), horizon=40, block_doubles=96)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_prefetch_thread_and_blas_cap(monkeypatch, cores):
+    case = _PREFETCH_CASE
+    g, scheme = generate_graph("cycle_directed", {"n": case["n"]}), ReplacementMatrix(2, 1, 3)
+    init, horizon = default_initial_state(case["n"]), case["horizon"]
+    monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", case["block_doubles"])
+    monkeypatch.setattr(dynamics, "_core_budget", cores)
+    streams = _watch_streams(monkeypatch)
+    before, threads = _blas_counts(), threading.active_count()
+    out = simulate_runs(g, scheme, init, horizon, 5, case["runs"], snapshot_times=[horizon])
+    assert _blas_counts() == before and threading.active_count() == threads
+    (stream,) = streams
+    # one draw per run and block; a block holds the whole budget, 8 steps, or
+    # half of it when prefetched
+    block = 8 if cores == 1 else 4
+    assert len(stream.draws) == len(case["runs"]) * horizon // block
+    if cores == 1:
+        assert stream.draws == [(True, before)] * len(stream.draws)
+    else:
+        # every block is drawn on the helper, under a BLAS of cores - 1 threads
+        assert stream.draws == [(False, [1] * len(before))] * len(stream.draws)
+    for i, r in enumerate(case["runs"]):
+        rng, state = make_stream(5, r), init
+        for _ in range(horizon):
+            state = step(state, g, scheme, rng)
+        assert np.array_equal(out.snapshots[horizon][i], state.white)
+
+
+@pytest.mark.parametrize("where", ["helper", "main"])
+def test_prefetch_joins_helper_and_restores_blas_on_error(monkeypatch, where):
+    case = _PREFETCH_CASE
+    g, scheme = generate_graph("cycle_directed", {"n": case["n"]}), ReplacementMatrix(2, 1, 3)
+    monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", case["block_doubles"])
+    monkeypatch.setattr(dynamics, "_core_budget", 2)
+    armed = []
+
+    class Interrupted(UrnState):
+        """A start state whose totals, read at every snapshot, raise once armed."""
+
+        def totals(self):
+            if armed:
+                raise KeyboardInterrupt
+            return super().totals()
+
+    def on_draw(k):
+        if k == 9:  # the third block, drawn while the second is stepped
+            if where == "helper":
+                raise RuntimeError("draw failed")
+            armed.append(k)
+
+    _watch_streams(monkeypatch, on_draw)
+    init = Interrupted(np.ones(case["n"], dtype=np.int64), np.ones(case["n"], dtype=np.int64))
+    before, threads = _blas_counts(), threading.active_count()
+    with pytest.raises(RuntimeError if where == "helper" else KeyboardInterrupt):
+        simulate_runs(
+            g, scheme, init, case["horizon"], 5, case["runs"],
+            snapshot_times=range(case["horizon"] + 1),
+        )
+    assert _blas_counts() == before and threading.active_count() == threads
 
 
 def test_make_stream_validation():

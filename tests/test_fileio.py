@@ -1,5 +1,6 @@
 """Round trips and provenance for the on-disk formats."""
 
+import io
 import json
 
 import numpy as np
@@ -100,3 +101,45 @@ def test_ensemble_json_and_summary(tmp_path):
     header = [l for l in cpath.read_text().splitlines() if not l.startswith("#")][0]
     assert header == "t,mean_1,mean_2,var_phi"
     assert fileio.read_config(cpath) == cfg
+
+
+def _streamed_json(payload) -> bytes:
+    """The earlier writer: `json.dump` token by token, then a newline."""
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True, indent=1)
+    buf.write("\n")
+    return buf.getvalue().encode("ascii")
+
+
+def test_json_writers_keep_the_streamed_bytes(tmp_path):
+    g = generate_graph("star_undirected", {"n": 4})
+    res = run_ensemble(
+        g, ReplacementMatrix(2, 1, 3), default_initial_state(4), 40, 9, 3,
+        checkpoints=[0, 1, 7, 40],
+    )
+    cfg = {"command": "simulate", "runs": "9"}
+    # the result as the earlier `to_dict` built it, element by element
+    result = {
+        "runs": res.runs,
+        "horizon": res.horizon,
+        "checkpoints": list(res.checkpoints),
+        "n": res.n,
+        "raw_seed": res.raw_seed,
+        "mean_Z": [list(map(float, row)) for row in res.mean_z],
+        "var_phi": list(map(float, res.var_phi)),
+        "cov_Z_final": [list(map(float, row)) for row in res.cov_z[-1]],
+        "initial_white": list(map(int, res.initial_white)),
+        "initial_black": list(map(int, res.initial_black)),
+        "is_polya": res.is_polya,
+        "regular_graph": res.regular_graph,
+    }
+    assert res.to_dict() == result
+    path = tmp_path / "ens.json"
+    fileio.write_ensemble_json(path, res, cfg, version="0.1.0")
+    assert path.read_bytes() == _streamed_json(
+        {"config": cfg, "version": "0.1.0", "result": result}
+    )
+    report = {"suite": "oracle", "passed": True, "tv": 0.0125, "rows": [[1, 2.5], [3, None]]}
+    path = tmp_path / "report.json"
+    fileio.write_report_json(path, report, cfg, version="0.1.0")
+    assert path.read_bytes() == _streamed_json({"config": cfg, "version": "0.1.0", "report": report})
