@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.11"
+__version__ = "0.1.12"
 
 from .dynamics import (
     HeterogeneousScheme,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import numbers
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,10 +38,6 @@ MAX_EXACT_INFLOW = 2**24
 
 #: target number of uniforms held in memory per batch, over all its blocks
 _BLOCK_DOUBLES = 1 << 22
-
-#: cores one `simulate_runs` call may use; None is every usable core.  A
-#: pool worker's initializer sets its share (`set_core_budget`).
-_core_budget = None
 
 RECORD_POLICIES = ("every_step", "geometric_checkpoints", "final_only")
 
@@ -191,13 +186,6 @@ def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 @functools.cache
 def _openblas() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS loaded at the first
@@ -228,12 +216,13 @@ def _openblas() -> tuple:
 
 
 @contextlib.contextmanager
-def _blas_threads(threads: int):
-    """Cap OpenBLAS at `threads` threads, and restore each library's count on exit."""
+def _blas_threads():
+    """Cap each OpenBLAS at one thread fewer than it has, but at least one,
+    so the fill thread keeps a core; restore each library's count on exit."""
     libs = _openblas()
     before = [get() for get, _ in libs]
-    for _, put in libs:
-        put(threads)
+    for (_, put), count in zip(libs, before):
+        put(max(1, count - 1))
     try:
         yield
     finally:
@@ -241,16 +230,13 @@ def _blas_threads(threads: int):
             put(count)
 
 
-def set_core_budget(cores: int) -> None:
-    """Pool worker initializer: give each `simulate_runs` call in this
-    process `cores` cores, and cap OpenBLAS at as many threads, so that the
-    workers' BLAS threads do not contend for the same cores (2,048 runs x
-    250 steps at n = 200 on a 2-vCPU VM: 5.6-7.4 s on two uncapped workers,
-    2.5-3.1 s capped, 3.5 s in one process)."""
-    global _core_budget
-    _core_budget = cores
-    for _, put in _openblas():
-        put(cores)
+def set_blas_threads(threads: int) -> None:
+    """Pool worker initializer: cap each OpenBLAS at `threads` threads, and
+    raise none, so that the workers' BLAS threads do not contend for the
+    same cores (2,048 runs x 250 steps at n = 200 on a 2-vCPU VM: 5.6-7.4 s
+    on two uncapped workers, 2.5-3.1 s capped, 3.5 s in one process)."""
+    for get, put in _openblas():
+        put(min(get(), threads))
 
 
 def check_state(g: DirectedGraph, state: UrnState) -> None:
@@ -397,14 +383,13 @@ def simulate_runs(
     the running sup-norm deviation from it is tracked per run from
     `deviation_start` onward.
 
-    The call may use `_core_budget` cores: every usable core, or a pool
-    worker's share.  With two or more, and room in the 2**22-double budget
-    for two blocks of at least 4 steps, a helper thread fills block k + 1
-    into one of two half-budget buffers while this thread steps block k
-    from the other, and OpenBLAS runs on the remaining cores - 1 threads
-    until the helper is joined, on every exit path.  Otherwise this thread
-    fills one buffer and steps it in turn.  The generator is built here and,
-    while the loop runs, only the helper draws.
+    When the 2**22-double budget holds two blocks of at least 4 steps and
+    the horizon needs more than one, a helper thread fills block k + 1 into
+    one of two half-budget buffers while this thread steps block k from the
+    other, and each OpenBLAS runs one thread fewer (at least one) until the
+    helper is joined, on every exit path.  Otherwise this thread fills one
+    buffer and steps it in turn.  The generator is built here and, while
+    the loop runs, only the helper draws.
 
     The white balls an urn gains are base + drew_white @ bonus, a float32
     product of a 0/1 and an integer matrix: every partial sum is an integer
@@ -475,10 +460,9 @@ def simulate_runs(
     key, counter = [int(master_seed), 0], [0, 0, 0, 0]
     rekey["state"] = {"key": key, "counter": counter}
     rekey["buffer_pos"] = 4  # empty buffer: the next draw starts a new counter
-    cores = _core_budget or usable_cores()
     per_step = max(1, n_runs * n)
     half = _BLOCK_DOUBLES // 2 // per_step
-    prefetch = cores >= 2 and 4 <= half < horizon
+    prefetch = 4 <= half < horizon
     block = max(1, min(horizon, half if prefetch else _BLOCK_DOUBLES // per_step))
     if block < horizon:
         block = min(horizon, max(4, block - block % 4))
@@ -505,7 +489,7 @@ def simulate_runs(
             from concurrent.futures import ThreadPoolExecutor
 
             # exits in reverse: the helper is joined, then BLAS restored
-            stack.enter_context(_blas_threads(cores - 1))
+            stack.enter_context(_blas_threads())
             helper = stack.enter_context(ThreadPoolExecutor(1))
             ahead = helper.submit(fill, 0)
         t = 0

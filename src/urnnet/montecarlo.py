@@ -8,9 +8,9 @@ results identical for any worker count.
 
 The second-moment sums, (checkpoints, n, n) doubles, are the largest arrays
 (80 MB at n = 200 with 250 steps recorded).  Each batch adds into the first
-one's sums as it arrives and the covariance is written over them, so the
-total and one batch's sums are held: a one-batch ensemble holds one array,
-where a fresh total and a fresh covariance would make three (240 MB).
+one's sums as it arrives, so the total and one batch's sums are held while
+the ensemble runs.  The result keeps one n x n covariance, the final
+checkpoint's: the only one the scaled statistics and the output read.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import atexit
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,9 +30,8 @@ from .dynamics import (
     UrnState,
     check_batch,
     geometric_checkpoints,
-    set_core_budget,
+    set_blas_threads,
     simulate_runs,
-    usable_cores,
 )
 from .errors import (
     EnumerationTooLargeError,
@@ -57,10 +57,12 @@ _pool = None
 class EnsembleResult:
     """Streaming-moment summary of a seeded ensemble.
 
-    mean_z and cov_z are indexed by checkpoint; var_phi is the average over
-    vertices of the variance of Z_i minus the cross-sectional mean (the
-    dispersion the identity-type decay theory is about).  Snapshots, when
-    requested, hold exact white counts per run at selected times.
+    mean_z and var_phi are indexed by checkpoint; var_phi is the average
+    over vertices of the variance of Z_i minus the cross-sectional mean (the
+    dispersion the identity-type decay theory is about).  cov_final is the
+    covariance of Z at the last checkpoint, None without checkpoints.
+    Snapshots, when requested, hold exact white counts per run at selected
+    times.
     """
 
     runs: int
@@ -68,7 +70,7 @@ class EnsembleResult:
     checkpoints: tuple
     n: int
     mean_z: np.ndarray
-    cov_z: np.ndarray
+    cov_final: np.ndarray | None
     var_phi: np.ndarray
     raw_seed: int
     initial_white: np.ndarray
@@ -77,12 +79,6 @@ class EnsembleResult:
     regular_graph: bool
     snapshots: dict = field(default_factory=dict)
     snapshot_totals: dict = field(default_factory=dict)
-
-    def checkpoint_index(self, t: int) -> int:
-        try:
-            return self.checkpoints.index(t)
-        except ValueError:
-            raise InvalidParamsError(f"time {t} is not a checkpoint") from None
 
     def initial_fractions(self) -> np.ndarray:
         return self.initial_white / (self.initial_white + self.initial_black)
@@ -108,29 +104,27 @@ class EnsembleResult:
         snapshots=None,
         snapshot_totals=None,
     ) -> "EnsembleResult":
-        """Normalise moment sums over `runs` into a result.  Consumes
-        `sum_outer`: each checkpoint's covariance is written over its slice."""
+        """Normalise moment sums over `runs` into a result.  Each
+        checkpoint's covariance is written into one n x n array and reduced
+        to its var_phi; the last one is kept.  The sums are only read."""
         checkpoints = tuple(checkpoints)
         n = sum_z.shape[1]
         mean = sum_z / runs
-        cov = sum_outer
-        if runs == 1:
-            cov.fill(0.0)
-        else:
-            for k in range(len(checkpoints)):
-                c = (cov[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
-                cov[k] = 0.5 * (c + c.T)
         centering = np.eye(n) - np.full((n, n), 1.0 / n)
-        var_phi = np.array(
-            [np.trace(centering @ cov[k] @ centering) / n for k in range(len(checkpoints))]
-        )
+        var_phi = np.empty(len(checkpoints))
+        cov = np.zeros((n, n)) if checkpoints else None  # stays zero for one run
+        for k in range(len(checkpoints)):
+            if runs > 1:
+                c = (sum_outer[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
+                cov[:] = 0.5 * (c + c.T)
+            var_phi[k] = np.trace(centering @ cov @ centering) / n
         return cls(
             runs=runs,
             horizon=horizon,
             checkpoints=checkpoints,
             n=n,
             mean_z=mean,
-            cov_z=cov,
+            cov_final=cov,
             var_phi=var_phi,
             raw_seed=raw_seed,
             initial_white=initial.white.copy(),
@@ -142,7 +136,6 @@ class EnsembleResult:
         )
 
     def to_dict(self) -> dict:
-        final = len(self.checkpoints) - 1
         return {
             "runs": self.runs,
             "horizon": self.horizon,
@@ -151,12 +144,19 @@ class EnsembleResult:
             "raw_seed": self.raw_seed,
             "mean_Z": self.mean_z.tolist(),
             "var_phi": self.var_phi.tolist(),
-            "cov_Z_final": self.cov_z[final].tolist() if final >= 0 else None,
+            "cov_Z_final": None if self.cov_final is None else self.cov_final.tolist(),
             "initial_white": self.initial_white.tolist(),
             "initial_black": self.initial_black.tolist(),
             "is_polya": self.is_polya,
             "regular_graph": self.regular_graph,
         }
+
+
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _batch_pool(workers: int):
@@ -178,11 +178,11 @@ def _batch_pool(workers: int):
         # fork, not spawn: workers inherit the loaded package and need not
         # re-import the caller's main module
         context = multiprocessing.get_context("fork")
-        cores = max(1, usable_cores() // workers)
+        threads = max(1, usable_cores() // workers)
         _pool = (
             workers,
             ProcessPoolExecutor(
-                workers, mp_context=context, initializer=set_core_budget, initargs=(cores,),
+                workers, mp_context=context, initializer=set_blas_threads, initargs=(threads,),
             ),
         )
         # release it before interpreter teardown clears the modules its
@@ -219,11 +219,11 @@ def run_ensemble(
     (default: every core this process may use), and their sums merge in
     batch order, so the result is bit-identical for every worker count.
     One batch, one worker, or a platform without fork runs in this process.
-    A batch run in this process may use every usable core, so it draws its
-    next uniform block on a helper thread while it steps the current one; a
-    pool worker's batches get (usable cores // workers) cores, which on a
-    2-core machine with 2 workers means filling and stepping on one thread
-    (see `simulate_runs`).  Urns without in-edges stay frozen.
+    Every batch, in this process or in a worker, draws its next uniform
+    block on a helper thread while it steps the current one, when its
+    horizon spans more than one block (see `simulate_runs`); a worker caps
+    OpenBLAS at (usable cores // workers) threads.  Urns without in-edges
+    stay frozen.
     """
     if runs < 1:
         raise InvalidParamsError("runs must be >= 1")
@@ -282,13 +282,11 @@ def run_ensemble(
     )
 
 
-def scaled_covariance(
-    result: EnsembleResult, record: Fluctuations, t: int | None = None
-) -> np.ndarray:
+def scaled_covariance(result: EnsembleResult, record: Fluctuations) -> np.ndarray:
     """Empirical covariance of the scaled deviation s(t) (Z_t - c 1).
 
     Second moment about the predicted limit c of `record` (the limit law is
-    centred), taken at the final checkpoint unless `t` is given.
+    centred), taken at the final checkpoint t.
 
     The record's regime sets s(t): sqrt(t) above the critical line, t^rho
     below it, and sqrt(t / log t) on it.  The critical factor is
@@ -298,9 +296,7 @@ def scaled_covariance(
     """
     if result.is_polya:
         raise WrongRegimeError("scaled deviations from c are for non-identity rules")
-    if t is None:
-        t = result.checkpoints[-1]
-    k = result.checkpoint_index(t)
+    t = result.checkpoints[-1]
     if record.regime == REGIME_SQRT_T:
         s2 = float(t)
     elif record.regime == REGIME_CRITICAL:
@@ -310,8 +306,8 @@ def scaled_covariance(
     else:
         s2 = float(t) ** (2.0 * record.rho)
 
-    mean = result.mean_z[k]
-    second = result.cov_z[k] * (result.runs - 1) / result.runs + np.outer(mean, mean)
+    mean = result.mean_z[-1]
+    second = result.cov_final * (result.runs - 1) / result.runs + np.outer(mean, mean)
     cvec = np.full(result.n, float(record.c))
     moment = second - np.outer(mean, cvec) - np.outer(cvec, mean) + np.outer(cvec, cvec)
     return s2 * 0.5 * (moment + moment.T)
@@ -375,17 +371,22 @@ def martingale_test(result: EnsembleResult) -> MartingaleReport:
 
     Valid for identity-type reinforcement on a regular undirected graph,
     where the cross-sectional mean is a bounded martingale; passes when the
-    observed drift is within three standard errors.
+    observed drift is within three standard errors.  Refuses fewer than 2
+    runs, which give no standard error, and a last checkpoint at t = 0,
+    where the drift is zero by construction.
     """
     if not result.is_polya:
         raise WrongRegimeError("martingale test applies to identity-type rules")
     if not result.regular_graph:
         raise NotRegularError("martingale test needs a regular undirected graph")
-    k = len(result.checkpoints) - 1
+    if result.runs < 2:
+        raise InvalidParamsError(f"martingale test needs at least 2 runs, got {result.runs}")
+    if not result.checkpoints or result.checkpoints[-1] < 1:
+        raise InvalidParamsError("martingale test needs a last checkpoint after t = 0")
     zbar0 = float(result.initial_fractions().mean())
-    mean_zbar = float(result.mean_z[k].mean())
+    mean_zbar = float(result.mean_z[-1].mean())
     ones = np.ones(result.n)
-    var_zbar = float(ones @ result.cov_z[k] @ ones) / result.n**2
+    var_zbar = float(ones @ result.cov_final @ ones) / result.n**2
     se = math.sqrt(max(var_zbar, 0.0) / result.runs)
     drift = mean_zbar - zbar0
     return MartingaleReport(
@@ -490,7 +491,10 @@ def oracle_check(
     master_seed: int,
 ) -> OracleReport:
     """Total-variation distance between the simulator's empirical law and
-    the enumerated exact law at the same horizon."""
+    the enumerated exact law at the same horizon, which must be at least 1:
+    at t = 0 both laws are the start state."""
+    if horizon < 1:
+        raise InvalidParamsError(f"oracle check needs horizon >= 1, got {horizon}")
     exact = brute_force_distribution(g, scheme, initial, horizon)
     result = run_ensemble(
         g,

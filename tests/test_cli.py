@@ -426,8 +426,10 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
 # Flags the suite cannot use, rules its theory does not cover, a subcritical
 # horizon too short for three decades, a consensus horizon that would mostly
 # measure the start state, an ode-tracking horizon that ends before the
-# deviation is measured, and ode-tracking without runs.  The small sizes keep
-# the run short should a case be accepted by mistake.
+# deviation is measured, ode-tracking without runs, and the vacuous verdicts:
+# a martingale drift at t = 0 or from one run, which has no standard error,
+# and an oracle at t = 0, which compares the start state with itself.  The
+# small sizes keep the run short should a case be accepted by mistake.
 @pytest.mark.parametrize(
     "suite, flags",
     [
@@ -454,6 +456,9 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
         ("ode-tracking", ["--runs", "0"]),
         ("ode-tracking", ["--runs", "-2"]),
         ("consensus", ["--horizon", "0"]),
+        ("martingale", ["--horizon", "0", "--runs", "2"]),
+        ("martingale", ["--horizon", "10", "--runs", "1"]),
+        ("oracle", ["--horizon", "0", "--runs", "10"]),
     ],
 )
 def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flags):
@@ -471,7 +476,8 @@ def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flag
 
 
 # Rule sources that exclude each other, --m or --alpha without its partners,
-# and files or formats the command would not read or write.
+# files or formats the command would not read or write, and an oracle at
+# t = 0.
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -493,6 +499,7 @@ def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flag
         ("simulate", ["--polya", "--d", "3"]),
         # every urn of the 2-cycle is reinforced, so no start state is read
         ("predict", ["--polya", "--allow-violations", "--initial", "INITIAL"]),
+        ("oracle", ["--polya", "--horizon", "0"]),
     ],
 )
 def test_commands_refuse_flags_they_would_ignore(tmp_path, capsys, command, flags):
@@ -502,12 +509,12 @@ def test_commands_refuse_flags_they_would_ignore(tmp_path, capsys, command, flag
     hetero.write_text(json.dumps([{"a": 1, "b": 2, "m": 4}] * 2))
     initial.write_text(json.dumps({"white": [1, 2], "black": [2, 1]}))
     paths = {"HETERO": str(hetero), "INITIAL": str(initial), "SUMMARY": str(tmp_path / "s.csv")}
-    argv = [command, "--graph", str(graph), *(paths.get(f, f) for f in flags)]
+    argv = [command, "--graph", str(graph)]
     if command == "simulate":
         argv += ["--horizon", "2", "--out", str(tmp_path / "out")]
     elif command == "oracle":
         argv += ["--horizon", "2", "--runs", "16"]
-    assert run_cli(*argv) == 2
+    assert run_cli(*argv, *(paths.get(f, f) for f in flags)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -129,15 +129,13 @@ def test_engine_output_independent_of_core_budget(
     g, scheme, init = problem
     times = range(horizon + 1)
     ref = mean_field_path(g, scheme, init, horizon)
-    # a block budget of 1-24 steps of the batch: the small ones make many
-    # blocks, and from 8 steps on two blocks fit, so a helper can prefetch
-    block_doubles = budget_steps * len(runs) * g.n
+    per_step = len(runs) * g.n
     outs = []
-    # one core: fill and step on this thread; two: a helper thread fills the
-    # next block, whenever the budget holds two blocks of 4 steps
-    for cores in (1, 2):
-        with mock.patch.object(dynamics, "_BLOCK_DOUBLES", block_doubles), \
-                mock.patch.object(dynamics, "_core_budget", cores):
+    # a budget of the whole horizon twice over: one block, filled on this
+    # thread; then one of 1-24 steps of the batch: the small ones make many
+    # blocks, and from 8 steps on two blocks fit, so a helper prefetches
+    for steps in (2 * horizon, budget_steps):
+        with mock.patch.object(dynamics, "_BLOCK_DOUBLES", steps * per_step):
             outs.append(simulate_runs(
                 g, scheme, init, horizon, seed, runs, checkpoints=times, snapshot_times=times,
                 reference_path=ref, deviation_start=deviation_start,
@@ -166,7 +164,7 @@ def test_ensemble_equal_across_workers(problem, horizon, seed, runs, batch_size)
     with mock.patch.object(montecarlo, "_BATCH_RUNS", batch_size):
         one = run_ensemble(g, scheme, init, horizon, runs, seed, workers=1, **kw)
         two = run_ensemble(g, scheme, init, horizon, runs, seed, workers=2, **kw)
-    for name in ("mean_z", "cov_z", "var_phi"):
+    for name in ("mean_z", "cov_final", "var_phi"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
     assert np.array_equal(one.snapshots[horizon], two.snapshots[horizon])
     assert np.array_equal(one.snapshot_totals[horizon], two.snapshot_totals[horizon])

@@ -375,27 +375,27 @@ def _watch_streams(monkeypatch, on_draw=lambda k: None):
 _PREFETCH_CASE = dict(n=3, runs=range(4), horizon=40, block_doubles=96)
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_prefetch_thread_and_blas_cap(monkeypatch, cores):
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_prefetch_thread_and_blas_cap(monkeypatch, blocks):
     case = _PREFETCH_CASE
     g, scheme = generate_graph("cycle_directed", {"n": case["n"]}), ReplacementMatrix(2, 1, 3)
     init, horizon = default_initial_state(case["n"]), case["horizon"]
-    monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", case["block_doubles"])
-    monkeypatch.setattr(dynamics, "_core_budget", cores)
+    # a budget of `blocks` blocks of 4 steps: one block is filled and stepped
+    # in turn, two let a helper fill the next one
+    monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", case["block_doubles"] * blocks // 2)
     streams = _watch_streams(monkeypatch)
     before, threads = _blas_counts(), threading.active_count()
     out = simulate_runs(g, scheme, init, horizon, 5, case["runs"], snapshot_times=[horizon])
     assert _blas_counts() == before and threading.active_count() == threads
     (stream,) = streams
-    # one draw per run and block; a block holds the whole budget, 8 steps, or
-    # half of it when prefetched
-    block = 8 if cores == 1 else 4
-    assert len(stream.draws) == len(case["runs"]) * horizon // block
-    if cores == 1:
+    # one draw per run and block of 4 steps
+    assert len(stream.draws) == len(case["runs"]) * horizon // 4
+    if blocks == 1:
         assert stream.draws == [(True, before)] * len(stream.draws)
     else:
-        # every block is drawn on the helper, under a BLAS of cores - 1 threads
-        assert stream.draws == [(False, [1] * len(before))] * len(stream.draws)
+        # every block is drawn on the helper, under a BLAS of one thread fewer
+        capped = [max(1, count - 1) for count in before]
+        assert stream.draws == [(False, capped)] * len(stream.draws)
     for i, r in enumerate(case["runs"]):
         rng, state = make_stream(5, r), init
         for _ in range(horizon):
@@ -408,7 +408,6 @@ def test_prefetch_joins_helper_and_restores_blas_on_error(monkeypatch, where):
     case = _PREFETCH_CASE
     g, scheme = generate_graph("cycle_directed", {"n": case["n"]}), ReplacementMatrix(2, 1, 3)
     monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", case["block_doubles"])
-    monkeypatch.setattr(dynamics, "_core_budget", 2)
     armed = []
 
     class Interrupted(UrnState):
@@ -434,6 +433,38 @@ def test_prefetch_joins_helper_and_restores_blas_on_error(monkeypatch, where):
             snapshot_times=range(case["horizon"] + 1),
         )
     assert _blas_counts() == before and threading.active_count() == threads
+
+
+class _FakeBlas:
+    """An OpenBLAS stand-in: a thread count behind a (get, put) pair."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def put(self, count):
+        self.count = count
+
+
+def _fake_blas(monkeypatch, *counts):
+    libs = [_FakeBlas(count) for count in counts]
+    monkeypatch.setattr(dynamics, "_openblas", lambda: tuple((b.get, b.put) for b in libs))
+    return libs
+
+
+def test_blas_cap_spares_one_thread_and_restores(monkeypatch):
+    libs = _fake_blas(monkeypatch, 1, 3)
+    with dynamics._blas_threads():
+        assert [b.count for b in libs] == [1, 2]
+    assert [b.count for b in libs] == [1, 3]
+
+
+def test_worker_blas_cap_never_raises_a_count(monkeypatch):
+    libs = _fake_blas(monkeypatch, 1, 2, 3, 8)
+    dynamics.set_blas_threads(2)
+    assert [b.count for b in libs] == [1, 2, 2, 2]
 
 
 def test_make_stream_validation():

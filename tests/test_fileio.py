@@ -127,7 +127,7 @@ def test_json_writers_keep_the_streamed_bytes(tmp_path):
         "raw_seed": res.raw_seed,
         "mean_Z": [list(map(float, row)) for row in res.mean_z],
         "var_phi": list(map(float, res.var_phi)),
-        "cov_Z_final": [list(map(float, row)) for row in res.cov_z[-1]],
+        "cov_Z_final": [list(map(float, row)) for row in res.cov_final],
         "initial_white": list(map(int, res.initial_white)),
         "initial_black": list(map(int, res.initial_black)),
         "is_polya": res.is_polya,

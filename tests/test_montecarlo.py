@@ -82,7 +82,7 @@ class TestRunEnsemble:
         for workers in (2, 3):
             pooled = run_ensemble(g, POLYA, init, 60, 20, 77, workers=workers, **kw)
             assert np.array_equal(serial.mean_z, pooled.mean_z)
-            assert np.array_equal(serial.cov_z, pooled.cov_z)
+            assert np.array_equal(serial.cov_final, pooled.cov_final)
             for t in (30, 60):
                 assert np.array_equal(serial.snapshots[t], pooled.snapshots[t])
                 assert np.array_equal(serial.snapshot_totals[t], pooled.snapshot_totals[t])
@@ -91,7 +91,7 @@ class TestRunEnsemble:
         g = generate_graph("star_undirected", {"n": 5})
         res = run_ensemble(g, FRIEDMAN0, default_initial_state(5), 200, 50, 3)
         assert np.all(res.mean_z >= 0) and np.all(res.mean_z <= 1)
-        final_cov = res.cov_z[-1]
+        final_cov = res.cov_final
         assert np.allclose(final_cov, final_cov.T, atol=1e-10)
         assert np.min(np.linalg.eigvalsh(final_cov)) >= -1e-10
 
@@ -123,19 +123,21 @@ class TestRunEnsemble:
         centering = np.eye(5) - np.full((5, 5), 1.0 / 5)
         var_phi = np.array([np.trace(centering @ cov[k] @ centering) / 5 for k in range(3)])
         assert np.array_equal(res.mean_z, mean)
-        assert np.array_equal(res.cov_z, cov)
+        assert np.array_equal(res.cov_final, cov[-1])
         assert np.array_equal(res.var_phi, var_phi)
 
-        # the result shares no memory with what the caller holds; from_moments
-        # consumes only the second-moment sums it is handed
-        for got in (res.mean_z, res.cov_z, res.var_phi, res.initial_white, res.initial_black):
+        # the result shares no memory with what the caller holds, and
+        # from_moments leaves the sums it is handed as they were
+        for got in (res.mean_z, res.cov_final, res.var_phi, res.initial_white, res.initial_black):
             assert not any(np.shares_memory(got, held) for held in (init.white, init.black))
-        held_z = sum_z.copy()
+        held_z, held_outer = sum_z.copy(), sum_outer.copy()
         direct = EnsembleResult.from_moments(
-            runs, horizon, cps, held_z, sum_outer.copy(), seed, init, False, False
+            runs, horizon, cps, held_z, held_outer, seed, init, False, False
         )
-        assert np.array_equal(held_z, sum_z) and not np.shares_memory(direct.mean_z, held_z)
-        assert np.array_equal(direct.cov_z, cov) and np.array_equal(direct.var_phi, var_phi)
+        assert np.array_equal(held_z, sum_z) and np.array_equal(held_outer, sum_outer)
+        for got in (direct.mean_z, direct.cov_final):
+            assert not any(np.shares_memory(got, held) for held in (held_z, held_outer))
+        assert np.array_equal(direct.cov_final, cov[-1]) and np.array_equal(direct.var_phi, var_phi)
 
     def test_peak_memory_is_one_moment_array(self, monkeypatch):
         n, horizon = 64, 60
@@ -146,25 +148,30 @@ class TestRunEnsemble:
         block = 256 * (4 + 1) * n * 8  # the uniform block, padded by one step
         work = 12 * 256 * n * 8  # allowance: the engine's (runs, n) arrays and temporaries
 
-        def peak(runs):
+        def peak_and_held(runs):
+            """Peak memory of the call, and what its result still holds."""
             tracing = tracemalloc.is_tracing()  # numpy reports its buffers to tracemalloc
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                run_ensemble(
+                result = run_ensemble(
                     g, ReplacementMatrix(1, 1, 4), default_initial_state(n), horizon, runs, 0,
                     checkpoints=range(horizon + 1), workers=1,
                 )
-                return tracemalloc.get_traced_memory()[1] - base
+                held, top = tracemalloc.get_traced_memory()
+                assert result.runs == runs
+                return top - base, held - base
             finally:
                 if not tracing:
                     tracemalloc.stop()
 
-        one, three = peak(256), peak(3 * 256)
+        (one, held_one), (three, held_three) = peak_and_held(256), peak_and_held(3 * 256)
         assert one <= moments + block + work, one / moments
         # three batches: the total, and the sums of the batch being added into it
         assert three <= 2 * moments + block + work, three / moments
+        # the result keeps one n x n covariance, not one per checkpoint
+        assert max(held_one, held_three) < moments, max(held_one, held_three) / moments
 
 
 def _from_z_samples(z, checkpoints, horizon, is_polya=False):
@@ -214,13 +221,13 @@ class TestScaledCovariance:
     )
     def test_scale_of_each_regime(self, regime, rho, s2):
         # every run sits 0.1 from c = 0.5 at both checkpoints, so the second
-        # moment about c is 0.01 and the output is 0.01 s(t)^2
+        # moment about c is 0.01 and the output is 0.01 s(t)^2 at the final t
         z = np.stack([np.full((40, 2), 0.4), np.full((40, 2), 0.6)], axis=1)
-        res = _from_z_samples(z, [20, 400], horizon=400)
         record = _record(regime, rho=rho)
-        for t in (20, 400):
-            out = scaled_covariance(res, record, t=t)
-            assert np.allclose(out, 0.01 * s2(t), rtol=1e-12, atol=0)
+        for cps in ([20], [20, 400]):
+            res = _from_z_samples(z[:, : len(cps)], cps, horizon=cps[-1])
+            out = scaled_covariance(res, record)
+            assert np.allclose(out, 0.01 * s2(cps[-1]), rtol=1e-12, atol=0)
         # c comes from the record: about c = 0.6 the final deviation is zero
         moved = scaled_covariance(res, _record(regime, rho=rho, c=0.6))
         assert np.abs(moved).max() <= 1e-12
@@ -240,7 +247,7 @@ def _synthetic_var_phi(checkpoints, values, is_polya=True):
         checkpoints=tuple(checkpoints),
         n=2,
         mean_z=np.full((n_cp, 2), 0.5),
-        cov_z=np.zeros((n_cp, 2, 2)),
+        cov_final=np.zeros((2, 2)),
         var_phi=np.array(values, dtype=float),
         raw_seed=0,
         initial_white=np.ones(2, dtype=np.int64),
@@ -308,6 +315,16 @@ class TestMartingale:
         dist = brute_force_distribution(g, POLYA, init, 1)
         means = distribution_mean_fractions(dist)
         assert sum(means) / 2 == Fraction(1, 2)
+
+    @pytest.mark.parametrize("horizon, runs", [(0, 2), (10, 1)])
+    def test_vacuous_ensembles_refused(self, horizon, runs):
+        # the drift at t = 0 is zero by construction, and one run has no
+        # standard error: neither verdict would say anything
+        g = two_cycle()
+        init = UrnState(np.array([3, 1]), np.array([1, 3]))
+        res = run_ensemble(g, POLYA, init, horizon, runs, 15, checkpoints=[horizon])
+        with pytest.raises(InvalidParamsError, match="martingale test needs"):
+            martingale_test(res)
 
     def test_friedman_rejected(self):
         g = two_cycle()
@@ -401,7 +418,7 @@ def test_mean_deviation_shrinks_with_horizon():
         res = run_ensemble(g, scheme, default_initial_state(2), horizon, runs, seed,
                            checkpoints=[horizon])
         devs.append(np.abs(res.mean_z[-1] - 0.5).max())
-        se = math.sqrt(max(res.cov_z[-1].max(), 0.0) / runs)
+        se = math.sqrt(max(res.cov_final.max(), 0.0) / runs)
         slacks.append(2 * se)
     assert devs[1] <= devs[0] + slacks[0] + slacks[1]
     assert devs[2] <= devs[1] + slacks[1] + slacks[2]
@@ -425,6 +442,12 @@ class TestOracleCheck:
     def test_size_guard_propagates(self):
         with pytest.raises(EnumerationTooLargeError):
             oracle_check(two_cycle(), POLYA, default_initial_state(2), 30, 100, 1)
+
+    def test_zero_horizon_refused(self):
+        # at t = 0 both laws are the start state: the check would compare it
+        # with itself
+        with pytest.raises(InvalidParamsError, match="horizon >= 1"):
+            oracle_check(two_cycle(), POLYA, default_initial_state(2), 0, 10, 1)
 
 
 class TestProcessPool:
@@ -454,7 +477,7 @@ class TestProcessPool:
         kw = dict(checkpoints=[20])
         pooled = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=2, **kw)
         serial = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=1, **kw)
-        assert np.array_equal(pooled.cov_z, serial.cov_z)
+        assert np.array_equal(pooled.cov_final, serial.cov_final)
 
     def test_broken_pool_is_replaced(self, monkeypatch):
         g = two_cycle()
