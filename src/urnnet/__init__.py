@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.12"
+__version__ = "0.1.13"
 
 from .dynamics import (
     HeterogeneousScheme,

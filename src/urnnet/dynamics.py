@@ -145,9 +145,10 @@ class UrnState:
         if w.size and (w.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
             raise InvalidParamsError("ball counts must be integers")
         w, b = w.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        if np.any(w < 0) or np.any(b < 0):
+        # ndarray reductions: cheaper than np.any for the oracle's many small states
+        if w.size and (w.min() < 0 or b.min() < 0):
             raise InvalidParamsError("ball counts must be non-negative")
-        if np.any(w + b < 1):
+        if w.size and (w + b).min() < 1:
             raise InvalidParamsError("every urn needs at least one ball")
         if self.time < 0:
             raise InvalidParamsError("time must be non-negative")

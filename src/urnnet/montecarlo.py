@@ -366,23 +366,30 @@ class MartingaleReport:
     passed: bool
 
 
+def check_martingale_inputs(regular_graph: bool, runs: int, last_checkpoint: int) -> None:
+    """Refuse what the martingale test cannot judge, known before simulating:
+    a graph that is not regular and undirected, fewer than 2 runs, which give
+    no standard error, and a last checkpoint at t = 0, where the drift is
+    zero by construction."""
+    if not regular_graph:
+        raise NotRegularError("martingale test needs a regular undirected graph")
+    if runs < 2:
+        raise InvalidParamsError(f"martingale test needs at least 2 runs, got {runs}")
+    if last_checkpoint < 1:
+        raise InvalidParamsError("martingale test needs a last checkpoint after t = 0")
+
+
 def martingale_test(result: EnsembleResult) -> MartingaleReport:
     """Check that the cross-sectional mean fraction keeps its starting value.
 
     Valid for identity-type reinforcement on a regular undirected graph,
     where the cross-sectional mean is a bounded martingale; passes when the
-    observed drift is within three standard errors.  Refuses fewer than 2
-    runs, which give no standard error, and a last checkpoint at t = 0,
-    where the drift is zero by construction.
+    observed drift is within three standard errors.  Refuses a non-identity
+    rule and whatever `check_martingale_inputs` refuses.
     """
     if not result.is_polya:
         raise WrongRegimeError("martingale test applies to identity-type rules")
-    if not result.regular_graph:
-        raise NotRegularError("martingale test needs a regular undirected graph")
-    if result.runs < 2:
-        raise InvalidParamsError(f"martingale test needs at least 2 runs, got {result.runs}")
-    if not result.checkpoints or result.checkpoints[-1] < 1:
-        raise InvalidParamsError("martingale test needs a last checkpoint after t = 0")
+    check_martingale_inputs(result.regular_graph, result.runs, (result.checkpoints or (0,))[-1])
     zbar0 = float(result.initial_fractions().mean())
     mean_zbar = float(result.mean_z[-1].mean())
     ones = np.ones(result.n)

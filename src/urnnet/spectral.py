@@ -1,10 +1,10 @@
 """Dense linear algebra for the prediction engine.
 
 Everything here operates on small dense matrices (target scale n <= 200):
-full spectra of nonsymmetric real matrices, Lyapunov-type solves, guarded
-inversion, and the log-averaged Gram integral that appears in the critical
-fluctuation regime.  Each solve factors its matrix once, and symmetric
-inputs (one shared test) take the symmetric eigensolver.
+full spectra and reusable real Schur forms of real matrices, Lyapunov-type
+solves, guarded inversion, and the log-averaged Gram integral that appears
+in the critical fluctuation regime.  Each solve factors its matrix once, and
+symmetric inputs (one shared test) take the symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -40,36 +40,30 @@ class Spectrum:
     eigenvalues: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
-    def min_real(self) -> float:
-        return float(self.eigenvalues.real.min())
-
-    @property
-    def max_real(self) -> float:
-        return float(self.eigenvalues.real.max())
-
-    @property
     def second_max_real(self):
         """Largest real part after removing one copy of the unit eigenvalue.
 
         None when 1 is not an eigenvalue, or when nothing else remains.
         """
-        lam = self.eigenvalues
-        near_one = np.abs(lam - 1.0)
-        if near_one.min() > UNIT_EIGENVALUE_TOL:
+        near_one = np.abs(self.eigenvalues - 1.0)
+        if near_one.size < 2 or near_one.min() > UNIT_EIGENVALUE_TOL:
             return None
-        rest = np.delete(lam, int(np.argmin(near_one)))
-        if rest.size == 0:
-            return None
-        return float(rest.real.max())
+        return float(np.delete(self.eigenvalues, near_one.argmin()).real.max())
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
     """The one symmetry test: symmetric inputs take the symmetric solvers."""
     return np.allclose(m, m.T, rtol=0.0, atol=1e-13)
+
+
+def square_matrix(m) -> np.ndarray:
+    """m as a float array, refused unless square with finite entries."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParamsError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidParamsError("matrix has non-finite entries")
+    return m
 
 
 def eigenvalues(m: np.ndarray) -> Spectrum:
@@ -79,11 +73,7 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     through the general (Schur-based) solver and keeps complex conjugate
     pairs intact.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParamsError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidParamsError("matrix has non-finite entries")
+    m = square_matrix(m)
     try:
         if _is_symmetric(m):
             lam = np.linalg.eigvalsh(m).astype(complex)
@@ -95,63 +85,94 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=lam[order])
 
 
-def lyapunov_solve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A^T S + S A = Q for symmetric Q.
+@dataclass(frozen=True)
+class SchurForm:
+    """Real Schur form m^T = U R U^T: R is quasi-triangular, with each complex
+    pair x +- i sqrt(-bc) in a standardised 2x2 block [[x, b], [c, x]]; from
+    eigh (m symmetric) R is diagonal, and `r` holds its diagonal only."""
 
-    Solvable iff no two eigenvalues of A sum to zero (always true when all
-    real parts are positive).  Bartels-Stewart, O(n^3): one real Schur form
-    A^T = U R U^T (eigh's for a symmetric A, else schur's, defective or not)
-    gives the eigenvalues for that check and, by LAPACK's trsyl, the X of
-    R X + X R^T = U^T Q U; then S = U X U^T.
-    """
-    # scipy.linalg takes longer to import than the whole package; only the
-    # callers of this function pay for it.
-    from scipy.linalg import schur
-    from scipy.linalg.lapack import dtrsyl
+    r: np.ndarray
+    u: np.ndarray
+    symmetric: bool
 
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise InvalidParamsError("A and Q must be square with equal shape")
-
-    if _is_symmetric(a):
-        lam, u = np.linalg.eigh(a)
-        r = np.diag(lam)
-    else:
-        r, u = schur(a.T, output="real")
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        r = self.r
+        if self.symmetric:
+            return r.astype(complex)
         lam = np.diag(r).astype(complex)
-        k = np.flatnonzero(np.diag(r, -1))  # 2x2 blocks [[x, b], [c, x]], bc < 0
+        k = np.flatnonzero(np.diag(r, -1))
         lam[k] += 1j * np.sqrt(-r[k, k + 1] * r[k + 1, k])
         lam[k + 1] = lam[k].conj()
-    pair_sums = np.abs(lam[:, None] + lam[None, :])
-    scale = max(1.0, float(np.abs(lam).max()))
-    if pair_sums.min() <= 1e-12 * scale:
+        return lam
+
+    def shifted(self, c0: float, c1: float) -> SchurForm:
+        """The form of c0 I + c1 m, from the same U; blocks stay standardised."""
+        r = c1 * self.r + (c0 if self.symmetric else c0 * np.eye(len(self.r)))
+        return SchurForm(r, self.u, self.symmetric)
+
+
+def schur_form(m: np.ndarray) -> SchurForm:
+    """One real Schur factorisation of m^T: eigh's for a matrix that passes
+    the symmetry test, scipy's schur for every other, defective or not."""
+    m = square_matrix(m)
+    try:
+        if _is_symmetric(m):
+            return SchurForm(*np.linalg.eigh(m), symmetric=True)
+        # scipy.linalg takes longer to import than the whole package
+        from scipy.linalg import schur
+        return SchurForm(*schur(m.T, output="real"), symmetric=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+
+
+def lyapunov_solve(a: np.ndarray | SchurForm, q: np.ndarray) -> np.ndarray:
+    """Solve A^T S + S A = Q for symmetric Q, given A or its `schur_form`.
+
+    Solvable iff no two eigenvalues of A sum to zero (always true when all
+    real parts are positive).  Bartels-Stewart, O(n^3): with A^T = U R U^T,
+    X = U^T S U solves R X + X R^T = U^T Q U, elementwise X_ij = C_ij /
+    (mu_i + mu_j) when R is diagonal (symmetric A), else by LAPACK's trsyl;
+    then S = U X U^T.
+    """
+    form = a if isinstance(a, SchurForm) else schur_form(a)
+    q = np.asarray(q, dtype=float)
+    if q.shape != form.u.shape:
+        raise InvalidParamsError("A and Q must be square with equal shape")
+    lam = form.eigenvalues
+    pair_sums = lam[:, None] + lam[None, :]
+    smallest = np.abs(pair_sums).min()
+    if smallest <= 1e-12 * max(1.0, np.abs(lam).max()):
         raise SingularSylvesterError(
-            f"eigenvalue pair sums reach {pair_sums.min():.3e}; equation is singular"
+            f"eigenvalue pair sums reach {smallest:.3e}; equation is singular"
         )
 
-    # trsyl solves R X + X R^T = scale * C, scaling down to avoid overflow
-    x, trsyl_scale, info = dtrsyl(r, r, u.T @ q @ u, tranb="T")
-    if info != 0:
-        raise SingularSylvesterError(f"trsyl perturbed nearly cancelling eigenvalues (info {info})")
-    s = u @ (x / trsyl_scale) @ u.T
+    c = form.u.T @ q @ form.u
+    if form.symmetric:
+        x = c / pair_sums.real
+    else:
+        from scipy.linalg.lapack import dtrsyl
+        # trsyl solves R X + X R^T = scale * C, scaling down to avoid overflow
+        x, scale, info = dtrsyl(form.r, form.r, c, tranb="T")
+        if info != 0:
+            raise SingularSylvesterError(
+                f"trsyl perturbed nearly cancelling eigenvalues (info {info})"
+            )
+        x /= scale
+    s = form.u @ x @ form.u.T
     return 0.5 * (s + s.T)
 
 
 def invert(m: np.ndarray) -> np.ndarray:
     """Inverse with a condition-number guard."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise InvalidParamsError("expected a square matrix")
+    m = square_matrix(m)
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > INVERSION_COND_MAX:
         raise SingularMatrixError(cond)
-    return np.linalg.solve(m, np.eye(n))
+    return np.linalg.solve(m, np.eye(len(m)))
 
 
-def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def log_averaged_gram(h: np.ndarray, gamma: np.ndarray, symmetric=None) -> np.ndarray:
     """Limit of (1/L) * integral_0^L exp(-(H - I/2) u)^T Gamma exp(-(H - I/2) u) du.
 
     Requires H diagonalizable with all eigenvalue real parts >= 1/2 and at
@@ -159,15 +180,13 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     pairs whose shifted eigenvalues cancel survive the averaging (both on
     the critical line, conjugate imaginary parts); every other mode decays
     or oscillates to zero and is dropped.  The result is symmetric PSD when
-    Gamma is.
+    Gamma is.  `symmetric` is a caller's own symmetry test of H, if it ran one.
     """
-    h = np.asarray(h, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    n = h.shape[0]
-    if h.shape != (n, n) or gamma.shape != (n, n):
+    h, gamma = square_matrix(h), np.asarray(gamma, dtype=float)
+    if gamma.shape != h.shape:
         raise InvalidParamsError("H and Gamma must be square with equal shape")
 
-    symmetric = _is_symmetric(h)
+    symmetric = _is_symmetric(h) if symmetric is None else symmetric
     try:
         # a symmetric H has orthonormal eigenvectors: condition 1, V^-1 = V^T
         lam, v = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
@@ -191,7 +210,7 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     k = np.flatnonzero(mu.real <= 2 * UNIT_EIGENVALUE_TOL)
     mu, v_k = mu[k], v[:, k]
     # rows k of V^-1 by one solve: more accurate than inv(V) near the condition limit
-    w_k = v_k.T if symmetric else np.linalg.solve(v.T, np.eye(n)[:, k]).T
+    w_k = v_k.T if symmetric else np.linalg.solve(v.T, np.eye(len(h))[:, k]).T
     surviving = np.abs(mu[:, None] + mu[None, :]) <= UNIT_EIGENVALUE_TOL
     g = v_k.T @ gamma @ v_k
     s = (w_k.T @ (g * surviving) @ w_k).real

@@ -83,8 +83,7 @@ def noise_variance_c(alpha: float, beta: float) -> float:
 
 def drift_matrix(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
     """H = I - (alpha + beta - 1) A~, the negated drift Jacobian."""
-    n = a_tilde.shape[0]
-    return np.eye(n) - (alpha + beta - 1.0) * np.asarray(a_tilde, dtype=float)
+    return np.eye(len(a_tilde)) - (alpha + beta - 1.0) * np.asarray(a_tilde, dtype=float)
 
 
 class Fluctuations(NamedTuple):
@@ -104,36 +103,40 @@ def fluctuations(
     alpha: float, beta: float, a_tilde: np.ndarray, regime: str | None = None
 ) -> Fluctuations:
     """Classify the fluctuation regime of a non-Polya rule and solve for its
-    covariance.
+    covariance, factoring A~ (nonnegative, column-stochastic) at most once.
 
-    rho, the smallest eigenvalue real part of H = I - (alpha+beta-1) A~,
-    comes from one spectrum of A~: for alpha + beta >= 1 the binding
-    eigenvalue is the Perron value 1 (so rho = 2 - alpha - beta), otherwise
-    the eigenvalue of A~ with smallest real part.  Above 1/2, sigma is C(alpha,
-    beta) times the solution S of (H - I/2)^T S + S (H - I/2) = A~^T A~; at
-    1/2 (within CRITICAL_RHO_TOL) it is C(alpha, beta) times the log-averaged
-    Gram limit, which for an undirected d-regular graph on N vertices is the
+    rho, the smallest eigenvalue real part of H = I - (alpha+beta-1) A~, is
+    2 - alpha - beta for alpha + beta >= 1, where the Perron value 1 of A~
+    binds; otherwise it comes from one real Schur form of A~^T, which the
+    sqrt(t) solve reuses.  Above 1/2, sigma is C(alpha, beta) times the
+    solution S of (H - I/2)^T S + S (H - I/2) = A~^T A~; at 1/2 (within
+    CRITICAL_RHO_TOL) it is C(alpha, beta) times the log-averaged Gram
+    limit, which for an undirected d-regular graph on N vertices is the
     all-ones matrix over N.  With `regime`, sigma is solved only when rho
     falls in that regime and is None otherwise, so a caller that needs one
     regime runs no other solver and cannot be refused by one.
     """
     c = consensus_equilibrium(alpha, beta)
-    a_tilde = np.asarray(a_tilde, dtype=float)
+    a_tilde = spectral.square_matrix(a_tilde)
+    if not (a_tilde.size and a_tilde.min() >= 0.0 and np.abs(a_tilde.sum(0) - 1.0).max() <= 1e-12):
+        raise InvalidParamsError("A~ must be nonnegative and column-stochastic")
     k = alpha + beta - 1.0
-    spec = spectral.eigenvalues(a_tilde)
-    rho = float(1.0 - k * (spec.max_real if k >= 0.0 else spec.min_real))
+    form = None if k >= 0.0 else spectral.schur_form(a_tilde)
+    rho = float(2.0 - alpha - beta if form is None else 1.0 - k * form.eigenvalues.real.min())
     if abs(rho - 0.5) <= CRITICAL_RHO_TOL:
         found = REGIME_CRITICAL
     else:
         found = REGIME_SQRT_T if rho > 0.5 else REGIME_SUBCRITICAL
     if found == REGIME_SUBCRITICAL or regime not in (None, found):
         return Fluctuations(c, rho, found, None)
-    h = drift_matrix(alpha, beta, a_tilde)
     gamma = a_tilde.T @ a_tilde
     if found == REGIME_SQRT_T:
-        s = spectral.lyapunov_solve(h - 0.5 * np.eye(a_tilde.shape[0]), gamma)
+        # (H - I/2)^T = U (I/2 - k R) U^T, from the one form of A~^T
+        form = spectral.schur_form(a_tilde) if form is None else form
+        s = spectral.lyapunov_solve(form.shifted(0.5, -k), gamma)
     else:
-        s = spectral.log_averaged_gram(h, gamma)
+        symmetric = None if form is None else form.symmetric
+        s = spectral.log_averaged_gram(drift_matrix(alpha, beta, a_tilde), gamma, symmetric)
     return Fluctuations(c, rho, found, noise_variance_c(alpha, beta) * s)
 
 
@@ -143,9 +146,7 @@ def clt_covariance_regular_closed_form(
     """Closed form C(a,b) A~^2 (I - 2(alpha+beta-1) A~)^(-1), valid for
     symmetric A~ (undirected regular graphs)."""
     a_tilde = np.asarray(a_tilde, dtype=float)
-    n = a_tilde.shape[0]
-    k = alpha + beta - 1.0
-    inv = spectral.invert(np.eye(n) - 2.0 * k * a_tilde)
+    inv = spectral.invert(np.eye(len(a_tilde)) - 2.0 * (alpha + beta - 1.0) * a_tilde)
     return noise_variance_c(alpha, beta) * (a_tilde @ a_tilde) @ inv
 
 
@@ -165,20 +166,13 @@ class RateClass:
 
 
 def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    n = a_tilde.shape[0]
-    if a_tilde.shape != (n, n):
-        raise InvalidParamsError("expected a square matrix")
+    a_tilde = spectral.square_matrix(a_tilde)
     if not np.allclose(a_tilde, a_tilde.T, atol=1e-12):
         raise NotRegularError("weighted adjacency is not symmetric")
-    ones = np.ones(n)
-    if not (
-        np.allclose(a_tilde @ ones, ones, atol=1e-9)
-        and np.allclose(ones @ a_tilde, ones, atol=1e-9)
-    ):
+    # symmetric, so its row sums are its column sums
+    if not np.allclose(a_tilde.sum(axis=0), 1.0, atol=1e-9):
         raise NotRegularError("weighted adjacency is not doubly stochastic")
-    spec = spectral.eigenvalues(a_tilde)
-    lam2 = spec.second_max_real
+    lam2 = spectral.eigenvalues(a_tilde).second_max_real
     if lam2 is None:
         raise NotRegularError("rate class needs at least two vertices")
     if abs(lam2 - 0.5) <= CRITICAL_RHO_TOL:

@@ -283,6 +283,7 @@ def verify_martingale(
 ) -> dict:
     """Preservation of the cross-sectional mean under identity-type rules."""
     initial = _start(g, scheme, initial, "martingale", polya=True)
+    montecarlo.check_martingale_inputs(g.is_regular_undirected(), runs, horizon)
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     rep = montecarlo.martingale_test(result)
     report = {
@@ -353,16 +354,8 @@ def verify_ode_tracking(
         raise InvalidParamsError("runs must be >= 1")
     initial = _initial(g, initial)
     reference = mean_field_path(g, scheme, initial, horizon)
-    out = simulate_runs(
-        g,
-        scheme,
-        initial,
-        horizon,
-        seed,
-        range(runs),
-        reference_path=reference,
-        deviation_start=start_time,
-    )
+    out = simulate_runs(g, scheme, initial, horizon, seed, range(runs),
+                        reference_path=reference, deviation_start=start_time)
     frac_ok = float(np.mean(out.sup_dev <= tol))
     report = {
         "suite": "ode-tracking",

@@ -18,7 +18,7 @@ from urnnet.graph import DirectedGraph, generate_graph
 def test_identity_spectrum():
     spec = spectral.eigenvalues(np.eye(3))
     assert np.allclose(spec.eigenvalues, [1, 1, 1])
-    assert spec.min_real == spec.max_real == 1.0
+    assert np.all(spec.eigenvalues.real == 1.0)
     assert spec.second_max_real == 1.0
 
 
@@ -51,7 +51,8 @@ def test_conjugate_pairs_for_directed_graphs():
 def test_real_part_ordering():
     for family, params in [("cycle_directed", {"n": 6}), ("star_undirected", {"n": 5})]:
         spec = spectral.eigenvalues(generate_graph(family, params).weighted_adjacency())
-        assert spec.min_real <= spec.second_max_real <= spec.max_real
+        lam = spec.eigenvalues.real
+        assert lam.min() <= spec.second_max_real <= lam.max()
 
 
 @pytest.mark.parametrize(
@@ -174,6 +175,65 @@ def test_clt_covariance_on_defective_path():
     sigma = fl.sigma
     assert sigma.shape == (65, 65)
     assert np.all(np.isfinite(sigma))
+
+
+def _directed_cases():
+    """Random directed graphs with n <= 12, and the defective path with loops."""
+    rng = np.random.default_rng(12)
+    for seed in range(12):
+        n = int(rng.integers(2, 13))
+        p = float(rng.uniform(0.15, 0.6))
+        yield f"er{n}_s{seed}", generate_graph(
+            "erdos_renyi_min_indegree", {"n": n, "p": p}, seed=seed
+        )
+    for n in (5, 12):
+        yield f"path{n}", _path_with_loops(n)
+
+
+@pytest.mark.parametrize("name,g", list(_directed_cases()))
+@pytest.mark.parametrize("ab", [(0.25, 0.25), (0.3, 0.45), (0.5, 0.5), (0.6, 0.7), (0.9, 0.4)])
+def test_fluctuations_sigma_matches_scipy_lyapunov(name, g, ab):
+    # an independent solve of the same equation from H itself:
+    # (H - I/2)^T S + S (H - I/2) = A~^T A~, sigma = C(alpha, beta) S
+    alpha, beta = ab
+    a_tilde = g.weighted_adjacency()
+    fl = theory.fluctuations(alpha, beta, a_tilde)
+    assert fl.regime == theory.REGIME_SQRT_T, name
+    m = theory.drift_matrix(alpha, beta, a_tilde) - 0.5 * np.eye(g.n)
+    expected = theory.noise_variance_c(alpha, beta) * scipy.linalg.solve_continuous_lyapunov(
+        m.T, a_tilde.T @ a_tilde
+    )
+    assert np.linalg.norm(fl.sigma - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("case", ["sym5", "near_sym65", "9", "path65", "er40", "reg64"])
+@pytest.mark.parametrize("c0,c1", [(0.5, 0.25), (0.5, -0.75), (-1.0, 2.0), (0.5, 0.0)])
+def test_shifted_schur_form(case, c0, c1):
+    # the shifted form is a Schur form of c0 I + c1 A, from the same U
+    a, _ = LYAPUNOV_CASES[case]()
+    n = a.shape[0]
+    form = spectral.schur_form(a)
+    shifted = form.shifted(c0, c1)
+    assert shifted.u is form.u and shifted.symmetric == form.symmetric
+    r = np.diag(shifted.r) if shifted.symmetric else shifted.r
+    m = c0 * np.eye(n) + c1 * a
+    assert np.linalg.norm(shifted.u @ r @ shifted.u.T - m.T) <= 1e-12 * max(1.0, np.linalg.norm(m))
+    got = shifted.eigenvalues
+    want = c0 + c1 * form.eigenvalues
+    if case != "path65":  # eig scatters the copies of a 64-fold Jordan eigenvalue
+        want = np.concatenate([want, np.linalg.eigvals(m)])
+    assert np.abs(got[:, None] - want[None, :]).min(axis=0).max() <= 1e-9
+
+
+def test_symmetric_lyapunov_needs_no_trsyl(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a diagonal R needs no triangular Sylvester solve")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", refused)
+    for case in ("sym200", "near_sym65", "reg64"):
+        a, q = LYAPUNOV_CASES[case]()
+        oracle = scipy.linalg.solve_sylvester(a.T, a, q)
+        assert np.allclose(spectral.lyapunov_solve(a, q), oracle, atol=1e-9)
 
 
 def test_lyapunov_singular_pair_detected():

@@ -20,6 +20,8 @@ from urnnet.errors import (
 )
 from urnnet.graph import DirectedGraph, generate_graph
 
+from test_spectral import _factorisations
+
 ALL_FAMILIES = [
     ("complete_with_loops", {"n": 4}),
     ("cycle_directed", {"n": 5}),
@@ -129,7 +131,7 @@ class TestRho:
         a_tilde = generate_graph(family, params, seed=8).weighted_adjacency()
         fl = theory.fluctuations(alpha, beta, a_tilde)
         h = theory.drift_matrix(alpha, beta, a_tilde)
-        direct = spectral.eigenvalues(h).min_real
+        direct = spectral.eigenvalues(h).eigenvalues.real.min()
         assert fl.rho == pytest.approx(direct, abs=1e-9)
         assert fl.c == theory.consensus_equilibrium(alpha, beta)
 
@@ -138,18 +140,30 @@ class TestRho:
         with pytest.raises(PolyaTypeError):
             theory.fluctuations(1.0, 1.0, a_tilde)
 
+    @pytest.mark.parametrize("family,params", ALL_FAMILIES)
+    @pytest.mark.parametrize("alpha,beta", [(0.4, 0.6), (0.75, 0.75), (0.9, 0.3), (1.0, 0.6)])
+    def test_perron_value_binds_from_sum_one(self, monkeypatch, family, params, alpha, beta):
+        # A~ is column-stochastic, so its largest real part is exactly 1
+        a_tilde = generate_graph(family, params, seed=8).weighted_adjacency()
+        calls = _factorisations(monkeypatch)
+        fl = theory.fluctuations(alpha, beta, a_tilde, theory.REGIME_SUBCRITICAL)
+        assert calls == {"eigh": 0, "eig": 0, "schur": 0}
+        assert fl.rho == 2.0 - alpha - beta
 
-def _spectrum_calls(monkeypatch) -> list:
-    """Record every later `spectral.eigenvalues` call."""
-    calls = []
-    original = spectral.eigenvalues
-
-    def counted(m):
-        calls.append(m)
-        return original(m)
-
-    monkeypatch.setattr(spectral, "eigenvalues", counted)
-    return calls
+    @pytest.mark.parametrize(
+        "a_tilde",
+        [
+            np.array([[0.5, 1.0], [0.5, 1e-9]]),  # a column off by 1e-9
+            np.array([[1.5, 0.0], [-0.5, 1.0]]),  # a negative entry
+            np.array([[0.5, np.nan], [0.5, 1.0]]),
+            np.full((2, 3), 0.5),
+            np.ones(2),
+            np.zeros((0, 0)),
+        ],
+    )
+    def test_refuses_non_stochastic(self, a_tilde):
+        with pytest.raises(InvalidParamsError):
+            theory.fluctuations(0.25, 0.25, a_tilde)
 
 
 def _solver_calls(monkeypatch) -> list:
@@ -396,18 +410,26 @@ class TestPredict:
         assert rep.rho == pytest.approx(1 + math.cos(4 * math.pi / 5), abs=1e-9)
 
     @pytest.mark.parametrize(
-        "family,params,ab",
+        "family,params,ab,factor",
         [
-            ("star_undirected", {"n": 5}, 0.5),  # sqrt(t)
-            ("complete_with_loops", {"n": 4}, 0.75),  # critical
-            ("cycle_undirected", {"n": 5}, 0.0),  # subcritical
-            ("cycle_directed", {"n": 5}, 0.4),  # directed sqrt(t)
+            ("star_undirected", {"n": 5}, 0.5, "schur"),  # sqrt(t), alpha + beta = 1
+            ("cycle_undirected", {"n": 5}, 0.6, "eigh"),  # sqrt(t), alpha + beta > 1
+            ("cycle_undirected", {"n": 5}, 0.25, "eigh"),  # sqrt(t), alpha + beta < 1
+            ("cycle_directed", {"n": 5}, 0.4, "schur"),  # directed sqrt(t)
+            ("complete_with_loops", {"n": 4}, 0.75, "eigh"),  # critical
+            ("cycle_directed", {"n": 5}, 0.75, "eig"),  # directed critical
+            ("cycle_undirected", {"n": 5}, 0.0, "eigh"),  # subcritical, alpha + beta < 1
+            ("cycle_directed", {"n": 5}, 0.9, None),  # subcritical, alpha + beta > 1
         ],
     )
-    def test_one_spectrum_per_prediction(self, monkeypatch, family, params, ab):
-        calls = _spectrum_calls(monkeypatch)
-        theory.predict(generate_graph(family, params), ab, ab)
-        assert len(calls) == 1
+    def test_one_factorisation_per_prediction(self, monkeypatch, family, params, ab, factor):
+        g = generate_graph(family, params)
+        calls = _factorisations(monkeypatch)
+        theory.predict(g, ab, ab)
+        expected = {"eigh": 0, "eig": 0, "schur": 0}
+        if factor:
+            expected[factor] = 1
+        assert calls == expected
 
     def test_polya_reports(self):
         g8 = generate_graph("cycle_undirected", {"n": 8})

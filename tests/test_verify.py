@@ -8,12 +8,15 @@ import json
 
 import pytest
 
-from urnnet import cli, montecarlo, spectral, verify
+from urnnet import cli, montecarlo, verify
 from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state, run_trajectory
 from urnnet.errors import InvalidParamsError, WrongRegimeError, ZeroInDegreeError
+from urnnet.fileio import write_edge_list
 from urnnet.graph import DirectedGraph, generate_graph
 
 import numpy as np
+
+from test_spectral import _factorisations
 
 
 def _check_report(report, suite):
@@ -63,13 +66,11 @@ def test_clt_critical_report():
     assert rep["rho"] == pytest.approx(0.5)
 
 
-def test_clt_critical_takes_one_spectrum(monkeypatch):
-    calls = []
-    original = spectral.eigenvalues
-    monkeypatch.setattr(spectral, "eigenvalues", lambda m: calls.append(m) or original(m))
+def test_clt_critical_factors_once(monkeypatch):
     g = generate_graph("complete_with_loops", {"n": 4})
+    calls = _factorisations(monkeypatch)
     verify.verify_clt_critical(g, ReplacementMatrix(3, 3, 4), horizon=200, runs=20, seed=3)
-    assert len(calls) == 1
+    assert calls == {"eigh": 1, "eig": 0, "schur": 0}
 
 
 @pytest.mark.parametrize("suite,rule", [("clt", ("3", "3", "4")), ("clt-critical", ("1", "1", "4"))])
@@ -81,6 +82,27 @@ def test_wrong_regime_refused_before_simulating(monkeypatch, capsys, suite, rule
     a, b, m = rule
     assert cli.main(["verify", "--suite", suite, "--a", a, "--b", b, "--m", m]) == 2
     assert "regime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--runs", "1", "--horizon", "300000"],
+        ["--runs", "2", "--horizon", "0"],
+        ["--runs", "2", "--horizon", "-3"],
+        ["--graph", "IRREGULAR", "--runs", "4", "--horizon", "300000"],
+    ],
+)
+def test_martingale_refused_before_simulating(monkeypatch, capsys, tmp_path, flags):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated an input the martingale test refuses")
+
+    monkeypatch.setattr(verify, "run_ensemble", no_simulation)
+    irregular = tmp_path / "g.edges"  # in-degrees 2 and 1
+    write_edge_list(DirectedGraph(2, frozenset({(1, 1), (1, 2), (2, 1)})), irregular)
+    flags = [str(irregular) if f == "IRREGULAR" else f for f in flags]
+    assert cli.main(["verify", "--suite", "martingale", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_subcritical_report():
