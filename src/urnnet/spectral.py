@@ -45,10 +45,14 @@ class Spectrum:
 
         None when 1 is not an eigenvalue, or when nothing else remains.
         """
-        near_one = np.abs(self.eigenvalues - 1.0)
-        if near_one.size < 2 or near_one.min() > UNIT_EIGENVALUE_TOL:
+        lam = self.eigenvalues
+        near_one = np.abs(lam - 1.0)
+        if near_one.min() > UNIT_EIGENVALUE_TOL:
             return None
-        return float(np.delete(self.eigenvalues, near_one.argmin()).real.max())
+        rest = np.delete(lam, int(np.argmin(near_one)))
+        if rest.size == 0:
+            return None
+        return float(rest.real.max())
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
@@ -89,7 +93,7 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
 class SchurForm:
     """Real Schur form m^T = U R U^T: R is quasi-triangular, with each complex
     pair x +- i sqrt(-bc) in a standardised 2x2 block [[x, b], [c, x]]; from
-    eigh (m symmetric) R is diagonal, and `r` holds its diagonal only."""
+    eigh (m symmetric) R is diagonal."""
 
     r: np.ndarray
     u: np.ndarray
@@ -98,8 +102,6 @@ class SchurForm:
     @property
     def eigenvalues(self) -> np.ndarray:
         r = self.r
-        if self.symmetric:
-            return r.astype(complex)
         lam = np.diag(r).astype(complex)
         k = np.flatnonzero(np.diag(r, -1))
         lam[k] += 1j * np.sqrt(-r[k, k + 1] * r[k + 1, k])
@@ -108,7 +110,7 @@ class SchurForm:
 
     def shifted(self, c0: float, c1: float) -> SchurForm:
         """The form of c0 I + c1 m, from the same U; blocks stay standardised."""
-        r = c1 * self.r + (c0 if self.symmetric else c0 * np.eye(len(self.r)))
+        r = c1 * self.r + c0 * np.eye(len(self.r))
         return SchurForm(r, self.u, self.symmetric)
 
 
@@ -118,9 +120,11 @@ def schur_form(m: np.ndarray) -> SchurForm:
     m = square_matrix(m)
     try:
         if _is_symmetric(m):
-            return SchurForm(*np.linalg.eigh(m), symmetric=True)
+            lam, u = np.linalg.eigh(m)
+            return SchurForm(np.diag(lam), u, symmetric=True)
         # scipy.linalg takes longer to import than the whole package
         from scipy.linalg import schur
+
         return SchurForm(*schur(m.T, output="real"), symmetric=False)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
@@ -152,6 +156,7 @@ def lyapunov_solve(a: np.ndarray | SchurForm, q: np.ndarray) -> np.ndarray:
         x = c / pair_sums.real
     else:
         from scipy.linalg.lapack import dtrsyl
+
         # trsyl solves R X + X R^T = scale * C, scaling down to avoid overflow
         x, scale, info = dtrsyl(form.r, form.r, c, tranb="T")
         if info != 0:
@@ -172,7 +177,7 @@ def invert(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, np.eye(len(m)))
 
 
-def log_averaged_gram(h: np.ndarray, gamma: np.ndarray, symmetric=None) -> np.ndarray:
+def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Limit of (1/L) * integral_0^L exp(-(H - I/2) u)^T Gamma exp(-(H - I/2) u) du.
 
     Requires H diagonalizable with all eigenvalue real parts >= 1/2 and at
@@ -180,13 +185,13 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray, symmetric=None) -> np.nd
     pairs whose shifted eigenvalues cancel survive the averaging (both on
     the critical line, conjugate imaginary parts); every other mode decays
     or oscillates to zero and is dropped.  The result is symmetric PSD when
-    Gamma is.  `symmetric` is a caller's own symmetry test of H, if it ran one.
+    Gamma is.
     """
     h, gamma = square_matrix(h), np.asarray(gamma, dtype=float)
     if gamma.shape != h.shape:
         raise InvalidParamsError("H and Gamma must be square with equal shape")
 
-    symmetric = _is_symmetric(h) if symmetric is None else symmetric
+    symmetric = _is_symmetric(h)
     try:
         # a symmetric H has orthonormal eigenvectors: condition 1, V^-1 = V^T
         lam, v = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)

@@ -83,7 +83,8 @@ def noise_variance_c(alpha: float, beta: float) -> float:
 
 def drift_matrix(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
     """H = I - (alpha + beta - 1) A~, the negated drift Jacobian."""
-    return np.eye(len(a_tilde)) - (alpha + beta - 1.0) * np.asarray(a_tilde, dtype=float)
+    n = a_tilde.shape[0]
+    return np.eye(n) - (alpha + beta - 1.0) * np.asarray(a_tilde, dtype=float)
 
 
 class Fluctuations(NamedTuple):
@@ -103,7 +104,8 @@ def fluctuations(
     alpha: float, beta: float, a_tilde: np.ndarray, regime: str | None = None
 ) -> Fluctuations:
     """Classify the fluctuation regime of a non-Polya rule and solve for its
-    covariance, factoring A~ (nonnegative, column-stochastic) at most once.
+    covariance, factoring A~ (nonnegative, column-stochastic) at most once,
+    except at rho = 1/2 with alpha + beta < 1, where the Gram limit factors H.
 
     rho, the smallest eigenvalue real part of H = I - (alpha+beta-1) A~, is
     2 - alpha - beta for alpha + beta >= 1, where the Perron value 1 of A~
@@ -135,8 +137,7 @@ def fluctuations(
         form = spectral.schur_form(a_tilde) if form is None else form
         s = spectral.lyapunov_solve(form.shifted(0.5, -k), gamma)
     else:
-        symmetric = None if form is None else form.symmetric
-        s = spectral.log_averaged_gram(drift_matrix(alpha, beta, a_tilde), gamma, symmetric)
+        s = spectral.log_averaged_gram(drift_matrix(alpha, beta, a_tilde), gamma)
     return Fluctuations(c, rho, found, noise_variance_c(alpha, beta) * s)
 
 
@@ -146,7 +147,9 @@ def clt_covariance_regular_closed_form(
     """Closed form C(a,b) A~^2 (I - 2(alpha+beta-1) A~)^(-1), valid for
     symmetric A~ (undirected regular graphs)."""
     a_tilde = np.asarray(a_tilde, dtype=float)
-    inv = spectral.invert(np.eye(len(a_tilde)) - 2.0 * (alpha + beta - 1.0) * a_tilde)
+    n = a_tilde.shape[0]
+    k = alpha + beta - 1.0
+    inv = spectral.invert(np.eye(n) - 2.0 * k * a_tilde)
     return noise_variance_c(alpha, beta) * (a_tilde @ a_tilde) @ inv
 
 

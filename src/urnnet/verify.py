@@ -354,8 +354,16 @@ def verify_ode_tracking(
         raise InvalidParamsError("runs must be >= 1")
     initial = _initial(g, initial)
     reference = mean_field_path(g, scheme, initial, horizon)
-    out = simulate_runs(g, scheme, initial, horizon, seed, range(runs),
-                        reference_path=reference, deviation_start=start_time)
+    out = simulate_runs(
+        g,
+        scheme,
+        initial,
+        horizon,
+        seed,
+        range(runs),
+        reference_path=reference,
+        deviation_start=start_time,
+    )
     frac_ok = float(np.mean(out.sup_dev <= tol))
     report = {
         "suite": "ode-tracking",
