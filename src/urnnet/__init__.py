@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.13"
+__version__ = "0.1.14"
 
 from .dynamics import (
     HeterogeneousScheme,
@@ -30,7 +30,6 @@ from .theory import (
     Fluctuations,
     TheoryReport,
     consensus_equilibrium,
-    drift,
     fluctuations,
     heterogeneous_limit,
     influence_threshold,
@@ -60,7 +59,6 @@ __all__ = [
     "oracle_check",
     "TheoryReport",
     "predict",
-    "drift",
     "consensus_equilibrium",
     "noise_variance_c",
     "Fluctuations",

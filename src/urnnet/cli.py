@@ -24,6 +24,7 @@ from .dynamics import (
     UrnState,
     check_state,
     default_initial_state,
+    normalised_rule,
     record_times,
     run_trajectory,
 )
@@ -150,28 +151,21 @@ def cmd_predict(args) -> int:
         # limits of everything downstream of them.
         frozen = _initial_state(args, g).fractions()
 
-    if isinstance(scheme, HeterogeneousScheme):
-        limit = theory.heterogeneous_limit(g, scheme, frozen_fractions=frozen)
-        report = {
-            "n": g.n,
-            "heterogeneous_limit": [float(v) for v in limit],
-            "reinforced": reinforced.tolist(),
+    hetero = isinstance(scheme, HeterogeneousScheme)
+    if frozen is not None:
+        limit = theory.heterogeneous_limit(g, scheme, frozen_fractions=frozen).tolist()
+        report = {"n": g.n, "heterogeneous_limit": limit} if hetero else {
+            "regime": None, "n": g.n, "alpha": scheme.alpha, "beta": scheme.beta,
+            "equilibrium": limit,
+            "notes": ["graph has unreinforced vertices: they keep their initial fractions, "
+                      "and the limits of the reinforced vertices follow from those"],
         }
-    elif frozen is not None:
-        rules = HeterogeneousScheme((scheme,) * g.n)
-        limit = theory.heterogeneous_limit(g, rules, frozen_fractions=frozen)
-        report = {
-            "regime": None,
-            "n": g.n,
-            "alpha": scheme.alpha,
-            "beta": scheme.beta,
-            "equilibrium": [float(v) for v in limit],
-            "reinforced": reinforced.tolist(),
-            "notes": [
-                "graph has unreinforced vertices: they keep their initial fractions, "
-                "and the limits of the reinforced vertices follow from those"
-            ],
-        }
+        report["reinforced"] = reinforced.tolist()
+    elif hetero:
+        fl = theory.fluctuations(*normalised_rule(g, scheme))
+        sigma = None if fl.sigma is None else fl.sigma.tolist()
+        report = {"n": g.n, "heterogeneous_limit": fl.c.tolist(), "reinforced": reinforced.tolist(),
+                  "rho": fl.rho, "regime": fl.regime, "sigma": sigma}
     else:
         alpha, beta = (args.alpha, args.beta) if scheme is None else (scheme.alpha, scheme.beta)
         report = theory.predict(g, alpha, beta).to_dict()

@@ -108,12 +108,14 @@ class Reinforcement:
     `on_white[j, i]` and `on_black[j, i]` are the white balls urn i + 1
     receives from urn j + 1 when j + 1 draws white or black: a_j A[j, i] and
     (m_j - b_j) A[j, i].  `inflow[i]` is the balls urn i + 1 gains every
-    step, m @ A.  Every path that advances or predicts the urns reads these.
+    step, m @ A, and `rules` the per-vertex rows a, b and m.  Every path
+    that advances or predicts the urns reads these.
     """
 
     on_white: np.ndarray
     on_black: np.ndarray
     inflow: np.ndarray
+    rules: np.ndarray
 
     @classmethod
     def of(cls, g: DirectedGraph, scheme) -> "Reinforcement":
@@ -125,9 +127,22 @@ class Reinforcement:
             rules = scheme.matrices
         else:
             raise InvalidParamsError(f"unsupported scheme type {type(scheme).__name__}")
-        a, b, m = np.array([(r.a, r.b, r.m) for r in rules], dtype=np.int64).T
+        a, b, m = rules = np.array([(r.a, r.b, r.m) for r in rules], dtype=np.int64).T
         adj = g.adjacency()
-        return cls(a[:, None] * adj, (m - b)[:, None] * adj, m @ adj)
+        return cls(a[:, None] * adj, (m - b)[:, None] * adj, m @ adj, rules)
+
+
+def normalised_rule(g: DirectedGraph, scheme) -> tuple:
+    """(alpha, beta, W) of a rule on g: alpha = a/m and beta = b/m, floats
+    for a `ReplacementMatrix` and per-vertex arrays for a scheme, and
+    W[j, i] = m_j A_ji / Mhat_i, vertex j's share of urn i's inflow (A~ for
+    a common m; zero columns at unreinforced vertices)."""
+    rf = Reinforcement.of(g, scheme)
+    a, b, m = rf.rules
+    w = m[:, None] * g.adjacency() / np.maximum(rf.inflow, 1)
+    if isinstance(scheme, ReplacementMatrix):
+        return scheme.alpha, scheme.beta, w
+    return a / m, b / m, w
 
 
 @dataclass(frozen=True)

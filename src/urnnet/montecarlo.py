@@ -285,8 +285,9 @@ def run_ensemble(
 def scaled_covariance(result: EnsembleResult, record: Fluctuations) -> np.ndarray:
     """Empirical covariance of the scaled deviation s(t) (Z_t - c 1).
 
-    Second moment about the predicted limit c of `record` (the limit law is
-    centred), taken at the final checkpoint t.
+    Second moment about the predicted limit c of `record`, common or one
+    entry per vertex (the limit law is centred), taken at the final
+    checkpoint t.
 
     The record's regime sets s(t): sqrt(t) above the critical line, t^rho
     below it, and sqrt(t / log t) on it.  The critical factor is
@@ -308,7 +309,7 @@ def scaled_covariance(result: EnsembleResult, record: Fluctuations) -> np.ndarra
 
     mean = result.mean_z[-1]
     second = result.cov_final * (result.runs - 1) / result.runs + np.outer(mean, mean)
-    cvec = np.full(result.n, float(record.c))
+    cvec = np.full(result.n, record.c, dtype=float)
     moment = second - np.outer(mean, cvec) - np.outer(cvec, mean) + np.outer(cvec, cvec)
     return s2 * 0.5 * (moment + moment.T)
 

@@ -1,28 +1,30 @@
 """Closed-form predictions for the urn process.
 
 All results are stated for normalized reinforcement parameters
-alpha = a/m and beta = b/m in [0, 1].  The drift of the fraction process is
+alpha = a/m and beta = b/m in [0, 1], one pair for all vertices or one per
+vertex.  With W[j, i] vertex j's share of urn i's inflow (A~, the
+column-stochastic weighted adjacency, when m is common) the mean drift is
 
-    h(z) = (alpha z + (1 - beta)(1 - z)) A~ - z
+    h(z) = z B + (1 - beta) W - z,    B = diag(alpha + beta - 1) W
 
-with A~ the column-stochastic weighted adjacency (row-vector convention:
-z multiplies from the left).  Away from the identity-type rule
-(alpha = beta = 1) every urn converges to the consensus value
-c = (1 - beta) / (2 - alpha - beta), and fluctuations around it scale by
-the regime parameter rho, the smallest eigenvalue real part of
-H = I - (alpha + beta - 1) A~.
+(row convention: z multiplies from the left).  Its limit and fluctuations
+follow from H = I - B; rho, the smallest eigenvalue real part of H, sets
+the regime.  One common rule sends every urn to the consensus value
+c = (1 - beta) / (2 - alpha - beta) unless H is singular: at the identity
+rule alpha = beta = 1, and at a = b = 0 where A~ has the eigenvalue -1 (a
+bipartite graph).  The limit is random there, and every solve refuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .dynamics import HeterogeneousScheme, Reinforcement
+from .dynamics import normalised_rule
 from .errors import (
     InvalidParamsError,
     NotRegularError,
@@ -43,6 +45,10 @@ RATE_T_POW = "t_pow"
 #: |rho - 1/2| at or below this counts as the critical regime
 CRITICAL_RHO_TOL = 1e-9
 
+#: rho at or below this makes H singular: the reciprocal of the condition
+#: bound above which the limit solve refuses
+SINGULAR_RHO_TOL = 1.0 / spectral.INVERSION_COND_MAX
+
 _POLYA_PARAM_TOL = 1e-12
 
 
@@ -50,15 +56,9 @@ def is_polya_params(alpha: float, beta: float) -> bool:
     return abs(alpha - 1.0) <= _POLYA_PARAM_TOL and abs(beta - 1.0) <= _POLYA_PARAM_TOL
 
 
-def _check_params(alpha: float, beta: float):
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+def _check_params(alpha, beta):
+    if not all(np.all((0.0 <= x) & (x <= 1.0)) for x in map(np.asarray, (alpha, beta))):
         raise InvalidParamsError("alpha and beta must lie in [0, 1]")
-
-
-def drift(z: np.ndarray, a_tilde: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Mean displacement field of the fraction process (row convention)."""
-    z = np.asarray(z, dtype=float)
-    return (alpha * z + (1.0 - beta) * (1.0 - z)) @ a_tilde - z
 
 
 def consensus_equilibrium(alpha: float, beta: float) -> float:
@@ -70,75 +70,97 @@ def consensus_equilibrium(alpha: float, beta: float) -> float:
 
 
 def noise_variance_c(alpha: float, beta: float) -> float:
-    """Per-urn reinforcement noise variance at equilibrium.
-
-    Variance of the normalized white-ball payout, which takes value alpha
-    with probability c and 1 - beta otherwise; always in [0, 1/4].
-    """
+    """Per-urn reinforcement noise variance at equilibrium: the variance
+    c (1 - c) (alpha + beta - 1)^2 of the normalized white-ball payout,
+    alpha with probability c and 1 - beta otherwise; in [0, 1/4]."""
     c = consensus_equilibrium(alpha, beta)
-    mean_sq = alpha**2 * c + (1.0 - beta) ** 2 * (1.0 - c)
-    mean = alpha * c + (1.0 - beta) * (1.0 - c)
-    return mean_sq - mean**2
+    return c * (1.0 - c) * (alpha + beta - 1.0) ** 2
 
 
-def drift_matrix(alpha: float, beta: float, a_tilde: np.ndarray) -> np.ndarray:
-    """H = I - (alpha + beta - 1) A~, the negated drift Jacobian."""
-    n = a_tilde.shape[0]
-    return np.eye(n) - (alpha + beta - 1.0) * np.asarray(a_tilde, dtype=float)
+def _linearisation(alpha, beta, w: np.ndarray) -> tuple:
+    """B = diag(alpha + beta - 1) W and q = (1 - beta) W: the mean drift is
+    z B + q - z.  Float alpha and beta hold for every vertex."""
+    col = np.reshape(np.add(alpha, beta) - 1.0, (-1, 1))
+    return col * w, (np.reshape(1.0 - np.asarray(beta), (-1, 1)) * w).sum(axis=0)
+
+
+def _solve_limit(b: np.ndarray, q: np.ndarray, z: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """z with its `free` entries set to the fixed point of z = z B + q."""
+    idx, held = np.flatnonzero(free), np.flatnonzero(~free)
+    system = np.eye(idx.size) - b[np.ix_(idx, idx)]
+    cond = np.linalg.cond(system) if idx.size else 1.0
+    if not np.isfinite(cond) or cond > spectral.INVERSION_COND_MAX:
+        raise SingularLimitSystemError(f"limit system is singular (condition estimate {cond:.3e})")
+    z[idx] = np.linalg.solve(system.T, q[idx] + z[held] @ b[np.ix_(held, idx)])
+    return z
 
 
 class Fluctuations(NamedTuple):
-    """Consensus value c, regime parameter rho, the regime rho selects, and
-    the asymptotic covariance sigma of s(t) (Z_t - c 1): s(t) = sqrt(t) above
-    1/2, sqrt(t / log t) at 1/2 (sigma then the log-averaged Gram limit) and
+    """Limit c (a float for one common rule, else one entry per vertex),
+    regime parameter rho, the regime rho selects, and the asymptotic
+    covariance sigma of s(t) (Z_t - c): s(t) = sqrt(t) above 1/2,
+    sqrt(t / log t) at 1/2 (sigma then the log-averaged Gram limit) and
     t^rho below, where no Gaussian limit applies.  sigma is None below 1/2
     and outside the regime a caller of `fluctuations` asked for."""
 
-    c: float
+    c: float | np.ndarray
     rho: float
     regime: str
     sigma: np.ndarray | None
 
 
-def fluctuations(
-    alpha: float, beta: float, a_tilde: np.ndarray, regime: str | None = None
-) -> Fluctuations:
-    """Classify the fluctuation regime of a non-Polya rule and solve for its
-    covariance, factoring A~ (nonnegative, column-stochastic) at most once,
-    except at rho = 1/2 with alpha + beta < 1, where the Gram limit factors H.
+def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluctuations:
+    """The one linear-response solve: limit, regime and covariance of a
+    non-Polya rule, given as floats alpha, beta or as per-vertex arrays.
 
-    rho, the smallest eigenvalue real part of H = I - (alpha+beta-1) A~, is
-    2 - alpha - beta for alpha + beta >= 1, where the Perron value 1 of A~
-    binds; otherwise it comes from one real Schur form of A~^T, which the
-    sqrt(t) solve reuses.  Above 1/2, sigma is C(alpha, beta) times the
-    solution S of (H - I/2)^T S + S (H - I/2) = A~^T A~; at 1/2 (within
-    CRITICAL_RHO_TOL) it is C(alpha, beta) times the log-averaged Gram
-    limit, which for an undirected d-regular graph on N vertices is the
-    all-ones matrix over N.  With `regime`, sigma is solved only when rho
-    falls in that regime and is None otherwise, so a caller that needs one
-    regime runs no other solver and cannot be refused by one.
+    W is the nonnegative, column-stochastic matrix of
+    `dynamics.normalised_rule` (A~ for a common m).  The limit is c's closed
+    form for floats, else the fixed point z* of z = z B + (1 - beta) W.  rho
+    is 2 - alpha - beta when k = alpha + beta - 1 is common and >= 0, as the
+    Perron value 1 of W binds; otherwise it comes from one real Schur form,
+    W's scaled when k is common (B = k W) and B's if not, which the sqrt(t)
+    solve reuses.  rho <= SINGULAR_RHO_TOL raises `SingularLimitSystemError`.
+    With Gamma = B^T diag(z*(1 - z*)) B, sigma solves (H - I/2)^T S +
+    S (H - I/2) = Gamma above 1/2, and is the log-averaged Gram limit at
+    1/2 (within CRITICAL_RHO_TOL), which factors H once more when rho came
+    from a Schur form.  With `regime`, sigma is solved only when rho falls
+    in that regime, so no other solver runs and none can refuse.
     """
-    c = consensus_equilibrium(alpha, beta)
-    a_tilde = spectral.square_matrix(a_tilde)
-    if not (a_tilde.size and a_tilde.min() >= 0.0 and np.abs(a_tilde.sum(0) - 1.0).max() <= 1e-12):
-        raise InvalidParamsError("A~ must be nonnegative and column-stochastic")
-    k = alpha + beta - 1.0
-    form = None if k >= 0.0 else spectral.schur_form(a_tilde)
-    rho = float(2.0 - alpha - beta if form is None else 1.0 - k * form.eigenvalues.real.min())
+    w = spectral.square_matrix(w)
+    if not (w.size and w.min() >= 0.0 and np.abs(w.sum(0) - 1.0).max() <= 1e-12):
+        raise InvalidParamsError("W must be nonnegative and column-stochastic")
+    per_vertex = np.ndim(alpha) or np.ndim(beta)
+    if per_vertex and (np.shape(alpha), np.shape(beta)) != (w.shape[:1],) * 2:
+        raise InvalidParamsError("per-vertex alpha and beta need one entry per vertex")
+    _check_params(alpha, beta)
+    c = None if per_vertex else consensus_equilibrium(alpha, beta)
+    b, q = _linearisation(alpha, beta, w)
+    k = np.add(alpha, beta) - 1.0
+    common = k.min() == k.max()  # then B = k W, whose Schur form is W's, scaled
+
+    def schur_b():
+        return spectral.schur_form(w).shifted(0.0, k.max()) if common else spectral.schur_form(b)
+
+    form = None if common and k.max() >= 0.0 else schur_b()
+    rho = float(np.min(2.0 - alpha - beta) if form is None else 1.0 - form.eigenvalues.real.max())
+    if rho <= SINGULAR_RHO_TOL:
+        raise SingularLimitSystemError(f"H = I - B is singular (rho = {rho:.3e}): no unique limit")
+    if per_vertex:
+        c = _solve_limit(b, q, np.zeros(len(w)), w.any(axis=0))
     if abs(rho - 0.5) <= CRITICAL_RHO_TOL:
         found = REGIME_CRITICAL
     else:
         found = REGIME_SQRT_T if rho > 0.5 else REGIME_SUBCRITICAL
     if found == REGIME_SUBCRITICAL or regime not in (None, found):
         return Fluctuations(c, rho, found, None)
-    gamma = a_tilde.T @ a_tilde
+    gamma = b.T @ (np.reshape(c * (1.0 - c), (-1, 1)) * b)
     if found == REGIME_SQRT_T:
-        # (H - I/2)^T = U (I/2 - k R) U^T, from the one form of A~^T
-        form = spectral.schur_form(a_tilde) if form is None else form
-        s = spectral.lyapunov_solve(form.shifted(0.5, -k), gamma)
+        # (H - I/2)^T = U (I/2 - R) U^T, from the one form of B^T
+        form = schur_b() if form is None else form
+        s = spectral.lyapunov_solve(form.shifted(0.5, -1.0), gamma)
     else:
-        s = spectral.log_averaged_gram(drift_matrix(alpha, beta, a_tilde), gamma)
-    return Fluctuations(c, rho, found, noise_variance_c(alpha, beta) * s)
+        s = spectral.log_averaged_gram(np.eye(len(w)) - b, gamma)
+    return Fluctuations(c, rho, found, s)
 
 
 def clt_covariance_regular_closed_form(
@@ -185,55 +207,25 @@ def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
     return RateClass(kind=RATE_T_POW, exponent=2.0 * lam2 - 2.0, lambda2=lam2)
 
 
-def heterogeneous_limit(
-    g: DirectedGraph,
-    scheme: HeterogeneousScheme,
-    frozen_fractions=None,
-) -> np.ndarray:
-    """Almost-sure limit fractions under per-vertex replacement matrices.
+def heterogeneous_limit(g: DirectedGraph, scheme, frozen_fractions=None) -> np.ndarray:
+    """Almost-sure limit fractions under one replacement matrix per vertex
+    or one for all: the fixed point z* of `fluctuations`.
 
-    Solves the fixed point of z = (z C + (m - b)) A Mhat^(-1) where C holds
-    c_i = a_i + b_i - m_i and Mhat the per-vertex inflow totals.  Vertices
-    without incoming edges are never reinforced and keep their starting
-    fraction forever; supply those values via `frozen_fractions` (indexed
-    per vertex, only the unreinforced entries are read).  When every vertex
-    is reinforced and all matrices equal a common non-identity rule, the
-    result reduces to the consensus value on every coordinate.
+    Vertices without incoming edges are never reinforced and keep their
+    starting fraction forever; supply those values via `frozen_fractions`
+    (indexed per vertex, only the unreinforced entries are read).
     """
-    n = g.n
-    rf = Reinforcement.of(g, scheme)
-    reinforced = rf.inflow > 0
-
-    if not reinforced.all():
-        if frozen_fractions is None:
-            raise InvalidParamsError(
-                "graph has unreinforced vertices; pass frozen_fractions for them"
-            )
-        frozen_fractions = np.asarray(frozen_fractions, dtype=float)
-        if frozen_fractions.shape != (n,):
-            raise InvalidParamsError("frozen_fractions must have one entry per vertex")
-
-    # an unreinforced column has no payouts, so any positive divisor works
-    m_hat = np.maximum(rf.inflow, 1)
-    cp = (rf.on_white - rf.on_black) / m_hat
-    intercept = rf.on_black.sum(axis=0) / m_hat
-
-    z = np.zeros(n)
-    idx = np.flatnonzero(reinforced)
-    if idx.size:
-        rhs = intercept[idx]
-        if not reinforced.all():
-            frozen_idx = np.flatnonzero(~reinforced)
-            z[frozen_idx] = frozen_fractions[frozen_idx]
-            rhs = rhs + z[frozen_idx] @ cp[np.ix_(frozen_idx, idx)]
-        system = np.eye(idx.size) - cp[np.ix_(idx, idx)]
-        cond = np.linalg.cond(system)
-        if not np.isfinite(cond) or cond > spectral.INVERSION_COND_MAX:
-            raise SingularLimitSystemError(
-                f"limit system is singular (condition estimate {cond:.3e})"
-            )
-        z[idx] = np.linalg.solve(system.T, rhs)
-    return z
+    alpha, beta, w = normalised_rule(g, scheme)
+    reinforced = w.any(axis=0)
+    if not reinforced.all() and frozen_fractions is None:
+        raise InvalidParamsError(
+            "graph has unreinforced vertices; pass frozen_fractions for them"
+        )
+    # the solve overwrites the reinforced entries
+    z = np.zeros(g.n) if reinforced.all() else np.array(frozen_fractions, dtype=float)
+    if z.shape != (g.n,):
+        raise InvalidParamsError("frozen_fractions must have one entry per vertex")
+    return _solve_limit(*_linearisation(alpha, beta, w), z, reinforced)
 
 
 def influence_threshold(d: int, a: float, r: float, target: float):
@@ -279,13 +271,7 @@ class TheoryReport:
             "equilibrium": None if self.equilibrium is None else list(map(float, self.equilibrium)),
             "noise_var_C": self.noise_var_c,
             "sigma": None if self.sigma is None else [list(map(float, row)) for row in self.sigma],
-            "rate_class": None
-            if self.rate_class is None
-            else {
-                "kind": self.rate_class.kind,
-                "exponent": self.rate_class.exponent,
-                "lambda2": self.rate_class.lambda2,
-            },
+            "rate_class": None if self.rate_class is None else asdict(self.rate_class),
             "notes": list(self.notes),
         }
         return out

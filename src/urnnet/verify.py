@@ -13,7 +13,7 @@ callers may widen or tighten them.  `SUITES` holds the CLI defaults.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,6 +27,7 @@ from .dynamics import (
     default_initial_state,
     expected_fractions_after_step,
     mean_field_path,
+    normalised_rule,
     simulate_runs,
 )
 from .errors import InvalidParamsError, WrongRegimeError
@@ -86,7 +87,8 @@ def verify_consensus(
     initial = _start(g, scheme, initial, "consensus")
     if horizon < 100:
         raise InvalidParamsError(f"suite consensus needs horizon >= 100, got {horizon}")
-    c = theory.consensus_equilibrium(scheme.alpha, scheme.beta)
+    # the subcritical regime asks for c and rho only, with no covariance solve
+    c = theory.fluctuations(*normalised_rule(g, scheme), theory.REGIME_SUBCRITICAL).c
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     worst = float(np.abs(result.mean_z[-1] - c).max())
     report = {
@@ -120,11 +122,11 @@ def lyapunov_closed_form_sweep() -> dict:
 
 
 def _clt(suite, regime, g, scheme, initial, horizon, runs, seed, tol):
-    """Empirical scaled covariance against the theoretical one of `regime`;
-    the body shared by the sqrt(t) and the critical sqrt(t / log t) suites.
-    A rule in another regime is refused before anything is simulated."""
-    initial = _start(g, scheme, initial, suite)
-    fl = theory.fluctuations(scheme.alpha, scheme.beta, g.weighted_adjacency(), regime)
+    """Empirical scaled covariance against the theoretical one of `regime`,
+    for one rule or one per vertex: the body of the sqrt(t) and critical
+    suites.  Another regime or a singular H is refused before simulating."""
+    initial = _initial(g, initial)
+    fl = theory.fluctuations(*normalised_rule(g, scheme), regime)
     if fl.regime != regime:
         raise WrongRegimeError(f"rho = {fl.rho:.6g} gives regime {fl.regime}, not {regime}")
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
@@ -144,7 +146,7 @@ def _clt(suite, regime, g, scheme, initial, horizon, runs, seed, tol):
 
 def verify_clt(
     g: DirectedGraph,
-    scheme: ReplacementMatrix,
+    scheme: ReplacementMatrix | HeterogeneousScheme,
     initial: UrnState | None = None,
     *,
     horizon: int = 10_000,
@@ -165,7 +167,7 @@ def verify_clt(
 
 def verify_clt_critical(
     g: DirectedGraph,
-    scheme: ReplacementMatrix,
+    scheme: ReplacementMatrix | HeterogeneousScheme,
     initial: UrnState | None = None,
     *,
     horizon: int = 100_000,
@@ -261,7 +263,7 @@ def verify_polya_rate(
     lo, hi = slope_window
     report = {
         "suite": "polya-rate",
-        "rate_class": {"kind": rate.kind, "exponent": rate.exponent, "lambda2": rate.lambda2},
+        "rate_class": asdict(rate),
         "slope": est.slope,
         "ci_halfwidth": est.ci_halfwidth,
         "log_correction_diagnostic": log_diag,
@@ -428,18 +430,20 @@ def verify_heterogeneous(
                             checkpoints=[horizon])
     sim_err_star = abs(float(res_star.mean_z[-1][0]) - expected_star)
 
-    # Threshold sweep: first-hit property re-derived with exact rationals.
+    # Threshold sweep, tied to the limit solver: with its senders fully white
+    # the centre's limit is their mean alpha, so the first d1 at which it
+    # reaches the target is the threshold.  Counts over m = 20: exact ties.
     sweep_ok = True
     for dd in range(1, 21):
-        for a, r, target in ((0.9, 0.1, 0.5), (0.6, 0.2, 0.55), (0.3, 0.3, 0.4), (0.2, 0.1, 0.9)):
-            got = theory.influence_threshold(dd, a, r, target)
-            meets = [
-                Fraction(a) * x + Fraction(r) * (dd - x) >= Fraction(target) * dd
-                for x in range(dd + 1)
-            ]
-            direct = meets.index(True) if any(meets) else None
-            if got != direct:
-                sweep_ok = False
+        g_sweep = DirectedGraph(dd + 1, frozenset((j, 1) for j in range(2, dd + 2)))
+        for a, r, target in ((18, 2, 10), (12, 4, 11), (6, 6, 8), (4, 2, 18)):
+            camps = (ReplacementMatrix(a, 0, 20), ReplacementMatrix(r, 0, 20))
+            first = next((d1 for d1 in range(dd + 1) if theory.heterogeneous_limit(
+                g_sweep, HeterogeneousScheme((centre,) + (camps[0],) * d1 + (camps[1],) * (dd - d1)),
+                frozen_fractions=np.ones(dd + 1),
+            )[0] >= target / 20 - EXACT_TOL), None)
+            exact = (Fraction(x, 20) for x in (a, r, target))
+            sweep_ok &= first == theory.influence_threshold(dd, *exact)
 
     report = {
         "suite": "heterogeneous",

@@ -1,0 +1,99 @@
+"""The names the benchmark under perfbench/ calls or wraps still exist.
+
+The benchmark's files are read here, never edited: a rename in the package
+then fails this fast test instead of the benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from urnnet import dynamics, montecarlo, theory
+from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix
+from urnnet.graph import DirectedGraph, generate_graph
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("spans")
+
+
+def _resolve(layer: str):
+    """The object a span name stands for, e.g. graph.DirectedGraph.adjacency."""
+    module, _, path = layer.partition(".")
+    obj = importlib.import_module("urnnet." + module)
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_layer_resolves(spans):
+    for layer in spans.LAYERS:
+        if layer == "dynamics.fill":  # the stream's bulk draw
+            assert callable(dynamics.make_stream(0, 0).random)
+        elif layer == "montecarlo.from_moments":
+            assert callable(montecarlo.EnsembleResult.from_moments)
+        else:
+            assert callable(_resolve(layer)), layer
+
+
+def _urnnet_namespaces():
+    modules = [m for k, m in sorted(sys.modules.items()) if k.split(".")[0] == "urnnet"]
+    return {m.__name__: dict(vars(m)) for m in modules}
+
+
+def test_instrument_wraps_and_restores_every_name(spans):
+    before = _urnnet_namespaces()
+    originals = {layer: _resolve(layer) for layer in spans.LAYERS
+                 if layer not in spans._NOT_MODULE_FUNCTIONS}
+    adjacency = DirectedGraph.__dict__["adjacency"]
+    from_moments = montecarlo.EnsembleResult.__dict__["from_moments"]
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        for layer, original in originals.items():
+            assert _resolve(layer) is not original, layer
+        assert DirectedGraph.__dict__["adjacency"] is not adjacency
+        assert montecarlo.EnsembleResult.__dict__["from_moments"] is not from_moments
+        theory.predict(generate_graph("cycle_undirected", {"n": 5}), 0.25, 0.25)
+    assert {"theory.predict", "spectral.lyapunov_solve"} <= set(tracer.names)
+    after = _urnnet_namespaces()
+    for module, namespace in before.items():
+        for key, value in namespace.items():
+            assert after[module][key] is value, f"{module}.{key}"
+    assert DirectedGraph.__dict__["adjacency"] is adjacency
+    assert montecarlo.EnsembleResult.__dict__["from_moments"] is from_moments
+
+
+def test_workload_calls_keep_their_arguments():
+    source = (PERFBENCH / "workloads.py").read_text()
+    # attribute uses, not file names in strings such as "graph.txt"
+    uses = re.findall(r"(?<![\w\"'/.])(theory|verify|montecarlo|graph|cli)\.(\w+)", source)
+    assert len(set(uses)) >= 10
+    for module, name in set(uses):
+        assert hasattr(importlib.import_module("urnnet." + module), name), f"{module}.{name}"
+    for name in re.findall(r"\btheory\.((?:REGIME|RATE)_\w+)", source):
+        assert isinstance(getattr(theory, name), str)
+
+    g = generate_graph("cycle_undirected", {"n": 5})
+    a_t = g.weighted_adjacency()
+    inspect.signature(theory.predict).bind(g, 0.25, 0.25)
+    assert theory.predict(g, 0.25, 0.25).regime == theory.REGIME_SQRT_T
+    scheme = HeterogeneousScheme((ReplacementMatrix(1, 2, 4),) * 3 + (ReplacementMatrix(2, 1, 3),) * 2)
+    assert theory.heterogeneous_limit(g, scheme).shape == (5,)
+    closed = theory.clt_covariance_regular_closed_form(0.25, 0.25, a_t)
+    assert np.allclose(closed, theory.fluctuations(0.25, 0.25, a_t).sigma, atol=1e-12)

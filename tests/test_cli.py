@@ -4,6 +4,7 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import urnnet
@@ -208,6 +209,26 @@ def test_predict_heterogeneous_limit(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())["report"]
     assert report["heterogeneous_limit"] == pytest.approx([5 / 9, 5 / 9])
+    # B = diag(-1/4, 0) A~ has the eigenvalues 0 and -1/8: rho = 1
+    assert report["rho"] == pytest.approx(1.0, abs=1e-12)
+    assert report["regime"] == "gaussian_sqrt_t"
+    sigma = np.array(report["sigma"])
+    assert sigma.shape == (2, 2) and np.allclose(sigma, sigma.T, atol=1e-15)
+
+
+# a = b = 0 on a bipartite graph has no unique limit; given as one rule or
+# as one record per vertex, predict refuses it the same way
+@pytest.mark.parametrize("family,n", [("cycle-undirected", 4), ("cycle-directed", 2)])
+def test_predict_bipartite_friedman_exit_4(tmp_path, capsys, family, n):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"a": 0, "b": 0, "m": 1}] * n))
+    errors = []
+    for rule in (["--a", "0", "--b", "0"], ["--hetero", str(rules)]):
+        assert run_cli("predict", "--family", family, "--n", str(n), *rule) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        errors.append(err)
+    assert errors[0] == errors[1] and "singular" in errors[0]
 
 
 def test_predict_heterogeneous_singular_exit_4(tmp_path):
@@ -423,7 +444,9 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
     assert written[0] == written[1]
 
 
-# Flags the suite cannot use, rules its theory does not cover, a subcritical
+# Flags the suite cannot use, rules its theory does not cover (per-vertex
+# rules for consensus and subcritical; for the clt suites, a per-vertex rule
+# in the other regime: critical on clt's graph, sqrt(t) on clt-critical's), a subcritical
 # horizon too short for three decades, a consensus horizon that would mostly
 # measure the start state, an ode-tracking horizon that ends before the
 # deviation is measured, ode-tracking without runs, and the vacuous verdicts:
@@ -465,7 +488,8 @@ def test_verify_refuses_flags_the_suite_cannot_use(tmp_path, capsys, suite, flag
     n = {"consensus": 10, "clt-critical": 4, "subcritical": 5}.get(suite, 2)  # default graphs
     graph, hetero = tmp_path / "g.edges", tmp_path / "rules.json"
     write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
-    hetero.write_text(json.dumps([{"a": 1, "b": 2, "m": 4}] * n))
+    rule = {"a": 3, "b": 3, "m": 4} if suite == "clt" else {"a": 1, "b": 2, "m": 4}
+    hetero.write_text(json.dumps([rule] * n))
     flags = [{"GRAPH": str(graph), "HETERO": str(hetero)}.get(f, f) for f in flags]
     argv = ["verify", "--suite", suite, "--horizon", "1000", "--runs", "16", "--seed", "1"]
     if suite == "oracle":

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from urnnet import spectral, theory
+from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, normalised_rule
 from urnnet.errors import (
     InvalidParamsError,
     NonDiagonalizableError,
@@ -110,10 +111,16 @@ def _path_with_loops(n):
     return DirectedGraph(n_vertices=n, edges=frozenset(edges))
 
 
+def drift_jacobian(alpha, beta, a_tilde):
+    """H = I - (alpha + beta - 1) A~ of one common rule, built here from its
+    definition."""
+    return np.eye(len(a_tilde)) - (alpha + beta - 1.0) * a_tilde
+
+
 def _shifted_drift(a_tilde):
-    """H - I/2 and A~^T A~ for alpha = beta = 1/4, as fluctuations builds them."""
+    """H - I/2 and A~^T A~ for alpha = beta = 1/4."""
     n = a_tilde.shape[0]
-    return theory.drift_matrix(0.25, 0.25, a_tilde) - 0.5 * np.eye(n), a_tilde.T @ a_tilde
+    return drift_jacobian(0.25, 0.25, a_tilde) - 0.5 * np.eye(n), a_tilde.T @ a_tilde
 
 
 def _random_case(n, asymmetry=None):
@@ -199,10 +206,33 @@ def test_fluctuations_sigma_matches_scipy_lyapunov(name, g, ab):
     a_tilde = g.weighted_adjacency()
     fl = theory.fluctuations(alpha, beta, a_tilde)
     assert fl.regime == theory.REGIME_SQRT_T, name
-    m = theory.drift_matrix(alpha, beta, a_tilde) - 0.5 * np.eye(g.n)
+    m = drift_jacobian(alpha, beta, a_tilde) - 0.5 * np.eye(g.n)
     expected = theory.noise_variance_c(alpha, beta) * scipy.linalg.solve_continuous_lyapunov(
         m.T, a_tilde.T @ a_tilde
     )
+    assert np.linalg.norm(fl.sigma - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name,g", list(_directed_cases()))
+def test_per_vertex_sigma_matches_scipy_lyapunov(name, g):
+    # one random rule per vertex with |alpha + beta - 1| < 1/2, so rho > 1/2;
+    # H, z* and Gamma are built here from the payouts and the adjacency
+    rng = np.random.default_rng(g.n * 100 + g.n_edges)
+    m = 4 * rng.integers(2, 5, size=g.n)
+    a, b = (rng.integers(m // 4 + 1, 3 * m // 4) for _ in range(2))
+    scheme = HeterogeneousScheme(tuple(map(ReplacementMatrix, a.tolist(), b.tolist(), m.tolist())))
+    fl = theory.fluctuations(*normalised_rule(g, scheme))
+    adj = g.adjacency().astype(float)
+    w = m[:, None] * adj / (m @ adj)
+    lin = ((a + b) / m - 1.0)[:, None] * w
+    h = np.eye(g.n) - lin
+    z = np.linalg.solve(h.T, w.T @ (1.0 - b / m))
+    expected = scipy.linalg.solve_continuous_lyapunov(
+        (h - 0.5 * np.eye(g.n)).T, lin.T @ np.diag(z * (1.0 - z)) @ lin
+    )
+    assert fl.regime == theory.REGIME_SQRT_T, name
+    assert fl.rho == pytest.approx(np.linalg.eigvals(h).real.min(), abs=1e-9)
+    assert np.abs(fl.c - z).max() <= 1e-12
     assert np.linalg.norm(fl.sigma - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -369,7 +399,7 @@ def test_log_averaged_gram_eigenvalue_below_half():
 def _critical_graph_case(g, alpha_plus_beta=1.5, seed=0):
     """H for the given alpha + beta on g, and a random PSD Gamma."""
     rng = np.random.default_rng(seed)
-    h = theory.drift_matrix(alpha_plus_beta / 2, alpha_plus_beta / 2, g.weighted_adjacency())
+    h = drift_jacobian(alpha_plus_beta / 2, alpha_plus_beta / 2, g.weighted_adjacency())
     x = rng.standard_normal((g.n, g.n))
     return h, x @ x.T
 

@@ -6,21 +6,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnnet import spectral, theory
-from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix
+from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, normalised_rule
 from urnnet.errors import (
     InvalidParamsError,
     NotRegularError,
     PolyaTypeError,
     SingularLimitSystemError,
+    UrnNetError,
     ZeroInDegreeError,
 )
 from urnnet.graph import DirectedGraph, generate_graph
 
-from test_spectral import _factorisations
+from test_spectral import _factorisations, drift_jacobian
 
 ALL_FAMILIES = [
     ("complete_with_loops", {"n": 4}),
@@ -32,25 +33,48 @@ ALL_FAMILIES = [
 ]
 
 
+def _drift(z, a_tilde, alpha, beta):
+    """Mean displacement of the fraction process, from its definition."""
+    return (alpha * z + (1.0 - beta) * (1.0 - z)) @ a_tilde - z
+
+
 class TestDrift:
+    """`theory._linearisation`, the one place B is built: z B + q - z is the
+    mean displacement, for one common rule and per vertex."""
+
     @pytest.mark.parametrize("family,params", ALL_FAMILIES)
     @pytest.mark.parametrize("alpha,beta", [(0.25, 0.25), (0.25, 0.5), (0.9, 0.1), (0.0, 0.0)])
     def test_zero_at_consensus(self, family, params, alpha, beta):
         a_tilde = generate_graph(family, params, seed=2).weighted_adjacency()
         c = theory.consensus_equilibrium(alpha, beta)
         z = np.full(a_tilde.shape[0], c)
-        assert np.abs(theory.drift(z, a_tilde, alpha, beta)).max() <= 1e-12
+        assert np.abs(_drift(z, a_tilde, alpha, beta)).max() <= 1e-12
+        b, q = theory._linearisation(alpha, beta, a_tilde)
+        assert np.abs(z @ b + q - z).max() <= 1e-12
 
     def test_polya_constant_vectors_are_equilibria(self):
         a_tilde = generate_graph("star_undirected", {"n": 5}).weighted_adjacency()
+        b, q = theory._linearisation(np.ones(5), np.ones(5), a_tilde)
         for u in (0.0, 0.3, 1.0):
             z = np.full(5, u)
-            assert np.abs(theory.drift(z, a_tilde, 1.0, 1.0)).max() <= 1e-12
+            assert np.abs(z @ b + q - z).max() <= 1e-12
 
     def test_finite_difference_jacobian(self):
+        # per-vertex rules: the displacement written out urn by urn, with
+        # vertex j's payouts weighted by its share W[j, i] of urn i's inflow
         rng = np.random.default_rng(4)
-        a_tilde = generate_graph("d_regular_random", {"n": 8, "d": 3}, seed=9).weighted_adjacency()
-        alpha, beta = 0.3, 0.6
+        g = generate_graph("erdos_renyi_min_indegree", {"n": 8, "p": 0.3}, seed=9)
+        m = rng.integers(1, 6, size=8)
+        a, b = rng.integers(0, m + 1), rng.integers(0, m + 1)
+        alpha, beta, w = normalised_rule(
+            g, HeterogeneousScheme(tuple(map(ReplacementMatrix, a, b, m)))
+        )
+        adj = g.adjacency()
+
+        def displacement(z):
+            white = (a * z + (m - b) * (1.0 - z)) @ adj
+            return white / (m @ adj) - z
+
         z = rng.uniform(0.1, 0.9, size=8)
         eps = 1e-6
         jac = np.empty((8, 8))
@@ -58,10 +82,10 @@ class TestDrift:
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            jac[i] = (
-                theory.drift(zp, a_tilde, alpha, beta) - theory.drift(zm, a_tilde, alpha, beta)
-            ) / (2 * eps)
-        assert np.abs(jac - ((alpha + beta - 1.0) * a_tilde - np.eye(8))).max() <= 1e-6
+            jac[i] = (displacement(zp) - displacement(zm)) / (2 * eps)
+        lin, q = theory._linearisation(alpha, beta, w)
+        assert np.abs(jac - (lin - np.eye(8))).max() <= 1e-6
+        assert np.abs(z @ lin + q - z - displacement(z)).max() <= 1e-12
 
 
 class TestConsensus:
@@ -130,7 +154,7 @@ class TestRho:
     def test_case_split_matches_direct_spectrum(self, family, params, alpha, beta):
         a_tilde = generate_graph(family, params, seed=8).weighted_adjacency()
         fl = theory.fluctuations(alpha, beta, a_tilde)
-        h = theory.drift_matrix(alpha, beta, a_tilde)
+        h = drift_jacobian(alpha, beta, a_tilde)
         direct = spectral.eigenvalues(h).eigenvalues.real.min()
         assert fl.rho == pytest.approx(direct, abs=1e-9)
         assert fl.c == theory.consensus_equilibrium(alpha, beta)
@@ -250,6 +274,85 @@ class TestCltCovariance:
         assert theory.fluctuations(0.0, 0.0, a5, theory.REGIME_SQRT_T).sigma is None
         assert theory.fluctuations(0.25, 0.25, a5, theory.REGIME_SQRT_T).sigma is not None
         assert len(calls) == 3
+
+
+def _path_with_loops(n):
+    """Directed path with a loop at every vertex: A~ is one Jordan block."""
+    edges = {(i, i) for i in range(1, n + 1)} | {(i, i + 1) for i in range(1, n)}
+    return DirectedGraph(n, frozenset(edges))
+
+
+@st.composite
+def _graph_and_rule(draw):
+    """A directed graph with n <= 8 and every in-degree >= 1, and a
+    non-identity rule."""
+    n = draw(st.integers(1, 8))
+    adj = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    for i in np.flatnonzero(~adj.any(axis=0)):
+        adj[draw(st.integers(0, n - 1)), i] = True
+    edges = frozenset((int(j) + 1, int(i) + 1) for j, i in zip(*np.nonzero(adj)))
+    m = draw(st.integers(1, 5))
+    a, b = draw(st.integers(0, m)), draw(st.integers(0, m))
+    if a == b == m:
+        a -= 1
+    return DirectedGraph(n, edges), ReplacementMatrix(a, b, m)
+
+
+class TestOneRuleIsPerVertex:
+    """n copies of one rule, given per vertex, take the B-based path (z* by
+    the limit solve, Gamma from B) and must give what the scalar rule
+    gives: the regime, rho, c and sigma, or the same refusal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_graph_and_rule())
+    @example(case=(_path_with_loops(6), ReplacementMatrix(1, 1, 4)))  # defective, sqrt(t)
+    @example(case=(_path_with_loops(6), ReplacementMatrix(3, 2, 4)))  # defective, sqrt(t)
+    @example(case=(_path_with_loops(5), ReplacementMatrix(3, 3, 4)))  # defective, critical
+    @example(case=(generate_graph("cycle_undirected", {"n": 4}), ReplacementMatrix(0, 0, 1)))
+    @example(case=(generate_graph("erdos_renyi_min_indegree", {"n": 6, "p": 0.4}, seed=3),
+                   ReplacementMatrix(0, 0, 1)))  # non-normal, subcritical
+    def test_same_prediction(self, case):
+        g, rule = case
+        a_tilde = g.weighted_adjacency()
+        per_vertex = normalised_rule(g, HeterogeneousScheme((rule,) * g.n))
+        assert isinstance(per_vertex[0], np.ndarray) and np.array_equal(per_vertex[2], a_tilde)
+        try:
+            one = theory.fluctuations(rule.alpha, rule.beta, a_tilde)
+        except UrnNetError as exc:
+            with pytest.raises(type(exc)):
+                theory.fluctuations(*per_vertex)
+            return
+        per = theory.fluctuations(*per_vertex)
+        assert per.regime == one.regime
+        assert abs(per.rho - one.rho) <= 1e-12
+        assert np.abs(per.c - one.c).max() <= 1e-12
+        if one.sigma is None:
+            assert per.sigma is None
+        else:
+            # absolute at c = 0 or 1, where the payouts carry no noise and sigma = 0
+            err = np.linalg.norm(per.sigma - one.sigma)
+            assert err <= 1e-12 * np.linalg.norm(one.sigma) + 1e-15
+
+    @pytest.mark.parametrize("family,n", [("cycle_undirected", 4), ("cycle_directed", 2)])
+    def test_bipartite_friedman_refused_on_every_path(self, family, n):
+        # a = b = 0: H = I + A~ is singular where A~ has the eigenvalue -1
+        g = generate_graph(family, {"n": n})
+        rules = HeterogeneousScheme((ReplacementMatrix(0, 0, 1),) * n)
+        with pytest.raises(SingularLimitSystemError):
+            theory.fluctuations(0.0, 0.0, g.weighted_adjacency())
+        with pytest.raises(SingularLimitSystemError):
+            theory.fluctuations(*normalised_rule(g, rules))
+        with pytest.raises(SingularLimitSystemError):
+            theory.heterogeneous_limit(g, rules)
+        with pytest.raises(SingularLimitSystemError):
+            theory.predict(g, 0.0, 0.0)
+
+    def test_refuses_mismatched_per_vertex_inputs(self):
+        a_tilde = generate_graph("cycle_directed", {"n": 3}).weighted_adjacency()
+        for alpha, beta in ((np.full(2, 0.25), np.full(2, 0.25)), (0.25, np.full(3, 0.25)),
+                            (np.full(3, 0.25), np.full(3, 1.5))):
+            with pytest.raises(InvalidParamsError):
+                theory.fluctuations(alpha, beta, a_tilde)
 
 
 class TestCltCovarianceCritical:

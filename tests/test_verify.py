@@ -8,8 +8,14 @@ import json
 
 import pytest
 
-from urnnet import cli, montecarlo, verify
-from urnnet.dynamics import ReplacementMatrix, UrnState, default_initial_state, run_trajectory
+from urnnet import cli, montecarlo, theory, verify
+from urnnet.dynamics import (
+    HeterogeneousScheme,
+    ReplacementMatrix,
+    UrnState,
+    default_initial_state,
+    run_trajectory,
+)
 from urnnet.errors import InvalidParamsError, WrongRegimeError, ZeroInDegreeError
 from urnnet.fileio import write_edge_list
 from urnnet.graph import DirectedGraph, generate_graph
@@ -82,6 +88,76 @@ def test_wrong_regime_refused_before_simulating(monkeypatch, capsys, suite, rule
     a, b, m = rule
     assert cli.main(["verify", "--suite", suite, "--a", a, "--b", b, "--m", m]) == 2
     assert "regime" in capsys.readouterr().err
+
+
+# a = b = 0 on a bipartite graph: A~ has the eigenvalue -1, so H = I + A~ is
+# singular and each run has its own random limit; no suite may claim one
+@pytest.mark.parametrize("suite", ["consensus", "subcritical", "clt"])
+@pytest.mark.parametrize("family,n", [("cycle_undirected", 4), ("cycle_directed", 2)])
+def test_singular_h_refused_before_simulating(monkeypatch, capsys, tmp_path, suite, family, n):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a rule without a unique limit")
+
+    monkeypatch.setattr(verify, "run_ensemble", no_simulation)
+    graph = tmp_path / "g.edges"
+    write_edge_list(generate_graph(family, {"n": n}), graph)
+    argv = ["verify", "--suite", suite, "--graph", str(graph), "--a", "0", "--b", "0"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "singular" in err
+
+
+def _six_rule_er_graph():
+    """A directed graph with in-degrees 1, 3, 1, 1, 5, 1 and six different
+    rules: rho = 0.795, in the sqrt(t) regime."""
+    g = generate_graph("erdos_renyi_min_indegree", {"n": 6, "p": 0.4}, seed=3)
+    rules = [(3, 2, 4), (1, 2, 4), (2, 1, 3), (0, 1, 2), (4, 3, 5), (1, 1, 3)]
+    return g, HeterogeneousScheme(tuple(ReplacementMatrix(*r) for r in rules))
+
+
+PER_VERTEX_CLT = {
+    "two_node": lambda: (
+        generate_graph("complete_with_loops", {"n": 2}),
+        HeterogeneousScheme((ReplacementMatrix(1, 2, 4), ReplacementMatrix(3, 1, 4))),
+    ),
+    "er6": _six_rule_er_graph,
+}
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("case", PER_VERTEX_CLT)
+def test_clt_per_vertex_rule(case, seed):
+    # the sqrt(t)-scaled second moment about z* against B's Lyapunov solution
+    g, scheme = PER_VERTEX_CLT[case]()
+    rep = verify.verify_clt(g, scheme, horizon=10_000, runs=2048, seed=seed, tol=0.15)
+    _check_report(rep, "clt")
+    assert rep["pass"], rep["frobenius_rel_error"]
+
+
+def test_clt_critical_accepts_per_vertex_rule(tmp_path, capsys):
+    # alpha + beta = 3/2 at every vertex: B = A~ / 2, so rho = 1/2
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"a": a, "b": 6 - a, "m": 4} for a in (3, 4, 2, 3)]))
+    argv = ["verify", "--suite", "clt-critical", "--hetero", str(rules),
+            "--horizon", "2000", "--runs", "64", "--seed", "5"]
+    assert cli.main(argv) in (0, 1)
+    report = json.loads(capsys.readouterr().out.rsplit("\nsuite ", 1)[0])
+    assert report["rho"] == 0.5 and np.shape(report["sigma_theory"]) == (4, 4)
+
+
+def test_threshold_sweep_follows_the_limit_solver(monkeypatch):
+    # a centre limit off by 0.01 moves the first d1 that reaches the target
+    solve = theory.heterogeneous_limit
+
+    def off_centre(*args, **kwargs):
+        z = solve(*args, **kwargs)
+        z[0] -= 0.01
+        return z
+
+    monkeypatch.setattr(theory, "heterogeneous_limit", off_centre)
+    rep = verify.verify_heterogeneous(horizon=200, runs=4, seed=9)
+    assert rep["threshold_sweep_ok"] is False
+    assert not rep["pass"]
 
 
 @pytest.mark.parametrize(
