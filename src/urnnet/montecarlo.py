@@ -321,6 +321,16 @@ class SlopeEstimate(NamedTuple):
     t_window: tuple
 
 
+def least_squares_slope(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares slope of y on x and its standard error (0 for two points)."""
+    x_c = x - x.mean()
+    sxx = float(x_c @ x_c)
+    slope = float(x_c @ y) / sxx
+    resid = y - y.mean() - slope * x_c
+    dof = len(x) - 2
+    return slope, math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx) if dof > 0 else 0.0
+
+
 def variance_decay_slope(result: EnsembleResult) -> SlopeEstimate:
     """Log-log slope of var_phi against t over the late checkpoints.
 
@@ -343,14 +353,7 @@ def variance_decay_slope(result: EnsembleResult) -> SlopeEstimate:
         raise InsufficientCheckpointsError(
             f"need at least 5 tail checkpoints, have {len(tail)}"
         )
-    x = np.log([t for t, _ in tail])
-    y = np.log([v for _, v in tail])
-    x_c = x - x.mean()
-    sxx = float(x_c @ x_c)
-    slope = float(x_c @ y) / sxx
-    resid = y - y.mean() - slope * x_c
-    dof = len(tail) - 2
-    se = math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx) if dof > 0 else 0.0
+    slope, se = least_squares_slope(np.log([t for t, _ in tail]), np.log([v for _, v in tail]))
     return SlopeEstimate(
         slope=slope,
         ci_halfwidth=1.96 * se,

@@ -25,8 +25,13 @@ from .errors import (
 #: eigenvalues within this distance of 1 count as the unit (Perron) value
 UNIT_EIGENVALUE_TOL = 1e-9
 
-#: eigenvector condition bound beyond which spectral solves are refused
-DIAGONALIZABILITY_COND_MAX = 1e8
+#: modes of H this close to the critical line in real part form its critical
+#: cluster, which holds both halves of a Jordan pair split by rounding (~1e-8)
+CRITICAL_CLUSTER_RADIUS = 1e-6
+
+#: eigenvector condition bound of the critical cluster, about 4.5e6: beyond it
+#: Bauer-Fike leaves its real parts uncertain by more than UNIT_EIGENVALUE_TOL
+DIAGONALIZABILITY_COND_MAX = UNIT_EIGENVALUE_TOL / np.finfo(float).eps
 
 #: inversion is refused above this condition estimate
 INVERSION_COND_MAX = 1e13
@@ -180,12 +185,13 @@ def invert(m: np.ndarray) -> np.ndarray:
 def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Limit of (1/L) * integral_0^L exp(-(H - I/2) u)^T Gamma exp(-(H - I/2) u) du.
 
-    Requires H diagonalizable with all eigenvalue real parts >= 1/2 and at
-    least one exactly on the critical line.  In the eigenbasis, only mode
-    pairs whose shifted eigenvalues cancel survive the averaging (both on
-    the critical line, conjugate imaginary parts); every other mode decays
-    or oscillates to zero and is dropped.  The result is symmetric PSD when
-    Gamma is.
+    Requires eigenvalue real parts >= 1/2, one at least on the critical line,
+    and only the modes near it (the critical cluster) semisimple.  In the
+    eigenbasis, only mode pairs whose shifted eigenvalues cancel survive the
+    averaging (both on the critical line, conjugate imaginary parts); every
+    other mode decays or oscillates to zero and is dropped.  So only the
+    cluster's rows of V^-1 are needed: (Y_k^H X_k)^-1 Y_k^H from its left
+    and right eigenvectors.  The result is symmetric PSD when Gamma is.
     """
     h, gamma = square_matrix(h), np.asarray(gamma, dtype=float)
     if gamma.shape != h.shape:
@@ -193,30 +199,34 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
     symmetric = _is_symmetric(h)
     try:
-        # a symmetric H has orthonormal eigenvectors: condition 1, V^-1 = V^T
-        lam, v = np.linalg.eigh(h) if symmetric else np.linalg.eig(h)
+        if symmetric:
+            lam, x = np.linalg.eigh(h)
+        else:
+            from scipy.linalg import eig
+
+            lam, y, x = eig(h, left=True, right=True)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    cond = 1.0 if symmetric else float(np.linalg.cond(v))
+    mu = lam - 0.5
+    k = np.flatnonzero(np.abs(mu.real) <= CRITICAL_CLUSTER_RADIUS)
+    # a symmetric H has orthonormal eigenvectors: condition 1, V^-1 = V^T
+    cond = 1.0 if symmetric or not k.size else float(np.linalg.cond(x[:, k]))
     if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_MAX:
         raise NonDiagonalizableError(
-            f"eigenvector condition {cond:.3e}: H is numerically defective, and a "
-            "Jordan block on Re = 1/2 changes the sqrt(t / log t) scaling by extra "
+            f"eigenvector condition {cond:.3e} of the modes at Re = 1/2: H has a "
+            "Jordan block there, which changes the sqrt(t / log t) scaling by extra "
             "powers of log t, so the log-averaged Gram limit does not apply"
         )
-    mu = lam - 0.5
     if np.any(mu.real < -UNIT_EIGENVALUE_TOL):
         raise InvalidParamsError("an eigenvalue of H has real part below 1/2")
     if np.abs(mu.real).min() > UNIT_EIGENVALUE_TOL:
         raise NotCriticalRegimeError("no eigenvalue of H on the critical line Re = 1/2")
 
-    # a surviving pair has Re mu_i + Re mu_j <= tol with both >= -tol, so both
-    # modes lie within 2 tol of the critical line: project onto those only
-    k = np.flatnonzero(mu.real <= 2 * UNIT_EIGENVALUE_TOL)
-    mu, v_k = mu[k], v[:, k]
-    # rows k of V^-1 by one solve: more accurate than inv(V) near the condition limit
-    w_k = v_k.T if symmetric else np.linalg.solve(v.T, np.eye(len(h))[:, k]).T
+    # a surviving pair has |Re mu_i + Re mu_j| <= tol with both >= -tol: both
+    # lie in the cluster, whose other modes the mask drops
+    mu, x_k = mu[k], x[:, k]
+    w_k = x_k.T if symmetric else np.linalg.solve(y[:, k].conj().T @ x_k, y[:, k].conj().T)
     surviving = np.abs(mu[:, None] + mu[None, :]) <= UNIT_EIGENVALUE_TOL
-    g = v_k.T @ gamma @ v_k
+    g = x_k.T @ gamma @ x_k
     s = (w_k.T @ (g * surviving) @ w_k).real
     return 0.5 * (s + s.T)

@@ -111,7 +111,7 @@ class Fluctuations(NamedTuple):
 
 def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluctuations:
     """The one linear-response solve: limit, regime and covariance of a
-    non-Polya rule, given as floats alpha, beta or as per-vertex arrays.
+    rule given as floats alpha, beta or as per-vertex arrays.
 
     W is the nonnegative, column-stochastic matrix of
     `dynamics.normalised_rule` (A~ for a common m).  The limit is c's closed
@@ -119,7 +119,8 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
     is 2 - alpha - beta when k = alpha + beta - 1 is common and >= 0, as the
     Perron value 1 of W binds; otherwise it comes from one real Schur form,
     W's scaled when k is common (B = k W) and B's if not, which the sqrt(t)
-    solve reuses.  rho <= SINGULAR_RHO_TOL raises `SingularLimitSystemError`.
+    solve reuses.  rho <= SINGULAR_RHO_TOL, a Polya-type rule among others,
+    raises `SingularLimitSystemError` before any limit is solved.
     With Gamma = B^T diag(z*(1 - z*)) B, sigma solves (H - I/2)^T S +
     S (H - I/2) = Gamma above 1/2, and is the log-averaged Gram limit at
     1/2 (within CRITICAL_RHO_TOL), which factors H once more when rho came
@@ -133,7 +134,6 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
     if per_vertex and (np.shape(alpha), np.shape(beta)) != (w.shape[:1],) * 2:
         raise InvalidParamsError("per-vertex alpha and beta need one entry per vertex")
     _check_params(alpha, beta)
-    c = None if per_vertex else consensus_equilibrium(alpha, beta)
     b, q = _linearisation(alpha, beta, w)
     k = np.add(alpha, beta) - 1.0
     common = k.min() == k.max()  # then B = k W, whose Schur form is W's, scaled
@@ -147,6 +147,8 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
         raise SingularLimitSystemError(f"H = I - B is singular (rho = {rho:.3e}): no unique limit")
     if per_vertex:
         c = _solve_limit(b, q, np.zeros(len(w)), w.any(axis=0))
+    else:  # a Polya-type rule never gets here: its H is singular
+        c = consensus_equilibrium(alpha, beta)
     if abs(rho - 0.5) <= CRITICAL_RHO_TOL:
         found = REGIME_CRITICAL
     else:
@@ -231,15 +233,16 @@ def heterogeneous_limit(g: DirectedGraph, scheme, frozen_fractions=None) -> np.n
 def influence_threshold(d: int, a: float, r: float, target: float):
     """Smallest group-1 size d1 with (a d1 + r (d - d1)) / d >= target.
 
-    Exact rational comparisons on the affine formula.  Returns None when
-    even d1 = d falls short.
+    Exact rational comparisons on the affine formula, a float read as the
+    decimal it prints as (0.55 is 11/20).  None when even d1 = d falls short.
     """
     if d < 1:
         raise InvalidParamsError("d must be >= 1")
     for name, value in (("a", a), ("r", r), ("target", target)):
         if not (0.0 <= value <= 1.0):
             raise InvalidParamsError(f"{name} must lie in [0, 1]")
-    fa, fr, ft = Fraction(a), Fraction(r), Fraction(target)
+    fa, fr, ft = (Fraction(repr(float(x))) if isinstance(x, float) else Fraction(x)
+                  for x in (a, r, target))
     for d1 in range(d + 1):
         if fa * d1 + fr * (d - d1) >= ft * d:
             return d1
@@ -262,18 +265,9 @@ class TheoryReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "regime": self.regime,
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rho": self.rho,
-            "equilibrium": None if self.equilibrium is None else list(map(float, self.equilibrium)),
-            "noise_var_C": self.noise_var_c,
-            "sigma": None if self.sigma is None else [list(map(float, row)) for row in self.sigma],
-            "rate_class": None if self.rate_class is None else asdict(self.rate_class),
-            "notes": list(self.notes),
-        }
+        """The fields, arrays as nested lists; noise_var_c is written noise_var_C."""
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
+        out["noise_var_C"] = out.pop("noise_var_c")
         return out
 
 
@@ -283,8 +277,7 @@ def predict(g: DirectedGraph, alpha: float, beta: float) -> TheoryReport:
     a_tilde = g.weighted_adjacency()
 
     if is_polya_params(alpha, beta):
-        notes = ()
-        rate = None
+        notes, rate = (), None
         try:
             rate = polya_rate_class(a_tilde)
         except NotRegularError as exc:
@@ -295,12 +288,6 @@ def predict(g: DirectedGraph, alpha: float, beta: float) -> TheoryReport:
 
     fl = fluctuations(alpha, beta, a_tilde)
     return TheoryReport(
-        regime=fl.regime,
-        n=g.n,
-        alpha=alpha,
-        beta=beta,
-        rho=fl.rho,
-        equilibrium=np.full(g.n, fl.c),
-        noise_var_c=noise_variance_c(alpha, beta),
-        sigma=fl.sigma,
+        regime=fl.regime, n=g.n, alpha=alpha, beta=beta, rho=fl.rho,
+        equilibrium=np.full(g.n, fl.c), noise_var_c=noise_variance_c(alpha, beta), sigma=fl.sigma,
     )

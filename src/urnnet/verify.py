@@ -6,8 +6,8 @@ and refuses a graph with an unreinforced urn (`ZeroInDegreeError`); the
 heterogeneous one builds its own graphs and takes only the keywords.
 Each returns a JSON-ready report with the statistics behind its verdict,
 "checks" as {name, value, bound, pass} records, and "pass", true when every
-check passes.  Thresholds default to the documented acceptance values;
-callers may widen or tighten them.  `SUITES` holds the CLI defaults.
+check passes.  Tolerances default to the documented acceptance values, and
+fixed bounds are module constants.  `SUITES` holds the CLI defaults.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .montecarlo import run_ensemble
 
 EXACT_TOL = 1e-12  # exact limits in the heterogeneous suite
 _SWEEP_TOL = 1e-8  # Lyapunov solver against the regular-graph closed form
+RATIO_WINDOW = (0.3, 3.0)  # subcritical decade ratios of the t^rho-scaled median
+REQUIRED_FRACTION = 0.9  # ode-tracking runs that must stay within tol
 _POLYA = ReplacementMatrix(1, 1, 1)
 
 
@@ -64,17 +66,16 @@ def _initial(g, initial) -> UrnState:
     return default_initial_state(g.n) if initial is None else initial
 
 
-def _start(g, scheme, initial, suite: str, polya: bool = False) -> UrnState:
-    """Refuse a scheme the suite's theory does not cover, then `_initial`."""
-    if not isinstance(scheme, ReplacementMatrix) or (polya and not scheme.is_polya()):
-        need = "a Polya-type rule a = b = m" if polya else "one replacement matrix for every vertex"
-        raise InvalidParamsError(f"suite {suite} needs {need}, got {scheme}")
+def _start(g, scheme, initial, suite: str) -> UrnState:
+    """Refuse a rule other than one Polya-type a = b = m, then `_initial`."""
+    if not (isinstance(scheme, ReplacementMatrix) and scheme.is_polya()):
+        raise InvalidParamsError(f"suite {suite} needs a Polya-type rule a = b = m, got {scheme}")
     return _initial(g, initial)
 
 
 def verify_consensus(
     g: DirectedGraph,
-    scheme: ReplacementMatrix,
+    scheme: ReplacementMatrix | HeterogeneousScheme,
     initial: UrnState | None = None,
     *,
     horizon: int = 100_000,
@@ -82,9 +83,10 @@ def verify_consensus(
     seed: int = 2024,
     tol: float = 0.02,
 ) -> dict:
-    """Per-vertex ensemble means against the predicted consensus value; a
-    horizon below 100 is refused, as it would mostly measure the start."""
-    initial = _start(g, scheme, initial, "consensus")
+    """Per-vertex ensemble means against the predicted limit: the consensus
+    value of one rule, one value per vertex for a per-vertex rule.  A horizon
+    below 100 is refused, as it would mostly measure the start."""
+    initial = _initial(g, initial)
     if horizon < 100:
         raise InvalidParamsError(f"suite consensus needs horizon >= 100, got {horizon}")
     # the subcritical regime asks for c and rho only, with no covariance solve
@@ -93,7 +95,7 @@ def verify_consensus(
     worst = float(np.abs(result.mean_z[-1] - c).max())
     report = {
         "suite": "consensus",
-        "target": c,
+        "target": np.asarray(c).tolist(),
         "per_vertex_mean": [float(v) for v in result.mean_z[-1]],
         "max_abs_deviation": worst,
         "horizon": horizon,
@@ -183,26 +185,23 @@ def verify_clt_critical(
 
 def verify_subcritical(
     g: DirectedGraph,
-    scheme: ReplacementMatrix,
+    scheme: ReplacementMatrix | HeterogeneousScheme,
     initial: UrnState | None = None,
     *,
     horizon: int = 100_000,
     runs: int = 200,
     seed: int = 17,
-    ratio_window=(0.3, 3.0),
 ) -> dict:
     """Regime detection plus stability of the t^rho-scaled deviation norm.
 
     Checks that rho < 1/2 is reported and that the median of
-    t^rho * ||Z_t - c 1||_2 neither vanishes nor explodes across the decades
-    horizon // 100, horizon // 10 and horizon.
+    t^rho * ||Z_t - c||_2 neither vanishes nor explodes across the decades
+    horizon // 100, horizon // 10 and horizon, each ratio in RATIO_WINDOW.
     """
-    initial = _start(g, scheme, initial, "subcritical")
+    initial = _initial(g, initial)
     if horizon < 100:
         raise InvalidParamsError(f"suite subcritical needs horizon >= 100, got {horizon}")
-    fl = theory.fluctuations(
-        scheme.alpha, scheme.beta, g.weighted_adjacency(), theory.REGIME_SUBCRITICAL
-    )
+    fl = theory.fluctuations(*normalised_rule(g, scheme), theory.REGIME_SUBCRITICAL)
     horizons = [horizon // 100, horizon // 10, horizon]
     result = run_ensemble(
         g, scheme, initial, horizon, runs, seed,
@@ -214,7 +213,7 @@ def verify_subcritical(
         medians.append(float(t**fl.rho * np.median(norms)))
     # a vanished median has no ratio: null, and the check fails
     ratios = [b / a if a else None for a, b in zip(medians, medians[1:])]
-    lo, hi = ratio_window
+    lo, hi = RATIO_WINDOW
     report = {
         "suite": "subcritical",
         "rho": fl.rho,
@@ -242,7 +241,7 @@ def verify_polya_rate(
 ) -> dict:
     """Log-log decay slope of the cross-sectional variance under an
     identity-type rule, against the predicted rate class."""
-    initial = _start(g, scheme, initial, "polya-rate", polya=True)
+    initial = _start(g, scheme, initial, "polya-rate")
     rate = theory.polya_rate_class(g.weighted_adjacency())
     if slope_window is None:
         slope_window = (rate.exponent - 0.15, rate.exponent + 0.15)
@@ -251,14 +250,11 @@ def verify_polya_rate(
 
     # Log-correction diagnostic: slope of log(var * t) vs log log t is near 1
     # when the decay carries a log factor, near 0 for a clean 1/t law.
-    tail = [
-        (t, v) for t, v in zip(result.checkpoints, result.var_phi) if t >= 2 and v > 0
-    ]
+    tail = [(t, v) for t, v in zip(result.checkpoints, result.var_phi) if t >= 2 and v > 0]
     tail = tail[len(tail) // 2 :]
-    x = np.log(np.log([t for t, _ in tail]))
-    y = np.log([v * t for t, v in tail])
-    x_c = x - x.mean()
-    log_diag = float(x_c @ y / (x_c @ x_c))
+    log_diag, _ = montecarlo.least_squares_slope(
+        np.log(np.log([t for t, _ in tail])), np.log([v * t for t, v in tail])
+    )
 
     lo, hi = slope_window
     report = {
@@ -284,7 +280,7 @@ def verify_martingale(
     seed: int = 23,
 ) -> dict:
     """Preservation of the cross-sectional mean under identity-type rules."""
-    initial = _start(g, scheme, initial, "martingale", polya=True)
+    initial = _start(g, scheme, initial, "martingale")
     montecarlo.check_martingale_inputs(g.is_regular_undirected(), runs, horizon)
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     rep = montecarlo.martingale_test(result)
@@ -340,10 +336,9 @@ def verify_ode_tracking(
     seed: int = 31,
     tol: float = 0.05,
     start_time: int = 1000,
-    required_fraction: float = 0.9,
 ) -> dict:
     """Fraction of seeded runs whose sup-norm distance from the noise-free
-    companion path stays within `tol`.
+    companion path stays within `tol`, which must reach REQUIRED_FRACTION.
 
     The companion is the conditional-mean recursion, an Euler path of the
     limit ODE with the process's own step sizes; deviation is measured in
@@ -376,7 +371,7 @@ def verify_ode_tracking(
         "horizon": horizon,
     }
     return _verdict(report, [
-        ("fraction_within", frac_ok, required_fraction, frac_ok >= required_fraction),
+        ("fraction_within", frac_ok, REQUIRED_FRACTION, frac_ok >= REQUIRED_FRACTION),
     ])
 
 
@@ -398,8 +393,7 @@ def verify_heterogeneous(
     m = 4
     r1, r2 = ReplacementMatrix(1, 2, m), ReplacementMatrix(3, 1, m)
     scheme2 = HeterogeneousScheme((r1, r2))
-    b_sum = r1.b + r2.b
-    a_sum = r1.a + r2.a
+    a_sum, b_sum = r1.a + r2.a, r1.b + r2.b
     expected2 = (1 - b_sum / (2 * m)) / (2 - a_sum / (2 * m) - b_sum / (2 * m))
     limit2 = theory.heterogeneous_limit(g2, scheme2)
     err2 = float(np.abs(limit2 - expected2).max())

@@ -105,7 +105,6 @@ def test_criterion_4_subcritical_scaling(capsys):
     scheme = ReplacementMatrix(0, 0, 1)
     report = verify.verify_subcritical(
         g, scheme, horizon=100_000, runs=200, seed=401,
-        ratio_window=(0.3, 3.0),
     )
     announce(
         capsys,
@@ -117,6 +116,7 @@ def test_criterion_4_subcritical_scaling(capsys):
     assert report["rho"] == pytest.approx(1 + math.cos(4 * math.pi / 5), abs=1e-9)
     assert report["rho"] < 0.5
     assert report["regime"] == theory.REGIME_SUBCRITICAL
+    assert report["checks"][1]["bound"] == [0.3, 3.0]
     for ratio in report["ratios"]:
         assert 0.3 <= ratio <= 3.0
 
@@ -216,7 +216,7 @@ def test_criterion_8_ode_tracking(capsys):
     initial = UrnState(np.array([9, 1, 9, 1, 5]), np.array([1, 9, 1, 9, 5]))
     report = verify.verify_ode_tracking(
         g, scheme, initial, horizon=100_000, runs=100, seed=801,
-        tol=0.05, start_time=1000, required_fraction=0.9,
+        tol=0.05, start_time=1000,
     )
     announce(
         capsys,
@@ -225,6 +225,7 @@ def test_criterion_8_ode_tracking(capsys):
         f"{report['fraction_within'] * 100:.0f}% of seeds within 0.05 "
         f"(max dev {report['max_sup_deviation']:.4f})",
     )
+    assert report["checks"][0]["bound"] == 0.9
     assert report["fraction_within"] >= 0.9
 
 

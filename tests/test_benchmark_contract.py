@@ -24,6 +24,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the body runs
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -97,3 +99,12 @@ def test_workload_calls_keep_their_arguments():
     assert theory.heterogeneous_limit(g, scheme).shape == (5,)
     closed = theory.clt_covariance_regular_closed_form(0.25, 0.25, a_t)
     assert np.allclose(closed, theory.fluctuations(0.25, 0.25, a_t).sigma, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_predict_theory_solves_every_case(tmp_path, seed):
+    # each operation once, under its own output check: neither a failure
+    # nor a refusal, which the benchmark would count against ops_ok_frac
+    workloads = _load("workloads")
+    for op in workloads.build("predict-theory", seed, str(tmp_path)):
+        op.check(op.run())

@@ -231,6 +231,16 @@ def test_predict_bipartite_friedman_exit_4(tmp_path, capsys, family, n):
     assert errors[0] == errors[1] and "singular" in errors[0]
 
 
+def test_predict_jordan_block_on_critical_line_exit_4(tmp_path, capsys):
+    # A~ has a Jordan block at -1/2, so a = b = 0 gives rho = 1/2 and a
+    # defective H there: no log-averaged Gram limit exists
+    graph = tmp_path / "g3.edges"
+    write_edge_list(DirectedGraph(3, frozenset({(1, 2), (1, 3), (2, 1), (2, 3), (3, 2)})), graph)
+    assert run_cli("predict", "--graph", str(graph), "--a", "0", "--b", "0") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Jordan block" in err
+
+
 def test_predict_heterogeneous_singular_exit_4(tmp_path):
     graph = tmp_path / "k2.edges"
     run_cli("generate", "--family", "complete-loops", "--n", "2", "--out", str(graph))
@@ -444,11 +454,11 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
     assert written[0] == written[1]
 
 
-# Flags the suite cannot use, rules its theory does not cover (per-vertex
-# rules for consensus and subcritical; for the clt suites, a per-vertex rule
-# in the other regime: critical on clt's graph, sqrt(t) on clt-critical's), a subcritical
-# horizon too short for three decades, a consensus horizon that would mostly
-# measure the start state, an ode-tracking horizon that ends before the
+# Flags the suite cannot use, rules its theory does not cover (for the clt
+# suites, a per-vertex rule in the other regime: critical on clt's graph,
+# sqrt(t) on clt-critical's), a subcritical horizon too short for three
+# decades, a consensus horizon that would mostly measure the start state (also
+# under a per-vertex rule, which both suites otherwise accept), an ode-tracking horizon that ends before the
 # deviation is measured, ode-tracking without runs, and the vacuous verdicts:
 # a martingale drift at t = 0 or from one run, which has no standard error,
 # and an oracle at t = 0, which compares the start state with itself.  The
@@ -466,10 +476,10 @@ def test_verify_clt_report_file_is_reproducible(tmp_path):
         ("heterogeneous", ["--hetero", "HETERO"]),
         ("polya-rate", ["--a", "0", "--b", "0"]),
         ("martingale", ["--a", "0", "--b", "0"]),
-        ("consensus", ["--hetero", "HETERO"]),
+        ("consensus", ["--hetero", "HETERO", "--horizon", "50"]),
         ("clt", ["--hetero", "HETERO"]),
         ("clt-critical", ["--hetero", "HETERO"]),
-        ("subcritical", ["--hetero", "HETERO"]),
+        ("subcritical", ["--hetero", "HETERO", "--horizon", "50"]),
         ("subcritical", ["--horizon", "50"]),
         # --m alone, or beside another rule source, names no rule
         ("consensus", ["--m", "2"]),

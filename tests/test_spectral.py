@@ -292,6 +292,7 @@ def _factorisations(monkeypatch):
 
     counted(np.linalg, "eigh")
     counted(np.linalg, "eig")
+    counted(scipy.linalg, "eig")
     counted(scipy.linalg, "schur")
     monkeypatch.setattr(np.linalg, "eigvals", refused)
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
@@ -437,6 +438,12 @@ GRAM_CASES = {
     "er16_ill": lambda: _critical_graph_case(
         generate_graph("erdos_renyi_min_indegree", {"n": 16, "p": 0.25}, seed=2690213548)
     ),
+    # vertices without out-edges give A~ a defective eigenvalue 0, at mu = 1/2
+    # off the line: the eigenvectors of all of H have condition 2e14, while
+    # the two critical modes' own are orthonormal
+    "er64_sinks": lambda: _critical_graph_case(
+        generate_graph("erdos_renyi_min_indegree", {"n": 64, "p": 4 / 64}, seed=996521834)
+    ),
 }
 
 
@@ -472,3 +479,13 @@ def test_log_averaged_gram_defective():
     h = np.array([[0.5, 1.0], [0.0, 0.5]])
     with pytest.raises(NonDiagonalizableError):
         spectral.log_averaged_gram(h, np.eye(2))
+
+
+def test_log_averaged_gram_jordan_pair_on_the_line():
+    # A~ of this 3-vertex graph has a Jordan block at -1/2, so a = b = 0
+    # puts one in H = I + A~ at 1/2; rounding splits it to 1/2 +- 7.6e-9,
+    # past the line's tolerance on both sides, with eigenvector condition 7.6e7
+    g = DirectedGraph(3, frozenset({(1, 2), (1, 3), (2, 1), (2, 3), (3, 2)}))
+    h = np.eye(3) + g.weighted_adjacency()
+    with pytest.raises(NonDiagonalizableError, match="Jordan block"):
+        spectral.log_averaged_gram(h, np.eye(3))

@@ -160,9 +160,13 @@ class TestRho:
         assert fl.c == theory.consensus_equilibrium(alpha, beta)
 
     def test_polya_rejected(self):
+        # H = I - A~ is singular, so a Polya-type rule is refused with every
+        # other rule without a unique limit, for one rule or one per vertex
         a_tilde = np.eye(2)
-        with pytest.raises(PolyaTypeError):
+        with pytest.raises(SingularLimitSystemError):
             theory.fluctuations(1.0, 1.0, a_tilde)
+        with pytest.raises(SingularLimitSystemError):
+            theory.fluctuations(np.ones(2), np.ones(2), a_tilde)
 
     @pytest.mark.parametrize("family,params", ALL_FAMILIES)
     @pytest.mark.parametrize("alpha,beta", [(0.4, 0.6), (0.75, 0.75), (0.9, 0.3), (1.0, 0.6)])
@@ -479,14 +483,23 @@ class TestInfluenceThreshold:
         assert theory.influence_threshold(5, 0.4, 0.1, 0.9) is None
 
     def test_first_hit_property(self):
+        # floats are read as the decimals they print as
         for d in range(1, 21):
             got = theory.influence_threshold(d, 0.7, 0.2, 0.6)
             meets = [
-                Fraction(0.7) * x + Fraction(0.2) * (d - x) >= Fraction(0.6) * d
+                Fraction("0.7") * x + Fraction("0.2") * (d - x) >= Fraction("0.6") * d
                 for x in range(d + 1)
             ]
             expected = meets.index(True) if any(meets) else None
             assert got == expected
+
+    @pytest.mark.parametrize("d,expected", [(8, 7), (16, 14)])
+    def test_decimal_ties(self, d, expected):
+        # 0.6 * 7 + 0.2 * 1 = 4.4 = 0.55 * 8 exactly in decimals, not in binary
+        assert theory.influence_threshold(d, 0.6, 0.2, 0.55) == expected
+        assert theory.influence_threshold(d, np.float64(0.6), 0.2, 0.55) == expected
+        exact = (Fraction(3, 5), Fraction(1, 5), Fraction(11, 20))
+        assert theory.influence_threshold(d, *exact) == expected
 
 
 class TestPredict:

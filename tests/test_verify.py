@@ -107,6 +107,49 @@ def test_singular_h_refused_before_simulating(monkeypatch, capsys, tmp_path, sui
     assert err.startswith("error: ") and err.count("\n") == 1 and "singular" in err
 
 
+# a Polya-type rule, however it is spelled, has a singular H like the rules
+# above: the same one refusal in every suite that needs a unique limit
+@pytest.mark.parametrize("spelling", ["polya", "hetero"])
+@pytest.mark.parametrize("suite", ["consensus", "subcritical", "clt", "clt-critical"])
+def test_polya_rule_refused_before_simulating(monkeypatch, capsys, tmp_path, suite, spelling):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a rule without a unique limit")
+
+    monkeypatch.setattr(verify, "run_ensemble", no_simulation)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"a": 2, "b": 2, "m": 2}] * verify.SUITES[suite].graph().n))
+    flag = ["--polya"] if spelling == "polya" else ["--hetero", str(rules)]
+    assert cli.main(["verify", "--suite", suite, *flag]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "singular" in err
+
+
+def _alternating_rules(n, *rules):
+    return HeterogeneousScheme(tuple(ReplacementMatrix(*rules[i % 2]) for i in range(n)))
+
+
+# per-vertex rules at each suite's default tolerance or window: the suite
+# graphs, with rules alternating along the vertices
+@pytest.mark.parametrize("seed", [2024, 2025])
+def test_consensus_per_vertex_rule(seed):
+    g = verify.SUITES["consensus"].graph()
+    scheme = _alternating_rules(g.n, (1, 2, 4), (3, 1, 4))
+    rep = verify.verify_consensus(g, scheme, horizon=10_000, runs=200, seed=seed)
+    _check_report(rep, "consensus")
+    limit = theory.heterogeneous_limit(g, scheme)
+    assert rep["target"] == limit.tolist() and limit.max() - limit.min() > 0.4
+    assert rep["pass"] and rep["max_abs_deviation"] <= 1e-3
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_subcritical_per_vertex_rule(seed):
+    g = verify.SUITES["subcritical"].graph()
+    rep = verify.verify_subcritical(g, _alternating_rules(g.n, (0, 0, 1), (0, 0, 2)), seed=seed)
+    _check_report(rep, "subcritical")
+    assert rep["rho"] == pytest.approx(0.140, abs=1e-3)
+    assert rep["pass"]
+
+
 def _six_rule_er_graph():
     """A directed graph with in-degrees 1, 3, 1, 1, 5, 1 and six different
     rules: rho = 0.795, in the sqrt(t) regime."""
