@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -284,19 +284,17 @@ def step(
     )
 
 
+def _mean_step(x: np.ndarray, totals: np.ndarray, rf: Reinforcement) -> np.ndarray:
+    """E[Z_{t+1} | Z_t = x] at totals T: (T x + x on_white + (1 - x) on_black)
+    / (T + inflow), exact on an object array of Fractions, else float64."""
+    return (totals * x + x @ rf.on_white + (1 - x) @ rf.on_black) / (totals + rf.inflow)
+
+
 def expected_fractions_after_step(state: UrnState, g: DirectedGraph, scheme) -> list:
     """One-step conditional expectation of the white fractions, exact rationals."""
     check_state(g, state)
-    rf = Reinforcement.of(g, scheme)
-    z = state.exact_fractions()
-    totals_next = state.totals() + rf.inflow
-    out = []
-    for i in range(g.n):
-        incoming = sum(
-            int(rf.on_white[j, i]) * z[j] + int(rf.on_black[j, i]) * (1 - z[j]) for j in range(g.n)
-        )
-        out.append((int(state.white[i]) + incoming) / int(totals_next[i]))
-    return out
+    z = np.array(state.exact_fractions(), dtype=object)
+    return list(_mean_step(z, state.totals(), Reinforcement.of(g, scheme)))
 
 
 def geometric_checkpoints(horizon: int) -> list:
@@ -536,23 +534,14 @@ def run_trajectory(
     horizon: int,
     seed: int,
     record: str = "every_step",
-    run_index: int = 0,
 ) -> list:
     """Simulate one seeded run and return [(t, Z_t)] at the recorded times.
 
-    Deterministic in (seed, run_index); the trajectory equals run
-    `run_index` of any ensemble drawn from the same master seed.
+    Deterministic in the seed; the trajectory equals run 0 of any ensemble
+    drawn from the same master seed.
     """
     times = record_times(horizon, record)
-    out = simulate_runs(
-        g,
-        scheme,
-        initial,
-        horizon,
-        seed,
-        [run_index],
-        snapshot_times=times,
-    )
+    out = simulate_runs(g, scheme, initial, horizon, seed, [0], snapshot_times=times)
     return [(t, out.snapshots[t][0] / out.snapshot_totals[t]) for t in times]
 
 
@@ -565,15 +554,12 @@ def mean_field_path(g: DirectedGraph, scheme, initial: UrnState, horizon: int) -
     """
     check_state(g, initial)
     rf = Reinforcement.of(g, scheme)
-    on_white, on_black = rf.on_white.astype(float), rf.on_black.astype(float)
-    inflow = rf.inflow.astype(float)
+    # cast once: a float @ int64 matmul casts the payouts again at every step
+    rf = replace(rf, on_white=rf.on_white.astype(float), on_black=rf.on_black.astype(float))
     path = np.empty((horizon + 1, g.n))
-    x = initial.fractions()
+    path[0] = x = initial.fractions()
     totals = initial.totals().astype(float)
-    path[0] = x
     for t in range(1, horizon + 1):
-        totals_next = totals + inflow
-        x = (totals * x + x @ on_white + (1.0 - x) @ on_black) / totals_next
-        totals = totals_next
-        path[t] = x
+        path[t] = x = _mean_step(x, totals, rf)
+        totals = totals + rf.inflow
     return path

@@ -232,7 +232,7 @@ def run_ensemble(
     if workers < 1:
         raise InvalidParamsError("workers must be >= 1")
     if checkpoints is None:
-        checkpoints = geometric_checkpoints(horizon) if horizon > 0 else [0]
+        checkpoints = geometric_checkpoints(horizon)
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times))
 

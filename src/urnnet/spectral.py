@@ -22,42 +22,20 @@ from .errors import (
     SingularSylvesterError,
 )
 
-#: eigenvalues within this distance of 1 count as the unit (Perron) value
-UNIT_EIGENVALUE_TOL = 1e-9
+#: real parts within this distance of 1/2 lie on the critical line Re = 1/2
+CRITICAL_LINE_TOL = 1e-9
 
 #: modes of H this close to the critical line in real part form its critical
-#: cluster, which holds both halves of a Jordan pair split by rounding (~1e-8)
-CRITICAL_CLUSTER_RADIUS = 1e-6
+#: cluster, which holds every mode of a Jordan block there split by rounding
+#: (~1e-8 for a pair, ~1e-5 for size 3 and up to ~4e-4 for size 4)
+CRITICAL_CLUSTER_RADIUS = 1e-3
 
 #: eigenvector condition bound of the critical cluster, about 4.5e6: beyond it
-#: Bauer-Fike leaves its real parts uncertain by more than UNIT_EIGENVALUE_TOL
-DIAGONALIZABILITY_COND_MAX = UNIT_EIGENVALUE_TOL / np.finfo(float).eps
+#: Bauer-Fike leaves its real parts uncertain by more than CRITICAL_LINE_TOL
+DIAGONALIZABILITY_COND_MAX = CRITICAL_LINE_TOL / np.finfo(float).eps
 
 #: inversion is refused above this condition estimate
 INVERSION_COND_MAX = 1e13
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigenvalue multiset of a real matrix, ordered by descending
-    real part (ties: smaller imaginary magnitude first)."""
-
-    eigenvalues: np.ndarray
-
-    @property
-    def second_max_real(self):
-        """Largest real part after removing one copy of the unit eigenvalue.
-
-        None when 1 is not an eigenvalue, or when nothing else remains.
-        """
-        lam = self.eigenvalues
-        near_one = np.abs(lam - 1.0)
-        if near_one.min() > UNIT_EIGENVALUE_TOL:
-            return None
-        rest = np.delete(lam, int(np.argmin(near_one)))
-        if rest.size == 0:
-            return None
-        return float(rest.real.max())
 
 
 def _is_symmetric(m: np.ndarray) -> bool:
@@ -75,8 +53,9 @@ def square_matrix(m) -> np.ndarray:
     return m
 
 
-def eigenvalues(m: np.ndarray) -> Spectrum:
-    """Spectrum of a real square matrix.
+def eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real square matrix as a complex array, ordered by
+    descending real part (ties: smaller imaginary magnitude first).
 
     Symmetric inputs take the symmetric fast path; everything else goes
     through the general (Schur-based) solver and keeps complex conjugate
@@ -91,7 +70,7 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     order = np.lexsort((np.abs(lam.imag), -lam.real))
-    return Spectrum(eigenvalues=lam[order])
+    return lam[order]
 
 
 @dataclass(frozen=True)
@@ -217,16 +196,16 @@ def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
             "Jordan block there, which changes the sqrt(t / log t) scaling by extra "
             "powers of log t, so the log-averaged Gram limit does not apply"
         )
-    if np.any(mu.real < -UNIT_EIGENVALUE_TOL):
+    if np.any(mu.real < -CRITICAL_LINE_TOL):
         raise InvalidParamsError("an eigenvalue of H has real part below 1/2")
-    if np.abs(mu.real).min() > UNIT_EIGENVALUE_TOL:
+    if np.abs(mu.real).min() > CRITICAL_LINE_TOL:
         raise NotCriticalRegimeError("no eigenvalue of H on the critical line Re = 1/2")
 
     # a surviving pair has |Re mu_i + Re mu_j| <= tol with both >= -tol: both
     # lie in the cluster, whose other modes the mask drops
     mu, x_k = mu[k], x[:, k]
     w_k = x_k.T if symmetric else np.linalg.solve(y[:, k].conj().T @ x_k, y[:, k].conj().T)
-    surviving = np.abs(mu[:, None] + mu[None, :]) <= UNIT_EIGENVALUE_TOL
+    surviving = np.abs(mu[:, None] + mu[None, :]) <= CRITICAL_LINE_TOL
     g = x_k.T @ gamma @ x_k
     s = (w_k.T @ (g * surviving) @ w_k).real
     return 0.5 * (s + s.T)

@@ -42,9 +42,6 @@ RATE_T_INV = "t_inv"
 RATE_LOGT_OVER_T = "logt_over_t"
 RATE_T_POW = "t_pow"
 
-#: |rho - 1/2| at or below this counts as the critical regime
-CRITICAL_RHO_TOL = 1e-9
-
 #: rho at or below this makes H singular: the reciprocal of the condition
 #: bound above which the limit solve refuses
 SINGULAR_RHO_TOL = 1.0 / spectral.INVERSION_COND_MAX
@@ -123,9 +120,10 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
     raises `SingularLimitSystemError` before any limit is solved.
     With Gamma = B^T diag(z*(1 - z*)) B, sigma solves (H - I/2)^T S +
     S (H - I/2) = Gamma above 1/2, and is the log-averaged Gram limit at
-    1/2 (within CRITICAL_RHO_TOL), which factors H once more when rho came
-    from a Schur form.  With `regime`, sigma is solved only when rho falls
-    in that regime, so no other solver runs and none can refuse.
+    1/2 (within `spectral.CRITICAL_LINE_TOL`), which factors H once more
+    when rho came from a Schur form.  With `regime`, sigma is solved only
+    when rho falls in that regime, so no other solver runs and none can
+    refuse.
     """
     w = spectral.square_matrix(w)
     if not (w.size and w.min() >= 0.0 and np.abs(w.sum(0) - 1.0).max() <= 1e-12):
@@ -149,7 +147,7 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
         c = _solve_limit(b, q, np.zeros(len(w)), w.any(axis=0))
     else:  # a Polya-type rule never gets here: its H is singular
         c = consensus_equilibrium(alpha, beta)
-    if abs(rho - 0.5) <= CRITICAL_RHO_TOL:
+    if abs(rho - 0.5) <= spectral.CRITICAL_LINE_TOL:
         found = REGIME_CRITICAL
     else:
         found = REGIME_SQRT_T if rho > 0.5 else REGIME_SUBCRITICAL
@@ -199,10 +197,11 @@ def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
     # symmetric, so its row sums are its column sums
     if not np.allclose(a_tilde.sum(axis=0), 1.0, atol=1e-9):
         raise NotRegularError("weighted adjacency is not doubly stochastic")
-    lam2 = spectral.eigenvalues(a_tilde).second_max_real
-    if lam2 is None:
+    if len(a_tilde) < 2:
         raise NotRegularError("rate class needs at least two vertices")
-    if abs(lam2 - 0.5) <= CRITICAL_RHO_TOL:
+    # symmetric and stochastic: real eigenvalues, led by the Perron value 1
+    lam2 = float(spectral.eigenvalues(a_tilde)[1].real)
+    if abs(lam2 - 0.5) <= spectral.CRITICAL_LINE_TOL:
         return RateClass(kind=RATE_LOGT_OVER_T, exponent=-1.0, lambda2=lam2)
     if lam2 < 0.5:
         return RateClass(kind=RATE_T_INV, exponent=-1.0, lambda2=lam2)

@@ -106,5 +106,21 @@ def test_predict_theory_solves_every_case(tmp_path, seed):
     # each operation once, under its own output check: neither a failure
     # nor a refusal, which the benchmark would count against ops_ok_frac
     workloads = _load("workloads")
+    labels = []
     for op in workloads.build("predict-theory", seed, str(tmp_path)):
+        op.check(op.run())
+        labels.append(op.label)
+    # the Polya cases read lambda_2 from `spectral.eigenvalues`
+    assert sum(label.endswith("alpha=beta=1.0") for label in labels) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_exact_one_step_means_pass_their_checks(tmp_path, seed):
+    # the exact conditional mean against the mean of the enumerated law,
+    # compared with == as the benchmark does
+    workloads = _load("workloads")
+    ops = [op for op in workloads.build("oracle-exact", seed, str(tmp_path))
+           if op.label.startswith("one-step mean")]
+    assert len(ops) == 2
+    for op in ops:
         op.check(op.run())

@@ -46,6 +46,15 @@ def test_generate_er_reports_reinforced(tmp_path, capsys):
     assert "all vertices reinforced = True" in capsys.readouterr().out
 
 
+def test_generate_refuses_a_degree_the_pairing_model_cannot_reach(tmp_path, capsys):
+    out = tmp_path / "reg.edges"
+    argv = ("generate", "--family", "d-regular", "--n", "50", "--d", "10", "--out", str(out))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the pairing model") and "10-regular" in err
+    assert not out.exists()
+
+
 def test_generate_invalid_params_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--family", "d-regular", "--n", "5", "--d", "3") == 2
     assert run_cli("generate", "--family", "star") == 2  # missing --n

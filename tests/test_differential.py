@@ -5,8 +5,9 @@ stream, draw for draw, and its moment sums and sup deviations must equal
 those recomputed from its snapshots, bit for bit; its outputs must not
 depend on whether a helper thread prefetches the uniforms; an ensemble run on a
 process pool must equal the same ensemble run in one process, bit for bit;
-and the integer-weight enumerator must return the same exact law as a plain
-Fraction enumeration over every draw vector.
+the integer-weight enumerator must return the same exact law as a plain
+Fraction enumeration over every draw vector; and the one-step conditional
+mean, on Fractions and on float64, must be that law's mean.
 """
 
 import itertools
@@ -22,13 +23,14 @@ from urnnet.dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
     UrnState,
+    expected_fractions_after_step,
     make_stream,
     mean_field_path,
     simulate_runs,
     step,
 )
 from urnnet.graph import DirectedGraph
-from urnnet.montecarlo import brute_force_distribution, run_ensemble
+from urnnet.montecarlo import brute_force_distribution, distribution_mean_fractions, run_ensemble
 
 
 @st.composite
@@ -220,3 +222,18 @@ def test_enumeration_equals_fraction_reference(problem, horizon):
     dist = brute_force_distribution(g, scheme, init, horizon)
     assert all(type(p) is Fraction and p > 0 for _, p in dist)
     assert as_rows(dist) == as_rows(reference_distribution(g, scheme, init, horizon))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=urn_problems(max_n=4))
+def test_one_step_mean_in_both_arithmetics(problem):
+    # the conditional-mean map, on Fractions and on float64, against the
+    # mean of the exact one-step law
+    g, scheme, init = problem
+    exact = expected_fractions_after_step(init, g, scheme)
+    assert all(type(v) is Fraction for v in exact)
+    assert exact == distribution_mean_fractions(brute_force_distribution(g, scheme, init, 1))
+    floats = np.array([float(v) for v in exact])
+    path = mean_field_path(g, scheme, init, 1)
+    assert np.array_equal(path[0], init.fractions())
+    assert np.all(np.abs(path[1] - floats) <= 1e-15 * np.abs(floats))

@@ -286,9 +286,9 @@ def test_trajectory_equals_ensemble_member():
     g = two_cycle()
     scheme = ReplacementMatrix(1, 1, 1)
     init = default_initial_state(2)
-    traj = run_trajectory(g, scheme, init, 64, 7, record="final_only", run_index=5)
+    traj = run_trajectory(g, scheme, init, 64, 7, record="final_only")
     out = simulate_runs(g, scheme, init, 64, 7, range(8), snapshot_times=[64])
-    assert np.array_equal(out.snapshots[64][5] / out.snapshot_totals[64], traj[-1][1])
+    assert np.array_equal(out.snapshots[64][0] / out.snapshot_totals[64], traj[-1][1])
 
 
 def test_engine_zero_in_degree_freezes_urn():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnnet import graph
 from urnnet.errors import InvalidParamsError, ZeroInDegreeError
 from urnnet.graph import DirectedGraph, generate_graph
 
@@ -113,6 +114,14 @@ def test_d_regular_invalid_params():
         generate_graph("d_regular_random", {"n": 5, "d": 3}, seed=0)
     with pytest.raises(InvalidParamsError):
         generate_graph("d_regular_random", {"n": 4, "d": 4}, seed=0)
+
+
+def test_d_regular_pairing_attempts_are_bounded(monkeypatch):
+    # a simple 10-regular pairing takes about 5e10 tries, so the sampler
+    # refuses after its cap instead of running on
+    monkeypatch.setattr(graph, "_PAIRING_ATTEMPTS", 50)
+    with pytest.raises(InvalidParamsError, match="pairing model .* 10-regular .* 50 attempts"):
+        generate_graph("d_regular_random", {"n": 50, "d": 10}, seed=0)
 
 
 def test_unknown_family():

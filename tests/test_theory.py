@@ -155,7 +155,7 @@ class TestRho:
         a_tilde = generate_graph(family, params, seed=8).weighted_adjacency()
         fl = theory.fluctuations(alpha, beta, a_tilde)
         h = drift_jacobian(alpha, beta, a_tilde)
-        direct = spectral.eigenvalues(h).eigenvalues.real.min()
+        direct = spectral.eigenvalues(h).real.min()
         assert fl.rho == pytest.approx(direct, abs=1e-9)
         assert fl.c == theory.consensus_equilibrium(alpha, beta)
 
