@@ -320,15 +320,21 @@ def record_times(horizon: int, policy: str) -> list:
     raise InvalidParamsError(f"unknown record policy {policy!r}; choose from {RECORD_POLICIES}")
 
 
+@functools.cache
+def packed_upper(n: int) -> np.ndarray:
+    """Flat indices of an n x n upper triangle, row by row; shared, never written."""
+    return np.ravel_multi_index(np.triu_indices(n), (n, n))
+
+
 @dataclass
 class EngineOutput:
-    """Raw per-batch simulation output: moment sums per checkpoint, integer
-    snapshots at selected times, and optional per-run sup deviations."""
+    """Raw per-batch simulation output: moment sums per checkpoint (Z^T Z packed
+    at `packed_upper(n)`), integer snapshots and optional per-run sup deviations."""
 
     checkpoints: tuple
     count: int
     sum_z: np.ndarray
-    sum_outer: np.ndarray
+    sum_outer: np.ndarray  # upper triangles of the exactly symmetric Z^T Z sums
     snapshots: dict = field(default_factory=dict)
     snapshot_totals: dict = field(default_factory=dict)
     sup_dev: np.ndarray | None = None
@@ -392,10 +398,10 @@ def simulate_runs(
     next unused draw.  Blocks shorter than the horizon hold a multiple of 4
     steps, so every block starts on a counter boundary (Philox yields 4
     doubles per counter value) and no draw is skipped or repeated.  Checkpoints
-    accumulate sums of Z and of Z^T Z across the batch; snapshot times store
-    exact white counts per run.  With a reference path (shape (horizon+1, n)),
-    the running sup-norm deviation from it is tracked per run from
-    `deviation_start` onward.
+    accumulate sums of Z and of Z^T Z (its upper triangle) across the batch;
+    snapshot times store exact white counts per run.  With a reference path
+    (shape (horizon+1, n)), the running sup-norm deviation from it is
+    tracked per run from `deviation_start` onward.
 
     When the 2**22-double budget holds two blocks of at least 4 steps and
     the horizon needs more than one, a helper thread fills block k + 1 into
@@ -417,8 +423,8 @@ def simulate_runs(
     track.  Z = W / T is divided once per step, after the update; the next
     draw, the deviation track and the checkpoint sums all read it.  Memory:
     the uniform buffers, 32 MB together plus a pad each, the (checkpoints,
-    n, n) and (checkpoints, n) moment sums, and these three and a few more
-    (runs, n) arrays.
+    n(n + 1)/2) and (checkpoints, n) moment sums, an n x n scratch for
+    Z^T Z, and these three and a few more (runs, n) arrays.
     """
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
@@ -432,8 +438,9 @@ def simulate_runs(
         checkpoints=checkpoints,
         count=n_runs,
         sum_z=np.zeros((len(checkpoints), n)),
-        sum_outer=np.zeros((len(checkpoints), n, n)),
+        sum_outer=np.zeros((len(checkpoints), n * (n + 1) // 2)),
     )
+    square, upper = np.empty((n, n)), packed_upper(n)
     track_from = horizon + 1  # no deviation track
     if reference_path is not None:
         reference_path = np.asarray(reference_path, dtype=float)
@@ -459,7 +466,7 @@ def simulate_runs(
         k = cp_index.get(t)
         if k is not None:
             np.sum(z, axis=0, out=out.sum_z[k])
-            np.matmul(z.T, z, out=out.sum_outer[k])
+            np.take(np.matmul(z.T, z, out=square), upper, out=out.sum_outer[k], mode="clip")
         if t in snapshot_set:
             out.snapshots[t] = w.astype(np.int64)
             out.snapshot_totals[t] = initial.totals() + t * rf.inflow

@@ -5,9 +5,12 @@ stream, draw for draw, and its moment sums and sup deviations must equal
 those recomputed from its snapshots, bit for bit; its outputs must not
 depend on whether a helper thread prefetches the uniforms; an ensemble run on a
 process pool must equal the same ensemble run in one process, bit for bit;
-the integer-weight enumerator must return the same exact law as a plain
-Fraction enumeration over every draw vector; and the one-step conditional
-mean, on Fractions and on float64, must be that law's mean.
+the packed second-moment sums must give the mean, covariance and var_phi
+of the full-matrix formula, bit for bit, since matmul returns z^T z
+exactly symmetric; the integer-weight enumerator must return the same
+exact law as a plain Fraction enumeration over every draw vector; and the
+one-step conditional mean, on Fractions and on float64, must be that law's
+mean.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnnet import dynamics, montecarlo
@@ -29,7 +32,7 @@ from urnnet.dynamics import (
     simulate_runs,
     step,
 )
-from urnnet.graph import DirectedGraph
+from urnnet.graph import DirectedGraph, generate_graph
 from urnnet.montecarlo import brute_force_distribution, distribution_mean_fractions, run_ensemble
 
 
@@ -110,7 +113,7 @@ def test_moment_sums_equal_snapshot_moments(
     for k, t in enumerate(times):
         z = out.snapshots[t] / out.snapshot_totals[t]
         assert np.array_equal(out.sum_z[k], z.sum(axis=0)), t
-        assert np.array_equal(out.sum_outer[k], z.T @ z), t
+        assert np.array_equal(out.sum_outer[k], (z.T @ z)[np.triu_indices(g.n)]), t
         if t >= deviation_start:
             sup_dev = np.maximum(sup_dev, np.abs(z - ref[t]).max(axis=1))
     assert np.array_equal(out.sup_dev, sup_dev)
@@ -170,6 +173,96 @@ def test_ensemble_equal_across_workers(problem, horizon, seed, runs, batch_size)
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
     assert np.array_equal(one.snapshots[horizon], two.snapshots[horizon])
     assert np.array_equal(one.snapshot_totals[horizon], two.snapshot_totals[horizon])
+
+
+def full_matrix_moments(runs, sum_z, sum_outer):
+    """mean_z, cov_final and var_phi from full (checkpoints, n, n) sums: the
+    formula of `EnsembleResult.from_moments` before the sums were packed."""
+    checkpoints = range(len(sum_z))
+    n = sum_z.shape[1]
+    mean = sum_z / runs
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    var_phi = np.empty(len(checkpoints))
+    cov = np.zeros((n, n)) if checkpoints else None  # stays zero for one run
+    for k in range(len(checkpoints)):
+        if runs > 1:
+            c = (sum_outer[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
+            cov[:] = 0.5 * (c + c.T)
+        var_phi[k] = np.trace(centering @ cov @ centering) / n
+    return mean, cov, var_phi
+
+
+def assert_packed_equals_full_matrix(g, scheme, init, horizon, runs, seed, checkpoints):
+    """An ensemble in batches of 4 runs, on 1 and 2 workers, against the
+    full-matrix formula on sums of z^T z from the batches' snapshots, merged
+    in batch order."""
+    checkpoints = sorted(checkpoints)
+    sum_z = sum_outer = None
+    for lo in range(0, runs, 4):
+        out = simulate_runs(
+            g, scheme, init, horizon, seed, range(lo, min(lo + 4, runs)), checkpoints,
+            snapshot_times=checkpoints,
+        )
+        zs = [out.snapshots[t] / out.snapshot_totals[t] for t in checkpoints]
+        outer = np.array([z.T @ z for z in zs]).reshape(len(checkpoints), g.n, g.n)
+        if sum_z is None:
+            sum_z, sum_outer = out.sum_z, outer
+        else:
+            sum_z += out.sum_z
+            sum_outer += outer
+    mean, cov, var_phi = full_matrix_moments(runs, sum_z, sum_outer)
+    with mock.patch.object(montecarlo, "_BATCH_RUNS", 4):
+        for workers in (1, 2):
+            res = run_ensemble(g, scheme, init, horizon, runs, seed, checkpoints, workers=workers)
+            assert np.array_equal(res.mean_z, mean), workers
+            assert (res.cov_final is None) == (cov is None), workers
+            if cov is not None:
+                assert np.array_equal(res.cov_final, cov), workers
+            assert np.array_equal(res.var_phi, var_phi), workers
+
+
+CYCLE3 = (
+    DirectedGraph(3, frozenset({(1, 2), (2, 3), (3, 1)})),
+    ReplacementMatrix(1, 2, 3),
+    UrnState(np.array([1, 0, 2]), np.array([1, 1, 1])),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    problem=urn_problems(max_n=8),
+    checkpoints=st.sets(st.integers(0, 12), max_size=6),
+    beyond=st.integers(0, 3),
+    runs=st.integers(1, 14),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(problem=CYCLE3, checkpoints={0, 5}, beyond=0, runs=1, seed=0)
+@example(problem=CYCLE3, checkpoints={0}, beyond=2, runs=9, seed=1)
+def test_packed_moments_equal_full_matrix_formula(problem, checkpoints, beyond, runs, seed):
+    g, scheme, init = problem
+    horizon = max(checkpoints, default=0) + beyond
+    assert_packed_equals_full_matrix(g, scheme, init, horizon, runs, seed, checkpoints)
+
+
+def test_packed_moments_equal_full_matrix_formula_at_n_200():
+    g = generate_graph("d_regular_random", {"n": 200, "d": 4}, seed=3)
+    rule, init = ReplacementMatrix(1, 1, 4), UrnState(np.ones(200, int), np.ones(200, int))
+    assert_packed_equals_full_matrix(g, rule, init, 6, 10, 11, range(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.integers(1, 1100),
+    n=st.one_of(st.integers(1, 64), st.just(200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_matrix_is_bitwise_symmetric(runs, n, seed):
+    # the engine keeps only the upper triangle of z^T z, which loses
+    # nothing because matmul returns it exactly symmetric
+    z = np.random.default_rng(seed).random((runs, n))
+    square = np.empty((n, n))
+    for gram in (z.T @ z, np.matmul(z.T, z, out=square)):
+        assert np.array_equal(gram, gram.T)
 
 
 def reference_distribution(g, scheme, initial, horizon):

@@ -108,18 +108,19 @@ class TestRunEnsemble:
         monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)  # batches of 4, 4 and 3 runs
         res = run_ensemble(g, scheme, init, horizon, runs, seed, cps, workers=workers)
 
-        # the out-of-place arithmetic: batch sums added into fresh zeros, and
-        # the covariance formed in an array of its own
-        sum_z, sum_outer = np.zeros((3, 5)), np.zeros((3, 5, 5))
+        # the out-of-place arithmetic: packed batch sums added into fresh
+        # zeros, and each covariance formed on the triangle in an array of its own
+        upper = np.triu_indices(5)
+        sum_z, sum_outer = np.zeros((3, 5)), np.zeros((3, 15))
         for lo in (0, 4, 8):
             out = simulate_runs(g, scheme, init, horizon, seed, range(lo, min(lo + 4, runs)), cps)
             sum_z += out.sum_z
             sum_outer += out.sum_outer
         mean = sum_z / runs
-        cov = np.zeros_like(sum_outer)
+        cov = np.zeros((3, 5, 5))
         for k in range(3):
-            cov[k] = (sum_outer[k] - runs * np.outer(mean[k], mean[k])) / (runs - 1)
-            cov[k] = 0.5 * (cov[k] + cov[k].T)
+            c = (sum_outer[k] - runs * np.outer(mean[k], mean[k])[upper]) / (runs - 1)
+            cov[k][upper] = cov[k].T[upper] = c
         centering = np.eye(5) - np.full((5, 5), 1.0 / 5)
         var_phi = np.array([np.trace(centering @ cov[k] @ centering) / 5 for k in range(3)])
         assert np.array_equal(res.mean_z, mean)
@@ -144,7 +145,7 @@ class TestRunEnsemble:
         g = generate_graph("d_regular_random", {"n": n, "d": 4}, seed=1)
         monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", 1 << 14)  # the smallest block: 4 steps
         monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 256)
-        moments = (horizon + 1) * n * n * 8  # one (checkpoints, n, n) array of sums
+        moments = (horizon + 1) * n * (n + 1) // 2 * 8  # one packed array of second-moment sums
         block = 256 * (4 + 1) * n * 8  # the uniform block, padded by one step
         work = 12 * 256 * n * 8  # allowance: the engine's (runs, n) arrays and temporaries
 
@@ -173,6 +174,15 @@ class TestRunEnsemble:
         # the result keeps one n x n covariance, not one per checkpoint
         assert max(held_one, held_three) < moments, max(held_one, held_three) / moments
 
+        # what a pool worker ships back: n(n + 1)/2 second-moment doubles per checkpoint
+        out = simulate_runs(
+            g, ReplacementMatrix(1, 1, 4), default_initial_state(n), horizon, 0, range(8),
+            checkpoints=range(horizon + 1),
+        )
+        shipped = pickle.dumps(out)
+        assert pickle.loads(shipped).sum_outer.shape == (horizon + 1, n * (n + 1) // 2)
+        assert len(shipped) < moments + (horizon + 1) * n * 8 + 4096, len(shipped) / moments
+
 
 def _from_z_samples(z, checkpoints, horizon, is_polya=False):
     """A result built from explicit per-run fraction samples, shape
@@ -180,9 +190,10 @@ def _from_z_samples(z, checkpoints, horizon, is_polya=False):
     z = np.asarray(z, dtype=float)
     runs, _, n = z.shape
     ones = np.ones(n, dtype=np.int64)
+    rows, cols = np.triu_indices(n)
     return EnsembleResult.from_moments(
-        runs, horizon, checkpoints, z.sum(axis=0), np.einsum("rki,rkj->kij", z, z), 0,
-        UrnState(ones, ones), is_polya, False,
+        runs, horizon, checkpoints, z.sum(axis=0), np.einsum("rki,rkj->kij", z, z)[:, rows, cols],
+        0, UrnState(ones, ones), is_polya, False,
     )
 
 
