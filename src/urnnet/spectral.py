@@ -1,9 +1,10 @@
 """Dense linear algebra for the prediction engine.
 
 Everything here operates on small dense matrices (target scale n <= 200):
-full spectra and reusable real Schur forms of real matrices, Lyapunov-type
-solves, guarded inversion, and the log-averaged Gram integral that appears
-in the critical fluctuation regime.  Each solve factors its matrix once, and
+reusable real Schur forms of real matrices, the one factorisation that the
+spectrum, the Lyapunov-type solve and the log-averaged Gram integral of the
+critical fluctuation regime all read, and guarded inversion.  Each takes a
+matrix or its form, so a caller holding a form factors nothing again, and
 symmetric inputs (one shared test) take the symmetric eigensolver.
 """
 
@@ -53,24 +54,11 @@ def square_matrix(m) -> np.ndarray:
     return m
 
 
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real square matrix as a complex array, ordered by
-    descending real part (ties: smaller imaginary magnitude first).
-
-    Symmetric inputs take the symmetric fast path; everything else goes
-    through the general (Schur-based) solver and keeps complex conjugate
-    pairs intact.
-    """
-    m = square_matrix(m)
-    try:
-        if _is_symmetric(m):
-            lam = np.linalg.eigvalsh(m).astype(complex)
-        else:
-            lam = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-    order = np.lexsort((np.abs(lam.imag), -lam.real))
-    return lam[order]
+def eigenvalues(m: np.ndarray | SchurForm) -> np.ndarray:
+    """Eigenvalues of m, or of its `schur_form`, by descending real part (ties:
+    smaller imaginary magnitude first), complex with conjugate pairs intact."""
+    lam = (m if isinstance(m, SchurForm) else schur_form(m)).eigenvalues
+    return lam[np.lexsort((np.abs(lam.imag), -lam.real))]
 
 
 @dataclass(frozen=True)
@@ -161,51 +149,63 @@ def invert(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, np.eye(len(m)))
 
 
-def log_averaged_gram(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Limit of (1/L) * integral_0^L exp(-(H - I/2) u)^T Gamma exp(-(H - I/2) u) du.
+def _cluster_to_top(form: SchurForm, cluster: np.ndarray) -> tuple:
+    """R11, U1 and the rows [I, -Y] U^T of the form reordered with the
+    `cluster` modes first, where R11 Y - Y R22 = -R12 decouples its blocks."""
+    if form.symmetric:  # R is diagonal: a permutation, and Y = 0
+        u1 = form.u[:, cluster]
+        return form.r[np.ix_(cluster, cluster)], u1, u1.T
+    from scipy.linalg.lapack import dtrsen, dtrsyl
+
+    r, u, *_, k, _, _, info = dtrsen(cluster, form.r, form.u, job="N")
+    y, scale = np.zeros((k, len(r) - k)), 1.0
+    if info == 0 and k < len(r):  # trsyl returns scale * Y, scaled against overflow
+        y, scale, info = dtrsyl(r[:k, :k], r[k:, k:], -r[:k, k:], isgn=-1)
+    if info != 0:
+        raise SingularSylvesterError(f"critical modes not separable (trsen/trsyl info {info})")
+    return r[:k, :k], u[:, :k], u[:, :k].T - (y / scale) @ u[:, k:].T
+
+
+def log_averaged_gram(h: np.ndarray | SchurForm, gamma: np.ndarray) -> np.ndarray:
+    """Limit of (1/L) * integral_0^L exp(-(H - I/2) u)^T Gamma exp(-(H - I/2) u) du,
+    given H or its `schur_form` H^T = U R U^T.
 
     Requires eigenvalue real parts >= 1/2, one at least on the critical line,
-    and only the modes near it (the critical cluster) semisimple.  In the
-    eigenbasis, only mode pairs whose shifted eigenvalues cancel survive the
-    averaging (both on the critical line, conjugate imaginary parts); every
-    other mode decays or oscillates to zero and is dropped.  So only the
-    cluster's rows of V^-1 are needed: (Y_k^H X_k)^-1 Y_k^H from its left
-    and right eigenvectors.  The result is symmetric PSD when Gamma is.
+    and only the modes near it (the critical cluster) semisimple.  Only mode
+    pairs whose shifted eigenvalues cancel survive the averaging (both on the
+    line, conjugate imaginary parts), so only the cluster is diagonalised:
+    moved to the top of R and decoupled, its block R11 = V M V^-1 gives H's
+    eigenvectors X = U1 V and rows W = V^-1 [I, -Y] U^T, and sigma =
+    X ((W Gamma W^T) * S) X^T keeps the surviving pairs S.  The result is
+    symmetric PSD when Gamma is.
     """
-    h, gamma = square_matrix(h), np.asarray(gamma, dtype=float)
-    if gamma.shape != h.shape:
+    form = h if isinstance(h, SchurForm) else schur_form(h)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != form.u.shape:
         raise InvalidParamsError("H and Gamma must be square with equal shape")
 
-    symmetric = _is_symmetric(h)
-    try:
-        if symmetric:
-            lam, x = np.linalg.eigh(h)
-        else:
-            from scipy.linalg import eig
-
-            lam, y, x = eig(h, left=True, right=True)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
-    mu = lam - 0.5
-    k = np.flatnonzero(np.abs(mu.real) <= CRITICAL_CLUSTER_RADIUS)
-    # a symmetric H has orthonormal eigenvectors: condition 1, V^-1 = V^T
-    cond = 1.0 if symmetric or not k.size else float(np.linalg.cond(x[:, k]))
-    if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_MAX:
-        raise NonDiagonalizableError(
-            f"eigenvector condition {cond:.3e} of the modes at Re = 1/2: H has a "
-            "Jordan block there, which changes the sqrt(t / log t) scaling by extra "
-            "powers of log t, so the log-averaged Gram limit does not apply"
-        )
-    if np.any(mu.real < -CRITICAL_LINE_TOL):
+    mu = form.eigenvalues.real - 0.5
+    cluster = np.abs(mu) <= CRITICAL_CLUSTER_RADIUS
+    if cluster.any():
+        # of H, not H - I/2: LAPACK can return parallel eigenvectors for modes at 0
+        r11, u1, rows = _cluster_to_top(form, cluster)
+        lam, v = np.linalg.eig(r11)
+        cond = float(np.linalg.cond(v))
+        if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_MAX:
+            raise NonDiagonalizableError(
+                f"eigenvector condition {cond:.3e} of the modes at Re = 1/2: H has a "
+                "Jordan block there, which changes the sqrt(t / log t) scaling by extra "
+                "powers of log t, so the log-averaged Gram limit does not apply"
+            )
+    if np.any(mu < -CRITICAL_LINE_TOL):
         raise InvalidParamsError("an eigenvalue of H has real part below 1/2")
-    if np.abs(mu.real).min() > CRITICAL_LINE_TOL:
+    if np.abs(mu).min() > CRITICAL_LINE_TOL:
         raise NotCriticalRegimeError("no eigenvalue of H on the critical line Re = 1/2")
 
     # a surviving pair has |Re mu_i + Re mu_j| <= tol with both >= -tol: both
     # lie in the cluster, whose other modes the mask drops
-    mu, x_k = mu[k], x[:, k]
-    w_k = x_k.T if symmetric else np.linalg.solve(y[:, k].conj().T @ x_k, y[:, k].conj().T)
+    mu = lam - 0.5
     surviving = np.abs(mu[:, None] + mu[None, :]) <= CRITICAL_LINE_TOL
-    g = x_k.T @ gamma @ x_k
-    s = (w_k.T @ (g * surviving) @ w_k).real
+    x, w = u1 @ v, np.linalg.solve(v, rows)
+    s = (x @ ((w @ gamma @ w.T) * surviving) @ x.T).real
     return 0.5 * (s + s.T)

@@ -115,13 +115,13 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
     form for floats, else the fixed point z* of z = z B + (1 - beta) W.  rho
     is 2 - alpha - beta when k = alpha + beta - 1 is common and >= 0, as the
     Perron value 1 of W binds; otherwise it comes from one real Schur form,
-    W's scaled when k is common (B = k W) and B's if not, which the sqrt(t)
-    solve reuses.  rho <= SINGULAR_RHO_TOL, a Polya-type rule among others,
+    W's scaled when k is common (B = k W) and B's if not, which both sigma
+    solves reuse.  rho <= SINGULAR_RHO_TOL, a Polya-type rule among others,
     raises `SingularLimitSystemError` before any limit is solved.
     With Gamma = B^T diag(z*(1 - z*)) B, sigma solves (H - I/2)^T S +
     S (H - I/2) = Gamma above 1/2, and is the log-averaged Gram limit at
-    1/2 (within `spectral.CRITICAL_LINE_TOL`), which factors H once more
-    when rho came from a Schur form.  With `regime`, sigma is solved only
+    1/2 (within `spectral.CRITICAL_LINE_TOL`); each reads the one form, so
+    a call factors at most once.  With `regime`, sigma is solved only
     when rho falls in that regime, so no other solver runs and none can
     refuse.
     """
@@ -154,13 +154,11 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
     if found == REGIME_SUBCRITICAL or regime not in (None, found):
         return Fluctuations(c, rho, found, None)
     gamma = b.T @ (np.reshape(c * (1.0 - c), (-1, 1)) * b)
+    # H^T = U (I - R) U^T, (H - I/2)^T = U (I/2 - R) U^T: the one form of B^T
+    form = schur_b() if form is None else form
     if found == REGIME_SQRT_T:
-        # (H - I/2)^T = U (I/2 - R) U^T, from the one form of B^T
-        form = schur_b() if form is None else form
-        s = spectral.lyapunov_solve(form.shifted(0.5, -1.0), gamma)
-    else:
-        s = spectral.log_averaged_gram(np.eye(len(w)) - b, gamma)
-    return Fluctuations(c, rho, found, s)
+        return Fluctuations(c, rho, found, spectral.lyapunov_solve(form.shifted(0.5, -1.0), gamma))
+    return Fluctuations(c, rho, found, spectral.log_averaged_gram(form.shifted(1.0, -1.0), gamma))
 
 
 def clt_covariance_regular_closed_form(
@@ -191,16 +189,17 @@ class RateClass:
 
 
 def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
-    a_tilde = spectral.square_matrix(a_tilde)
-    if not np.allclose(a_tilde, a_tilde.T, atol=1e-12):
+    """Rate class of a symmetric, doubly stochastic A~ from its one Schur form,
+    eigh's: lambda2 is its second real eigenvalue, after the Perron value 1."""
+    form = spectral.schur_form(a_tilde)
+    if not form.symmetric:
         raise NotRegularError("weighted adjacency is not symmetric")
     # symmetric, so its row sums are its column sums
-    if not np.allclose(a_tilde.sum(axis=0), 1.0, atol=1e-9):
+    if not np.allclose(np.sum(a_tilde, axis=0), 1.0, atol=1e-9):
         raise NotRegularError("weighted adjacency is not doubly stochastic")
     if len(a_tilde) < 2:
         raise NotRegularError("rate class needs at least two vertices")
-    # symmetric and stochastic: real eigenvalues, led by the Perron value 1
-    lam2 = float(spectral.eigenvalues(a_tilde)[1].real)
+    lam2 = float(spectral.eigenvalues(form)[1].real)
     if abs(lam2 - 0.5) <= spectral.CRITICAL_LINE_TOL:
         return RateClass(kind=RATE_LOGT_OVER_T, exponent=-1.0, lambda2=lam2)
     if lam2 < 0.5:

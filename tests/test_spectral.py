@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnnet import spectral, theory
 from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, normalised_rule
@@ -275,16 +277,16 @@ def test_lyapunov_singular_pair_detected():
 
 
 def _factorisations(monkeypatch):
-    """Count the spectral factorisations numpy and scipy run from here on;
-    the eigenvalue-only routines raise."""
-    calls = {"eigh": 0, "eig": 0, "schur": 0}
+    """Record, as (name, shape) in call order, the spectral factorisations
+    numpy and scipy run from here on; the eigenvalue-only routines raise."""
+    calls = []
 
     def counted(module, name):
         f = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
+        def wrapper(m, *args, **kwargs):
+            calls.append((name, np.shape(m)))
+            return f(m, *args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
@@ -307,7 +309,7 @@ def test_lyapunov_factors_once(monkeypatch, case, factor):
     a, q = LYAPUNOV_CASES[case]()
     calls = _factorisations(monkeypatch)
     spectral.lyapunov_solve(a, q)
-    assert calls == {"eigh": 0, "eig": 0, "schur": 0, factor: 1}
+    assert calls == [(factor, a.shape)]
 
 
 @pytest.mark.parametrize("scale,info", [(0.5, 0), (1.0, 1)])
@@ -462,18 +464,142 @@ def test_log_averaged_gram_is_projector_form(case):
     assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
+def _jordan_form_gram(j_blocks, q, gamma):
+    """H = Q J Q^-1 and its Gram limit from J's exact eigenvectors: J is block
+    diagonal in `j_blocks`, real modes x and pairs (x, w) as [[x, w], [-w, x]],
+    whose eigenvectors (1, +-i) belong to x +- i w.  Only pairs of modes whose
+    shifted eigenvalues cancel exactly survive the average."""
+    n = len(q)
+    j, z, lam = np.zeros((n, n)), np.zeros((n, n), complex), np.zeros(n, complex)
+    i = 0
+    for block in j_blocks:
+        if np.ndim(block):
+            x, w = block
+            j[i:i + 2, i:i + 2] = [[x, w], [-w, x]]
+            z[i:i + 2, i:i + 2] = [[1, 1], [1j, -1j]]
+            lam[i:i + 2] = [x + 1j * w, x - 1j * w]
+            i += 2
+        else:
+            j[i, i], z[i, i], lam[i] = block, 1.0, block
+            i += 1
+    q_inv = np.linalg.inv(q)
+    x_h, w_h = q @ z, np.linalg.inv(z) @ q_inv  # H = X diag(lam) W
+    mu = lam - 0.5
+    surviving = mu[:, None] + mu[None, :] == 0
+    sigma = (w_h.T @ ((x_h.T @ gamma @ x_h) * surviving) @ w_h).real
+    return q @ j @ q_inv, 0.5 * (sigma + sigma.T)
+
+
+@st.composite
+def _critical_spectra(draw):
+    """Blocks of J on and off the critical line, and a Q with cond(Q) <= 100."""
+    blocks = [0.5] * draw(st.integers(0, 2))
+    blocks += [(0.5, w) for w in draw(st.lists(st.sampled_from([0.3, 0.7, 1.3]), max_size=2))]
+    if not blocks:
+        blocks = [draw(st.sampled_from([0.5, (0.5, 0.7)]))]
+    # a decaying mode inside the critical cluster, delta >= 1e-4 off the line:
+    # sigma's conditioning grows like 1/delta, and at delta = 1e-5 a left and
+    # right eig solve of all of H errs by up to 1.6e-8 as well
+    blocks += draw(st.lists(st.floats(1e-4, 9e-4).map(lambda d: 0.5 + d), max_size=1))
+    blocks += draw(st.lists(st.floats(0.6, 2.5), max_size=3))
+    blocks += draw(st.lists(st.tuples(st.floats(0.6, 2.5), st.floats(0.1, 2.0)), max_size=1))
+    n = sum(1 + bool(np.ndim(b)) for b in blocks)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    (u, _), (v, _) = (np.linalg.qr(rng.standard_normal((n, n))) for _ in range(2))
+    singular = np.geomspace(1.0, draw(st.floats(1.0, 100.0)), n)
+    x = rng.standard_normal((n, n))
+    return blocks, (u * singular) @ v.T, x @ x.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(_critical_spectra())
+def test_log_averaged_gram_matches_jordan_form(spectrum):
+    # complex critical pairs, resonant pairs sharing an omega and decaying
+    # modes inside the cluster, which GRAM_CASES does not reach
+    h, expected = _jordan_form_gram(*spectrum)
+    out = spectral.log_averaged_gram(h, spectrum[2])
+    assert np.linalg.norm(out - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_log_averaged_gram_directed_three_cycle():
+    # a = b = 0: H = I + A~ has the critical pair 1/2 +- i sqrt(3)/2 on the
+    # Fourier modes f1 and f2 = conj(f1) and the decaying mode 2, so
+    # sigma = 2 Re f2 (f1^T Gamma f2) f2^H: (I - J/3) / 4 for fluctuations'
+    # Gamma = A~^T A~ / 4 = I / 4
+    a_tilde = generate_graph("cycle_directed", {"n": 3}).weighted_adjacency()
+    h = np.eye(3) + a_tilde
+    f = np.exp(2j * np.pi * np.outer(np.arange(3), [1, 2]) / 3) / np.sqrt(3)
+    gamma = np.random.default_rng(3).standard_normal((3, 3))
+    gamma = gamma @ gamma.T
+    expected = 2 * (f[:, 1:] * (f[:, :1].T @ gamma @ f[:, 1:]) @ f[:, 1:].conj().T).real
+    assert np.abs(spectral.log_averaged_gram(h, gamma) - expected).max() <= 1e-14
+    fl = theory.fluctuations(0.0, 0.0, a_tilde)
+    assert fl.regime == theory.REGIME_CRITICAL
+    assert np.abs(fl.sigma - (np.eye(3) - 1 / 3) / 4).max() <= 1e-14
+
+
 def test_log_averaged_gram_symmetric_needs_no_inverse(monkeypatch):
-    h, gamma = GRAM_CASES["reg12"]()
+    # a diagonal R needs no reordering and no Sylvester solve, and only the
+    # k x k critical block is diagonalised, inverted or judged
+    sizes = {"reg12": 1, "two_K4": 2, "cycle6_bipartite": 1}
+    cases = [(*GRAM_CASES[case](), k) for case, k in sizes.items()]
     calls = _factorisations(monkeypatch)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("orthonormal eigenvectors need no condition number or inverse")
+    def at_most_k(name):
+        f = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "cond", refused)
-    monkeypatch.setattr(np.linalg, "inv", refused)
-    monkeypatch.setattr(np.linalg, "solve", refused)
+        def wrapper(m, *args, **kwargs):
+            assert np.shape(m)[0] <= k, f"{name} of a {np.shape(m)} matrix"
+            return f(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a symmetric form called LAPACK through scipy")
+
+    for name in ("cond", "inv", "solve"):
+        at_most_k(name)
+    for name in ("dtrsen", "dtrsyl"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, refused)
+    for h, gamma, k in cases:
+        calls.clear()
+        spectral.log_averaged_gram(h, gamma)
+        assert calls == [("eigh", h.shape), ("eig", (k, k))]
+
+
+def test_log_averaged_gram_directed_factors_once(monkeypatch):
+    h, gamma = GRAM_CASES["er12"]()
+    calls = _factorisations(monkeypatch)
     spectral.log_averaged_gram(h, gamma)
-    assert calls == {"eigh": 1, "eig": 0, "schur": 0}
+    assert calls == [("schur", h.shape), ("eig", (1, 1))]
+
+
+@pytest.mark.parametrize(
+    "routine,scale,info,error",
+    [("dtrsyl", 0.5, 0, None), ("dtrsyl", 1.0, 1, SingularSylvesterError),
+     ("dtrsen", 1.0, 1, SingularSylvesterError)],
+)
+def test_log_averaged_gram_honours_trsen_and_trsyl(monkeypatch, routine, scale, info, error):
+    # trsyl returns Y with R11 Y - Y R22 = scale * C, and info 1 when it had
+    # to perturb eigenvalues shared by both blocks; trsen returns info 1 when
+    # swapping such eigenvalues would be too ill-conditioned to reorder
+    h, gamma = GRAM_CASES["er12"]()
+    expected = spectral.log_averaged_gram(h, gamma)
+    real = getattr(scipy.linalg.lapack, routine)
+
+    def patched(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        if routine == "dtrsyl":
+            out = [scale * out[0], scale]
+        return (*out, info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, patched)
+    if error:
+        with pytest.raises(error):
+            spectral.log_averaged_gram(h, gamma)
+    else:
+        out = spectral.log_averaged_gram(h, gamma)
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_log_averaged_gram_defective():

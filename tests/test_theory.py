@@ -175,7 +175,7 @@ class TestRho:
         a_tilde = generate_graph(family, params, seed=8).weighted_adjacency()
         calls = _factorisations(monkeypatch)
         fl = theory.fluctuations(alpha, beta, a_tilde, theory.REGIME_SUBCRITICAL)
-        assert calls == {"eigh": 0, "eig": 0, "schur": 0}
+        assert calls == []
         assert fl.rho == 2.0 - alpha - beta
 
     @pytest.mark.parametrize(
@@ -533,19 +533,38 @@ class TestPredict:
             ("cycle_undirected", {"n": 5}, 0.25, "eigh"),  # sqrt(t), alpha + beta < 1
             ("cycle_directed", {"n": 5}, 0.4, "schur"),  # directed sqrt(t)
             ("complete_with_loops", {"n": 4}, 0.75, "eigh"),  # critical
-            ("cycle_directed", {"n": 5}, 0.75, "eig"),  # directed critical
+            ("cycle_directed", {"n": 5}, 0.75, "schur"),  # directed critical
             ("cycle_undirected", {"n": 5}, 0.0, "eigh"),  # subcritical, alpha + beta < 1
             ("cycle_directed", {"n": 5}, 0.9, None),  # subcritical, alpha + beta > 1
+            # critical with alpha + beta < 1, where rho comes from the form
+            ("cycle_undirected", {"n": 6}, 0.25, "eigh"),
+            ("cycle_directed", {"n": 6}, 0.25, "schur"),
+            ("cycle_directed", {"n": 3}, 0.0, "schur"),  # a complex critical pair
+            ("cycle_undirected", {"n": 8}, 1.0, "eigh"),  # Polya rate class
         ],
     )
     def test_one_factorisation_per_prediction(self, monkeypatch, family, params, ab, factor):
+        # one n x n factorisation on every branch; the critical Gram adds
+        # only the eig of its cluster block, the k modes near Re = 1/2
         g = generate_graph(family, params)
+        lam = np.linalg.eigvals(drift_jacobian(ab, ab, g.weighted_adjacency()))
+        k = int(np.sum(np.abs(lam.real - 0.5) <= spectral.CRITICAL_CLUSTER_RADIUS))
         calls = _factorisations(monkeypatch)
-        theory.predict(g, ab, ab)
-        expected = {"eigh": 0, "eig": 0, "schur": 0}
-        if factor:
-            expected[factor] = 1
+        rep = theory.predict(g, ab, ab)
+        expected = [(factor, (g.n, g.n))] if factor else []
+        if rep.regime == theory.REGIME_CRITICAL:
+            expected.append(("eig", (k, k)))
         assert calls == expected
+
+    def test_per_vertex_critical_factors_once(self, monkeypatch):
+        # B = diag(k) J / 4 on K4 has the one nonzero eigenvalue sum(k) / 4 =
+        # 1/2, so rho = 1/2 comes from B's Schur form, which the Gram reuses
+        a_tilde = generate_graph("complete_with_loops", {"n": 4}).weighted_adjacency()
+        ab = (1.0 + np.array([0.2, 0.4, 0.6, 0.8])) / 2
+        calls = _factorisations(monkeypatch)
+        fl = theory.fluctuations(ab, ab, a_tilde)
+        assert fl.regime == theory.REGIME_CRITICAL
+        assert calls == [("schur", (4, 4)), ("eig", (1, 1))]
 
     def test_polya_reports(self):
         g8 = generate_graph("cycle_undirected", {"n": 8})

@@ -5,6 +5,9 @@ and only check report shape, JSON round-tripping, and obvious verdicts.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -76,7 +79,28 @@ def test_clt_critical_factors_once(monkeypatch):
     g = generate_graph("complete_with_loops", {"n": 4})
     calls = _factorisations(monkeypatch)
     verify.verify_clt_critical(g, ReplacementMatrix(3, 3, 4), horizon=200, runs=20, seed=3)
-    assert calls == {"eigh": 1, "eig": 0, "schur": 0}
+    assert calls == [("eigh", (4, 4)), ("eig", (1, 1))]
+
+
+def test_symmetric_critical_path_loads_no_scipy():
+    # K4's A~ is symmetric: its form is eigh's, whose diagonal R needs none of
+    # scipy's LAPACK wrappers, so the critical prediction and suite never
+    # import scipy (about 20 MB of resident memory)
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from urnnet import theory, verify; "
+        "from urnnet.dynamics import ReplacementMatrix; from urnnet.graph import generate_graph; "
+        "g = generate_graph('complete_with_loops', {'n': 4}); "
+        "theory.fluctuations(0.75, 0.75, g.weighted_adjacency()); "
+        "verify.verify_clt_critical(g, ReplacementMatrix(3, 3, 4), horizon=50, runs=8, seed=3); "
+        "print('scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("suite,rule", [("clt", ("3", "3", "4")), ("clt-critical", ("1", "1", "4"))])
