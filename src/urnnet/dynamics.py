@@ -203,56 +203,59 @@ def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
 
 
 @functools.cache
-def _openblas() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS loaded at the first
-    call, found in /proc/self/maps; empty without it or with another BLAS."""
+def _numpy_openblas() -> tuple:
+    """(get, set) thread counts of the OpenBLAS numpy maps, found once in
+    /proc/self/maps, in numpy's tree (numpy.libs) first: never a scipy
+    wheel's copy.  Without it, or with another BLAS, they read 1, set nothing."""
     import ctypes
+    import os
 
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
     except OSError:
-        return ()
+        paths = set()
+    root = os.path.dirname(np.__file__)  # a prefix of .../numpy.libs too
     names = [
         (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
         for prefix in ("scipy_openblas", "openblas")
         for suffix in ("64_", "")
     ]
-    found = []
-    for path in paths:
+    for path in sorted(paths, key=lambda p: (not p.startswith(root), p)):
         lib = ctypes.CDLL(path)
         for get_name, set_name in names:
             get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
+                return get, put
+    return (lambda: 1), (lambda threads: None)
+
+
+def set_blas_threads(threads: int) -> int:
+    """Cap numpy's OpenBLAS at `threads` threads (at least one, raising no
+    count) and return its old count.  Pool workers start with it, so their
+    BLAS threads do not contend for cores (2,048 runs x 250 steps, n = 200,
+    2 vCPUs: 5.6-7.4 s uncapped on two workers, 2.5-3.1 s capped)."""
+    get, put = _numpy_openblas()
+    before = get()
+    put(max(1, min(before, threads)))
+    return before
 
 
 @contextlib.contextmanager
-def _blas_threads():
-    """Cap each OpenBLAS at one thread fewer than it has, but at least one,
-    so the fill thread keeps a core; restore each library's count on exit."""
-    libs = _openblas()
-    before = [get() for get, _ in libs]
-    for (_, put), count in zip(libs, before):
-        put(max(1, count - 1))
+def blas_threads(threads: int):
+    """`set_blas_threads` for one scope, or a decorator; restores the count
+    on every exit, so nested scopes restore in order.  The prefetch holds
+    one thread fewer, leaving the fill thread a core.  The theory solves
+    hold one: idle OpenBLAS threads spin about 0.13 s after a call, so on
+    2 cores a 2-thread numpy call after a scipy one oversubscribes them.
+    scipy's OpenBLAS is never touched, and scipy never imported."""
+    before = set_blas_threads(threads)
     try:
         yield
     finally:
-        for (_, put), count in zip(libs, before):
-            put(count)
-
-
-def set_blas_threads(threads: int) -> None:
-    """Pool worker initializer: cap each OpenBLAS at `threads` threads, and
-    raise none, so that the workers' BLAS threads do not contend for the
-    same cores (2,048 runs x 250 steps at n = 200 on a 2-vCPU VM: 5.6-7.4 s
-    on two uncapped workers, 2.5-3.1 s capped, 3.5 s in one process)."""
-    for get, put in _openblas():
-        put(min(get(), threads))
+        _numpy_openblas()[1](before)
 
 
 def check_state(g: DirectedGraph, state: UrnState) -> None:
@@ -406,9 +409,9 @@ def simulate_runs(
     When the 2**22-double budget holds two blocks of at least 4 steps and
     the horizon needs more than one, a helper thread fills block k + 1 into
     one of two half-budget buffers while this thread steps block k from the
-    other, and each OpenBLAS runs one thread fewer (at least one) until the
-    helper is joined, on every exit path.  Otherwise this thread fills one
-    buffer and steps it in turn.  The generator is built here and, while
+    other, and numpy's OpenBLAS runs one thread fewer (at least one) until
+    the helper is joined, on every exit path.  Otherwise this thread fills
+    one buffer and steps it in turn.  The generator is built here and, while
     the loop runs, only the helper draws.
 
     The white balls an urn gains are base + drew_white @ bonus, a float32
@@ -510,7 +513,7 @@ def simulate_runs(
             from concurrent.futures import ThreadPoolExecutor
 
             # exits in reverse: the helper is joined, then BLAS restored
-            stack.enter_context(_blas_threads())
+            stack.enter_context(blas_threads(_numpy_openblas()[0]() - 1))
             helper = stack.enter_context(ThreadPoolExecutor(1))
             ahead = helper.submit(fill, 0)
         t = 0

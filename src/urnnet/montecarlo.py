@@ -228,8 +228,8 @@ def run_ensemble(
     Every batch, in this process or in a worker, draws its next uniform
     block on a helper thread while it steps the current one, when its
     horizon spans more than one block (see `simulate_runs`); a worker caps
-    OpenBLAS at (usable cores // workers) threads.  Urns without in-edges
-    stay frozen.
+    numpy's OpenBLAS at (usable cores // workers) threads.  Urns without
+    in-edges stay frozen.
     """
     if runs < 1:
         raise InvalidParamsError("runs must be >= 1")

@@ -13,6 +13,10 @@ the regime.  One common rule sends every urn to the consensus value
 c = (1 - beta) / (2 - alpha - beta) unless H is singular: at the identity
 rule alpha = beta = 1, and at a = b = 0 where A~ has the eigenvalue -1 (a
 bipartite graph).  The limit is random there, and every solve refuses.
+
+`fluctuations`, `polya_rate_class` and `heterogeneous_limit` run under
+`dynamics.blas_threads(1)`: numpy's OpenBLAS on one thread, faster at
+n <= 200 than two threads racing scipy's own pool on 2 cores.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .dynamics import normalised_rule
+from .dynamics import blas_threads, normalised_rule
 from .errors import (
     InvalidParamsError,
     NotRegularError,
@@ -106,6 +110,7 @@ class Fluctuations(NamedTuple):
     sigma: np.ndarray | None
 
 
+@blas_threads(1)
 def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluctuations:
     """The one linear-response solve: limit, regime and covariance of a
     rule given as floats alpha, beta or as per-vertex arrays.
@@ -188,6 +193,7 @@ class RateClass:
     lambda2: float
 
 
+@blas_threads(1)
 def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
     """Rate class of a symmetric, doubly stochastic A~ from its one Schur form,
     eigh's: lambda2 is its second real eigenvalue, after the Perron value 1."""
@@ -207,6 +213,7 @@ def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
     return RateClass(kind=RATE_T_POW, exponent=2.0 * lam2 - 2.0, lambda2=lam2)
 
 
+@blas_threads(1)
 def heterogeneous_limit(g: DirectedGraph, scheme, frozen_fractions=None) -> np.ndarray:
     """Almost-sure limit fractions under one replacement matrix per vertex
     or one for all: the fixed point z* of `fluctuations`.

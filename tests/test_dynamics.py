@@ -340,12 +340,12 @@ def test_inflow_at_float32_bound_refused():
 
 
 def _blas_counts():
-    return [get() for get, _ in dynamics._openblas()]
+    return [dynamics._numpy_openblas()[0]()]
 
 
 class _WatchedStream:
     """A generator whose draws note whether they run on the main thread and
-    the OpenBLAS thread counts, then call `on_draw(number_of_the_draw)`."""
+    numpy's OpenBLAS thread count, then call `on_draw(number_of_the_draw)`."""
 
     def __init__(self, gen, on_draw=lambda k: None):
         self._gen, self._on_draw, self.draws = gen, on_draw, []
@@ -448,23 +448,54 @@ class _FakeBlas:
         self.count = count
 
 
-def _fake_blas(monkeypatch, *counts):
-    libs = [_FakeBlas(count) for count in counts]
-    monkeypatch.setattr(dynamics, "_openblas", lambda: tuple((b.get, b.put) for b in libs))
-    return libs
+def _fake_blas(monkeypatch, count):
+    """Put a stand-in with `count` threads in the place of numpy's OpenBLAS."""
+    lib = _FakeBlas(count)
+    monkeypatch.setattr(dynamics, "_numpy_openblas", lambda: (lib.get, lib.put))
+    return lib
 
 
 def test_blas_cap_spares_one_thread_and_restores(monkeypatch):
-    libs = _fake_blas(monkeypatch, 1, 3)
-    with dynamics._blas_threads():
-        assert [b.count for b in libs] == [1, 2]
-    assert [b.count for b in libs] == [1, 3]
+    # the engine's prefetch cap: one thread fewer than the caller's, at least one
+    for count, capped in ((1, 1), (3, 2)):
+        lib = _fake_blas(monkeypatch, count)
+        with dynamics.blas_threads(count - 1):
+            assert lib.count == capped
+        assert lib.count == count
 
 
 def test_worker_blas_cap_never_raises_a_count(monkeypatch):
-    libs = _fake_blas(monkeypatch, 1, 2, 3, 8)
-    dynamics.set_blas_threads(2)
-    assert [b.count for b in libs] == [1, 2, 2, 2]
+    for count, capped in ((1, 1), (2, 2), (3, 2), (8, 2)):
+        lib = _fake_blas(monkeypatch, count)
+        assert dynamics.set_blas_threads(2) == count
+        assert lib.count == capped
+
+
+def test_blas_scopes_nest_and_restore_on_error(monkeypatch):
+    lib = _fake_blas(monkeypatch, 4)
+
+    @dynamics.blas_threads(1)
+    def inner():
+        assert lib.count == 1
+        raise KeyboardInterrupt
+
+    with dynamics.blas_threads(3):
+        assert lib.count == 3
+        with dynamics.blas_threads(8):  # never raises a count
+            assert lib.count == 3
+        with pytest.raises(KeyboardInterrupt):
+            inner()
+        assert lib.count == 3
+    assert lib.count == 4
+
+
+def test_numpy_openblas_is_found_once():
+    # a scan of /proc/self/maps costs about 300 us; a scope must not repeat it
+    dynamics._numpy_openblas()
+    scans = dynamics._numpy_openblas.cache_info().misses
+    with dynamics.blas_threads(1):
+        pass
+    assert dynamics._numpy_openblas.cache_info().misses == scans
 
 
 def test_make_stream_validation():

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urnnet import spectral, theory
+from urnnet import dynamics, spectral, theory
 from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, normalised_rule
 from urnnet.errors import (
     InvalidParamsError,
+    NonDiagonalizableError,
     NotRegularError,
     PolyaTypeError,
     SingularLimitSystemError,
@@ -21,6 +22,7 @@ from urnnet.errors import (
 )
 from urnnet.graph import DirectedGraph, generate_graph
 
+from test_dynamics import _fake_blas
 from test_spectral import _factorisations, drift_jacobian
 
 ALL_FAMILIES = [
@@ -580,3 +582,79 @@ class TestPredict:
         with pytest.raises(ZeroInDegreeError) as info:
             theory.predict(g, 0.25, 0.25)
         assert info.value.vertices == (1,)
+
+
+def _blas_spy(monkeypatch, module, name):
+    """Wrap `module.name` so that each call notes numpy's OpenBLAS count."""
+    seen, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(dynamics._numpy_openblas()[0]())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+# each entry point on the 6-cycle, with a solver it calls inside its scope
+_CAPPED = {
+    "fluctuations": (  # rho = 1/2 there: the critical Gram
+        lambda a_t, g: theory.fluctuations(0.25, 0.25, a_t), spectral, "log_averaged_gram",
+    ),
+    "polya_rate_class": (
+        lambda a_t, g: theory.polya_rate_class(a_t), spectral, "schur_form",
+    ),
+    "heterogeneous_limit": (
+        lambda a_t, g: theory.heterogeneous_limit(g, ReplacementMatrix(1, 2, 4)),
+        theory, "_solve_limit",
+    ),
+}
+# A~ has a Jordan block at -1/2, so a = b = 0 puts one in H = I + A~ at 1/2
+_JORDAN_PAIR = DirectedGraph(3, frozenset({(1, 2), (1, 3), (2, 1), (2, 3), (3, 2)}))
+
+
+class TestBlasCap:
+    """The theory entry points hold numpy's OpenBLAS at one thread for their
+    own scope, and every exit restores the caller's count."""
+
+    @pytest.mark.parametrize("entry", sorted(_CAPPED))
+    def test_one_thread_inside_restored_after(self, monkeypatch, entry):
+        call, module, name = _CAPPED[entry]
+        lib = _fake_blas(monkeypatch, 3)
+        seen = _blas_spy(monkeypatch, module, name)
+        g = generate_graph("cycle_undirected", {"n": 6})
+        call(g.weighted_adjacency(), g)
+        assert seen == [1] and lib.count == 3
+
+    @pytest.mark.parametrize("error,ab,g", [
+        (SingularLimitSystemError, 1.0, generate_graph("cycle_directed", {"n": 4})),
+        (NonDiagonalizableError, 0.0, _JORDAN_PAIR),
+    ])
+    def test_restored_after_refusal(self, monkeypatch, error, ab, g):
+        lib = _fake_blas(monkeypatch, 3)
+        with pytest.raises(error):
+            theory.fluctuations(ab, ab, g.weighted_adjacency())
+        assert lib.count == 3
+
+    def test_nested_scopes_restore_the_outer_count(self, monkeypatch):
+        lib = _fake_blas(monkeypatch, 4)
+        seen = _blas_spy(monkeypatch, spectral, "lyapunov_solve")
+        g = generate_graph("erdos_renyi_min_indegree", {"n": 12, "p": 0.3}, seed=2)
+        with dynamics.blas_threads(2):
+            assert theory.predict(g, 0.25, 0.25).regime == theory.REGIME_SQRT_T
+            assert lib.count == 2
+        assert seen == [1] and lib.count == 4
+
+    def test_real_library_capped_and_restored(self, monkeypatch):
+        get, put = dynamics._numpy_openblas()
+        before = get()
+        put(2)  # two threads to cap, on any machine
+        try:
+            if get() != 2:
+                pytest.skip("numpy's BLAS is not an OpenBLAS this process can find")
+            seen = _blas_spy(monkeypatch, spectral, "schur_form")
+            g = generate_graph("erdos_renyi_min_indegree", {"n": 40, "p": 0.1}, seed=1)
+            theory.predict(g, 0.25, 0.25)
+            assert seen == [1] and get() == 2
+        finally:
+            put(before)

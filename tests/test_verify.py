@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from urnnet import cli, montecarlo, theory, verify
+from urnnet import cli, montecarlo, spectral, theory, verify
 from urnnet.dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
@@ -25,6 +25,7 @@ from urnnet.graph import DirectedGraph, generate_graph
 
 import numpy as np
 
+from test_dynamics import _fake_blas
 from test_spectral import _factorisations
 
 
@@ -101,6 +102,83 @@ def test_symmetric_critical_path_loads_no_scipy():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_blas_cap_stays_in_the_theory_solves(monkeypatch):
+    # the suite's prediction runs on one BLAS thread, but the ensemble's
+    # moment reductions (about 1.3x faster on two threads at n = 200) keep
+    # the caller's count
+    lib = _fake_blas(monkeypatch, 3)
+    seen = {"solve": [], "moments": []}
+    solve, moments = spectral.lyapunov_solve, montecarlo.EnsembleResult.from_moments
+
+    def spy_solve(*args):
+        seen["solve"].append(lib.count)
+        return solve(*args)
+
+    def spy_moments(cls, *args, **kwargs):
+        seen["moments"].append(lib.count)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "lyapunov_solve", spy_solve)
+    monkeypatch.setattr(montecarlo.EnsembleResult, "from_moments", classmethod(spy_moments))
+    suite = verify.SUITES["clt"]
+    verify.verify_clt(suite.graph(), ReplacementMatrix(*suite.rule), horizon=100, runs=16, seed=2)
+    assert seen["solve"] and set(seen["solve"]) == {1}
+    assert seen["moments"] == [3] and lib.count == 3
+
+
+def test_blas_cap_leaves_scipy_openblas_alone():
+    # scipy's wheel brings its own OpenBLAS; mapped before urnnet's first
+    # lookup, it must still not be taken for numpy's
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = """
+import ctypes, json, os
+import numpy as np, scipy, scipy.linalg
+from urnnet import dynamics, spectral, theory
+from urnnet.graph import generate_graph
+
+def handle(package):
+    root = os.path.dirname(package.__file__)
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    for path in paths:
+        if path.startswith(root):
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                if get is not None:
+                    put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+                    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                    return get, put
+
+numpy_lib, scipy_lib = handle(np), handle(scipy)
+if numpy_lib is None or scipy_lib is None:
+    print(json.dumps(None))
+    raise SystemExit
+for _, put in (numpy_lib, scipy_lib):
+    put(2)  # a known start on any machine
+address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
+found = address(dynamics._numpy_openblas()[0]) == address(numpy_lib[0])
+seen, schur = [], spectral.schur_form
+def spy(*args):
+    seen.append([numpy_lib[0](), scipy_lib[0]()])
+    return schur(*args)
+spectral.schur_form = spy
+g = generate_graph("erdos_renyi_min_indegree", {"n": 200, "p": 0.02}, seed=0)
+theory.predict(g, 0.25, 0.25)
+print(json.dumps([found, seen, [numpy_lib[0](), scipy_lib[0]()]]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    result = json.loads(done.stdout)
+    if result is None:
+        pytest.skip("numpy and scipy do not each bring their own OpenBLAS here")
+    # inside the solve numpy's library reads 1 and scipy's keeps its 2
+    assert result == [True, [[1, 2]], [2, 2]]
 
 
 @pytest.mark.parametrize("suite,rule", [("clt", ("3", "3", "4")), ("clt-critical", ("1", "1", "4"))])
