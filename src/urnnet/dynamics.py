@@ -160,10 +160,11 @@ class UrnState:
         if w.size and (w.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
             raise InvalidParamsError("ball counts must be integers")
         w, b = w.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        # ndarray reductions: cheaper than np.any for the oracle's many small states
-        if w.size and (w.min() < 0 or b.min() < 0):
-            raise InvalidParamsError("ball counts must be non-negative")
-        if w.size and (w + b).min() < 1:
+        # one reduction for the oracle's many small states: w | b < 1 where a
+        # count is negative (its sign bit) or an urn is empty
+        if w.size and (w | b).min() < 1:
+            if min(w.min(), b.min()) < 0:
+                raise InvalidParamsError("ball counts must be non-negative")
             raise InvalidParamsError("every urn needs at least one ball")
         if self.time < 0:
             raise InvalidParamsError("time must be non-negative")
@@ -350,17 +351,18 @@ def check_batch(
     horizon: int,
     run_indices,
     recording_times=(),
+    master_seed: int = 0,
 ) -> Reinforcement:
     """Raise the error `simulate_runs` would raise for these arguments, and
     return the rule's `Reinforcement` on `g` otherwise.
 
     Runs every check on the inputs before the first draw: sizes, the
     scheme, integer exactness of the ball counts up to `horizon` (below
-    2**53) and of the balls an urn gains per step (below 2**24), run
-    indices in [0, 2**64) and recording times in [0, horizon].  A vertex
-    without in-edges is no error: its urn stays frozen.  Cheap, so callers
-    that hand batches to other processes run it first and report bad input
-    in their own process.
+    2**53) and of the balls an urn gains per step (below 2**24), the master
+    seed (default 0) and run indices in [0, 2**64) and recording times in
+    [0, horizon].  A vertex without in-edges is no error: its urn stays
+    frozen.  Cheap, so callers that hand batches to other processes run it
+    first and report bad input in their own process.
     """
     check_state(g, initial)
     if horizon < 0:
@@ -373,6 +375,8 @@ def check_batch(
             f"rule too large: an urn gains {int(rf.inflow.max())} balls a step, and the "
             "float32 reinforcement product keeps integer exactness only below 2**24"
         )
+    if not (0 <= int(master_seed) < 2**64):
+        raise InvalidParamsError("master seed must fit in 64 bits")
     if len(run_indices) and not (0 <= min(run_indices) and max(run_indices) < 2**64):
         raise InvalidParamsError("run index must fit in 64 bits")
     if any(t < 0 or t > horizon for t in recording_times):
@@ -432,7 +436,8 @@ def simulate_runs(
     run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     snapshot_set = set(int(t) for t in snapshot_times)
-    rf = check_batch(g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set))
+    rf = check_batch(g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set),
+                     master_seed)
     n = g.n
     n_runs = len(run_indices)
     cp_index = {t: k for k, t in enumerate(checkpoints)}

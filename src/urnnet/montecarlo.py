@@ -16,9 +16,9 @@ the final checkpoint's, the only one the scaled statistics and output read.
 from __future__ import annotations
 
 import atexit
+import collections
 import functools
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -240,7 +240,8 @@ def run_ensemble(
     if checkpoints is None:
         checkpoints = geometric_checkpoints(horizon)
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
-    check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times))
+    check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times),
+                master_seed)
 
     batches = [range(lo, min(lo + _BATCH_RUNS, runs)) for lo in range(0, runs, _BATCH_RUNS)]
     work = functools.partial(
@@ -423,13 +424,20 @@ def brute_force_distribution(
     """Exact law of the urn state at time `horizon` by path enumeration.
 
     Probabilities are exact rationals and sum to one.  Feasible only while
-    n * horizon stays small (2^(n*horizon) draw sequences).
+    n * horizon stays small (2^(n*horizon) draw sequences).  Pairs come in
+    ascending lexicographic order of the white counts.
 
     Ball totals are the same on every path, so each step's draw
     probabilities share the denominator prod_i T_i(t).  States therefore
     carry integer weights (products of the numerators w_i and T_i - w_i)
     over one common denominator, and each step convolves the urns' draws
     vertex by vertex, merging paths that reach the same partial state.
+
+    A state is one Python int in mixed radix: digit i is urn i's white gain
+    since t = 0, in radix horizon * inflow_i + 1, urn 1 most significant.
+    A draw adds a fixed key per vertex and colour with no carry, and
+    integer order is the white counts' lexicographic order.  The sorted
+    keys are decoded once into one white array.
     """
     n = g.n
     if n * horizon > BRUTE_FORCE_MAX_BITS:
@@ -438,16 +446,20 @@ def brute_force_distribution(
         )
     rf = check_batch(g, scheme, initial, horizon, ())
     inflow = rf.inflow.tolist()
-    # white balls vertex j adds to every urn when it draws white / black
-    sends = list(zip(map(tuple, rf.on_white.tolist()), map(tuple, rf.on_black.tolist())))
+    radix = [horizon * f + 1 for f in inflow]
+    place = [math.prod(radix[i + 1 :]) for i in range(n)]
+    # the key vertex j adds when it draws white / black: its payouts at place value
+    sends = list(zip(*(m.astype(object) @ place for m in (rf.on_white, rf.on_black))))
 
-    states = {tuple(int(x) for x in initial.white): 1}
+    white0 = initial.white.tolist()
+    states = {0: 1}
     totals = [int(x) for x in initial.totals()]
     denom = 1
     for _ in range(horizon):
         nxt: dict = {}
-        for w, weight in states.items():
-            partial = {w: weight}
+        for state, weight in states.items():
+            w = [w0 + state // p % r for w0, p, r in zip(white0, place, radix)]
+            partial = {state: weight}
             for j, (if_white, if_black) in enumerate(sends):
                 # draw numerators; a zero one is an impossible branch
                 branches = [(if_white, w[j]), (if_black, totals[j] - w[j])]
@@ -455,8 +467,7 @@ def brute_force_distribution(
                 for acc, wt in partial.items():
                     for add, p in branches:
                         if p:
-                            key = tuple(map(operator.add, acc, add))
-                            merged[key] = merged.get(key, 0) + wt * p
+                            merged[acc + add] = merged.get(acc + add, 0) + wt * p
                 partial = merged
             for key, wt in partial.items():
                 nxt[key] = nxt.get(key, 0) + wt
@@ -464,17 +475,14 @@ def brute_force_distribution(
         denom *= math.prod(totals)
         totals = [t + f for t, f in zip(totals, inflow)]
 
-    totals = np.array(totals, dtype=np.int64)
-    out = []
-    for w in sorted(states):
-        white = np.array(w, dtype=np.int64)
-        out.append(
-            (
-                UrnState(white=white, black=totals - white, time=horizon),
-                Fraction(states[w], denom),
-            )
-        )
-    return out
+    keys = sorted(states)
+    column = np.array(keys, dtype=object)
+    white = initial.white + np.array([column // p % r for p, r in zip(place, radix)], np.int64).T
+    black = np.array(totals, dtype=np.int64) - white
+    return [
+        (UrnState(white=w, black=b, time=horizon), Fraction(states[k], denom))
+        for k, w, b in zip(keys, white, black)
+    ]
 
 
 def distribution_mean_fractions(dist) -> list:
@@ -509,26 +517,20 @@ def oracle_check(
 ) -> OracleReport:
     """Total-variation distance between the simulator's empirical law and
     the enumerated exact law at the same horizon, which must be at least 1:
-    at t = 0 both laws are the start state."""
+    at t = 0 both laws are the start state.  Every input is checked before
+    the enumeration.  The simulated white rows are counted in one `Counter`,
+    keyed in order of first appearance, as the exact law's are."""
     if horizon < 1:
         raise InvalidParamsError(f"oracle check needs horizon >= 1, got {horizon}")
+    if runs < 1:
+        raise InvalidParamsError(f"oracle check needs runs >= 1, got {runs}")
+    check_batch(g, scheme, initial, horizon, range(runs), (), master_seed)
     exact = brute_force_distribution(g, scheme, initial, horizon)
-    result = run_ensemble(
-        g,
-        scheme,
-        initial,
-        horizon,
-        runs,
-        master_seed,
-        checkpoints=[horizon],
-        snapshot_times=[horizon],
-    )
-    whites = result.snapshots[horizon]
-    counts: dict = {}
-    for row in map(tuple, whites.tolist()):
-        counts[row] = counts.get(row, 0) + 1
+    result = run_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=[horizon],
+                          snapshot_times=[horizon])
+    counts = collections.Counter(zip(*result.snapshots[horizon].T.tolist()))
 
-    exact_by_w = {tuple(int(x) for x in state.white): float(p) for state, p in exact}
+    exact_by_w = {tuple(state.white.tolist()): float(p) for state, p in exact}
     support = set(exact_by_w) | set(counts)
     tv = 0.5 * sum(
         abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support

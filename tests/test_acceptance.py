@@ -175,11 +175,22 @@ def test_criterion_6_martingale_mean(capsys):
     assert abs(report["drift_estimate"]) <= report["threshold"]
 
 
+#: criterion 7's reports as (float.hex(tv_distance), support_size), pinned
+#: bit for bit: how the exact law is enumerated and the simulated whites are
+#: counted may change, these may not
+ORACLE_PINS = {
+    "polya T=1": ("0x1.3d31b9b66f940p-8", 4),
+    "polya T=2": ("0x1.cc100e6afcce8p-9", 9),
+    "friedman T=1": ("0x1.54c985f06f680p-9", 4),
+    "friedman T=2": ("0x1.fd6ee472942ccp-9", 9),
+}
+
+
 def test_criterion_7_exact_oracle(capsys):
     g = generate_graph("cycle_directed", {"n": 2})
     init = default_initial_state(2)
     schemes = {"polya": ReplacementMatrix(1, 1, 1), "friedman": ReplacementMatrix(0, 0, 1)}
-    tvs = {}
+    tvs, reports = {}, {}
     all_ok = True
     seed = 701
     for name, scheme in schemes.items():
@@ -187,6 +198,7 @@ def test_criterion_7_exact_oracle(capsys):
             rep = oracle_check(g, scheme, init, horizon, 100_000, seed)
             seed += 1
             tvs[f"{name} T={horizon}"] = rep.tv_distance
+            reports[f"{name} T={horizon}"] = (float.hex(rep.tv_distance), rep.support_size)
             all_ok &= rep.tv_distance <= 0.02
         # one-step conditional mean, exact integer arithmetic
         dist = brute_force_distribution(g, scheme, init, 1)
@@ -201,6 +213,7 @@ def test_criterion_7_exact_oracle(capsys):
     )
     for key, tv in tvs.items():
         assert tv <= 0.02, key
+    assert reports == ORACLE_PINS
     # asymmetric-start conditional mean identity, also exact
     init_asym = UrnState(np.array([3, 1]), np.array([1, 3]))
     dist = brute_force_distribution(g, schemes["polya"], init_asym, 1)

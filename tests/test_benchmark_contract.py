@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -124,3 +125,28 @@ def test_oracle_exact_one_step_means_pass_their_checks(tmp_path, seed):
     assert len(ops) == 2
     for op in ops:
         op.check(op.run())
+
+
+@pytest.mark.parametrize(
+    "family, n, scheme, horizon",
+    [
+        ("cycle_directed", 5, ReplacementMatrix(0, 0, 1), 2),
+        ("cycle_directed", 2, ReplacementMatrix(1, 1, 1), 3),
+        ("complete_with_loops", 3, HeterogeneousScheme(
+            (ReplacementMatrix(1, 2, 3), ReplacementMatrix(0, 1, 1), ReplacementMatrix(2, 2, 2))
+        ), 2),
+    ],
+)
+def test_enumerated_law_layout(family, n, scheme, horizon):
+    # what the oracle-exact workload's enumeration check and state counter
+    # read: (UrnState, Fraction) pairs, ascending in the white counts, with
+    # equal ball totals
+    g = generate_graph(family, {"n": n})
+    initial = dynamics.default_initial_state(n)
+    dist = montecarlo.brute_force_distribution(g, scheme, initial, horizon)
+    assert all(type(s) is dynamics.UrnState and type(p) is Fraction for s, p in dist)
+    whites = [s.white.tolist() for s, _ in dist]
+    assert whites == sorted(whites) and len({tuple(w) for w in whites}) == len(dist)
+    totals = dist[0][0].totals()
+    assert all(np.array_equal(s.totals(), totals) and s.time == horizon for s, _ in dist)
+    assert sum(p for _, p in dist) == 1

@@ -653,6 +653,15 @@ def test_oracle_command(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_zero_runs_exit_2(tmp_path, capsys):
+    graph = tmp_path / "c2.edges"
+    write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
+    code = run_cli("oracle", "--graph", str(graph), "--polya", "--horizon", "2", "--runs", "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle check needs") and "Traceback" not in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "--family", "dodecahedron", "--n", "5")

@@ -1,5 +1,6 @@
 """Ensemble statistics, estimators, and the exact enumeration oracle."""
 
+import hashlib
 import math
 import os
 import pickle
@@ -417,6 +418,15 @@ class TestBruteForce:
         dist = brute_force_distribution(two_cycle(), scheme, default_initial_state(2), 2)
         assert sum(p for _, p in dist) == 1
 
+    def test_cycle5_law_matches_pinned_digest(self):
+        # the directed 5-cycle, Friedman, T = 4 (3,125 states): white rows,
+        # numerators and denominators pinned bit for bit
+        g = generate_graph("cycle_directed", {"n": 5})
+        dist = brute_force_distribution(g, FRIEDMAN0, default_initial_state(5), 4)
+        rows = [(s.white.tolist(), p.numerator, p.denominator) for s, p in dist]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "c244b8930e40df1b505bd4a3bbac7456ecd4f4457d1cab125e4e49011850ec48"
+
 
 def test_mean_deviation_shrinks_with_horizon():
     # Non-identity rules: the ensemble mean tightens around c as t grows
@@ -460,6 +470,18 @@ class TestOracleCheck:
         with pytest.raises(InvalidParamsError, match="horizon >= 1"):
             oracle_check(two_cycle(), POLYA, default_initial_state(2), 0, 10, 1)
 
+    @pytest.mark.parametrize(
+        "runs, seed, match",
+        [(0, 1, "runs >= 1"), (10, -1, "master seed"), (10, 2**64, "master seed")],
+    )
+    def test_bad_input_refused_before_enumerating(self, monkeypatch, runs, seed, match):
+        def enumerate_law(*args):
+            raise AssertionError("enumerated before checking the inputs")
+
+        monkeypatch.setattr(montecarlo, "brute_force_distribution", enumerate_law)
+        with pytest.raises(InvalidParamsError, match=match):
+            oracle_check(two_cycle(), POLYA, default_initial_state(2), 2, runs, seed)
+
 
 class TestProcessPool:
     def test_errors_survive_pickling(self):
@@ -489,6 +511,19 @@ class TestProcessPool:
         pooled = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=2, **kw)
         serial = run_ensemble(g, POLYA, default_initial_state(2), 20, 12, 1, workers=1, **kw)
         assert np.array_equal(pooled.cov_final, serial.cov_final)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_refused_before_the_pool(self, monkeypatch, seed):
+        def pool(workers):
+            raise AssertionError("pool started before the seed was checked")
+
+        monkeypatch.setattr(montecarlo, "_batch_pool", pool)
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)
+        with pytest.raises(InvalidParamsError, match="master seed") as info:
+            run_ensemble(two_cycle(), POLYA, default_initial_state(2), 5, 12, seed, workers=2)
+        assert info.value.__cause__ is None
+        with pytest.raises(InvalidParamsError, match="master seed"):
+            dynamics.check_batch(two_cycle(), POLYA, default_initial_state(2), 5, (), (), seed)
 
     def test_broken_pool_is_replaced(self, monkeypatch):
         g = two_cycle()
