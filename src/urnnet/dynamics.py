@@ -359,10 +359,10 @@ def check_batch(
     Runs every check on the inputs before the first draw: sizes, the
     scheme, integer exactness of the ball counts up to `horizon` (below
     2**53) and of the balls an urn gains per step (below 2**24), the master
-    seed (default 0) and run indices in [0, 2**64) and recording times in
-    [0, horizon].  A vertex without in-edges is no error: its urn stays
-    frozen.  Cheap, so callers that hand batches to other processes run it
-    first and report bad input in their own process.
+    seed (default 0) and run indices in [0, 2**64), a `range` by its two
+    ends, and recording times in [0, horizon].  A vertex without in-edges is
+    no error: its urn stays frozen.  Cheap, so callers that hand batches to
+    other processes run it first and report bad input in their own process.
     """
     check_state(g, initial)
     if horizon < 0:
@@ -377,7 +377,8 @@ def check_batch(
         )
     if not (0 <= int(master_seed) < 2**64):
         raise InvalidParamsError("master seed must fit in 64 bits")
-    if len(run_indices) and not (0 <= min(run_indices) and max(run_indices) < 2**64):
+    ends = (*run_indices[:1], *run_indices[-1:]) if isinstance(run_indices, range) else run_indices
+    if len(ends) and not (0 <= min(ends) and max(ends) < 2**64):
         raise InvalidParamsError("run index must fit in 64 bits")
     if any(t < 0 or t > horizon for t in recording_times):
         raise InvalidParamsError("recording times must lie in [0, horizon]")
@@ -433,7 +434,8 @@ def simulate_runs(
     n(n + 1)/2) and (checkpoints, n) moment sums, an n x n scratch for
     Z^T Z, and these three and a few more (runs, n) arrays.
     """
-    run_indices = [int(r) for r in run_indices]
+    if not isinstance(run_indices, range):  # a range holds ints already
+        run_indices = [int(r) for r in run_indices]
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     snapshot_set = set(int(t) for t in snapshot_times)
     rf = check_batch(g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set),
@@ -484,7 +486,7 @@ def simulate_runs(
         return out
 
     gen = make_stream(master_seed, run_indices[0])
-    bitgen = gen.bit_generator
+    bitgen, random = gen.bit_generator, gen.random
     rekey = bitgen.state
     key, counter = [int(master_seed), 0], [0, 0, 0, 0]
     rekey["state"] = {"key": key, "counter": counter}
@@ -503,14 +505,13 @@ def simulate_runs(
     gain = np.empty((n_runs, n), dtype=np.float32)
 
     def fill(k: int) -> np.ndarray:
-        """Draw block k into its buffer."""
+        """Draw block k into its buffer, one run's row view at a time."""
         uniforms = buffers[k % len(buffers)]
-        steps = min(block, horizon - starts[k])
         counter[0] = starts[k] * n // 4
-        for i, r in enumerate(run_indices):
+        for row, r in zip(uniforms[:, : min(block, horizon - starts[k])], run_indices):
             key[1] = r
             bitgen.state = rekey
-            gen.random(out=uniforms[i, :steps, :])
+            random(out=row)
         return uniforms
 
     with contextlib.ExitStack() as stack:

@@ -4,7 +4,8 @@ Ensembles stream first and second moments of the fraction vector at a fixed
 checkpoint grid, so memory stays flat in the number of runs.  Runs are
 independent work items keyed by (master_seed, run_index); batches run on a
 pool of worker processes and merge in fixed index order, which makes
-results identical for any worker count.
+results identical for any worker count.  The pool takes consecutive batches
+in chunks whose outputs fit the engine's uniform budget, in the same order.
 
 The second-moment sums, n(n + 1)/2 packed doubles per checkpoint, are the
 largest arrays (40 MB at n = 200 with 250 steps recorded).  Each batch adds
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import (
     UrnState,
     check_batch,
@@ -224,6 +226,9 @@ def run_ensemble(
     batch, the batches run on a shared pool of `workers` forked processes
     (default: every core this process may use), and their sums merge in
     batch order, so the result is bit-identical for every worker count.
+    A pool task takes ceil(batches / workers) consecutive batches, or fewer
+    (at least one) so that their moment sums and snapshot rows stay within
+    the engine's 2^22-double budget (`dynamics._BLOCK_DOUBLES`).
     One batch, one worker, or a platform without fork runs in this process.
     Every batch, in this process or in a worker, draws its next uniform
     block on a helper thread while it steps the current one, when its
@@ -255,9 +260,12 @@ def run_ensemble(
         from concurrent.futures.process import BrokenProcessPool
 
         broken = (BrokenProcessPool, KeyboardInterrupt)
+        held = (len(checkpoints) * g.n * (g.n + 3) // 2  # doubles a batch returns
+                + len(set(snapshot_times)) * _BATCH_RUNS * g.n)
+        chunk = max(1, min(-(-len(batches) // workers), dynamics._BLOCK_DOUBLES // max(held, 1)))
     try:
         # submitting can meet a worker that died on an earlier batch
-        outs = map(work, batches) if pool is None else pool.map(work, batches)
+        outs = map(work, batches) if pool is None else pool.map(work, batches, chunksize=chunk)
         # batches add into the first one's sums as they arrive, in the fixed
         # batch order that keeps merging schedule-independent
         first = next(outs)

@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import re
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,3 +151,46 @@ def test_enumerated_law_layout(family, n, scheme, horizon):
     totals = dist[0][0].totals()
     assert all(np.array_equal(s.totals(), totals) and s.time == horizon for s, _ in dist)
     assert sum(p for _, p in dist) == 1
+
+
+class _CountingStream:
+    """Stands in for the tracer's stream proxy: counts the `random` calls,
+    the doubles they fill and the threads that make them."""
+
+    def __init__(self, gen):
+        self._gen, self.calls, self.doubles, self.threads = gen, 0, 0, set()
+
+    def random(self, *args, **kwargs):
+        drawn = self._gen.random(*args, **kwargs)
+        self.calls += 1
+        self.doubles += np.size(drawn)
+        self.threads.add(threading.get_ident())
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_tracer_hooks_see_every_fill(monkeypatch, spans):
+    # the tracer counts fill spans through the generator `make_stream`
+    # returns, and reads the batch size and checkpoints off `EngineOutput`
+    assert callable(spans._TracedStream.random) and callable(spans._count_simulate_runs)
+    g, scheme = generate_graph("cycle_directed", {"n": 3}), ReplacementMatrix(1, 2, 3)
+    initial, runs, horizon = dynamics.default_initial_state(3), range(7, 12), 100
+    plain = dynamics.simulate_runs(g, scheme, initial, horizon, 3, runs, checkpoints=[50, 100])
+    streams, make = [], dynamics.make_stream
+
+    def counted(*args):
+        streams.append(_CountingStream(make(*args)))
+        return streams[-1]
+
+    monkeypatch.setattr(dynamics, "make_stream", counted)
+    # half of 2^10 doubles holds 34 steps of 5 runs x 3 urns: 4 prefetched blocks of 32
+    monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", 1 << 10)
+    out = dynamics.simulate_runs(g, scheme, initial, horizon, 3, runs, checkpoints=[50, 100])
+    [stream] = streams
+    assert stream.calls == len(runs) * 4  # once per run and block
+    assert stream.doubles == len(runs) * horizon * g.n
+    assert threading.get_ident() not in stream.threads  # the helper thread drew them
+    assert out.count == len(runs) and out.checkpoints == (50, 100)
+    assert np.array_equal(out.sum_outer, plain.sum_outer)

@@ -339,6 +339,33 @@ def test_inflow_at_float32_bound_refused():
         simulate_runs(g, scheme, init, 5, 0, [0])
 
 
+@pytest.mark.parametrize("runs", [range(3, -2, -1), range(2**64 - 2, 2**64 + 1)])
+def test_run_range_refused_as_its_list(runs):
+    # a range is checked by its two ends; the error is the list's
+    args = (two_cycle(), ReplacementMatrix(1, 1, 1), default_initial_state(2), 3)
+    messages = []
+    for indices in (runs, list(runs)):
+        with pytest.raises(InvalidParamsError, match="run index must fit in 64 bits") as info:
+            check_batch(*args, indices)
+        messages.append(str(info.value))
+        with pytest.raises(InvalidParamsError) as info:
+            simulate_runs(*args, 0, indices)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("runs", [range(5, 5), range(2**64 - 1, 2**64 - 6, -2), range(10, -1, -3)])
+def test_run_range_inside_bounds_accepted(runs):
+    g, scheme, init = two_cycle(), ReplacementMatrix(1, 2, 3), default_initial_state(2)
+    assert isinstance(check_batch(g, scheme, init, 3, runs), Reinforcement)
+    kept, listed = (simulate_runs(g, scheme, init, 9, 4, r, checkpoints=[9], snapshot_times=[9])
+                    for r in (runs, list(runs)))
+    assert kept.count == len(runs) and kept.snapshots.keys() == listed.snapshots.keys()
+    for t in listed.snapshots:
+        assert np.array_equal(kept.snapshots[t], listed.snapshots[t])
+    assert np.array_equal(kept.sum_outer, listed.sum_outer)
+
+
 def _blas_counts():
     return [dynamics._numpy_openblas()[0]()]
 

@@ -59,6 +59,44 @@ POLYA = ReplacementMatrix(1, 1, 1)
 FRIEDMAN0 = ReplacementMatrix(0, 0, 1)
 
 
+def _pooled_equals_serial(monkeypatch, chunks):
+    """Ten batches on 2 and 3 workers, pooled in chunks of `chunks[workers]`
+    batches, give the workers=1 result bit for bit, snapshots in run order."""
+    g = generate_graph("cycle_undirected", {"n": 6})
+    init = default_initial_state(6)
+    monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)  # 10 batches, the last of 2 runs
+    sizes, start_pool = [], montecarlo._batch_pool
+
+    class Recording:
+        """The shared pool, noting the chunk size of each map."""
+
+        def __init__(self, workers):
+            self.pool = start_pool(workers)
+
+        def map(self, fn, items, chunksize):
+            sizes.append(chunksize)
+            return self.pool.map(fn, items, chunksize=chunksize)
+
+    monkeypatch.setattr(montecarlo, "_batch_pool", Recording)
+    kw = dict(checkpoints=[0, 30, 60], snapshot_times=[30, 60])
+    serial = run_ensemble(g, POLYA, init, 60, 38, 77, workers=1, **kw)
+    assert sizes == []
+    for workers in (2, 3):
+        pooled = run_ensemble(g, POLYA, init, 60, 38, 77, workers=workers, **kw)
+        assert sizes.pop() == chunks[workers]
+        assert np.array_equal(serial.mean_z, pooled.mean_z)
+        assert np.array_equal(serial.var_phi, pooled.var_phi)
+        assert np.array_equal(serial.cov_final, pooled.cov_final)
+        for t in (30, 60):
+            assert serial.snapshots[t].shape == (38, 6)
+            assert np.array_equal(serial.snapshots[t], pooled.snapshots[t])
+            assert np.array_equal(serial.snapshot_totals[t], pooled.snapshot_totals[t])
+    # run r's snapshot row is its own trajectory's
+    for r in (0, 3, 4, 37):
+        own = simulate_runs(g, POLYA, init, 60, 77, [r], snapshot_times=[60])
+        assert np.array_equal(serial.snapshots[60][r], own.snapshots[60][0])
+
+
 class TestRunEnsemble:
     def test_single_run_matches_trajectory(self):
         g = two_cycle()
@@ -75,18 +113,41 @@ class TestRunEnsemble:
         assert np.array_equal(small.snapshots[40], large.snapshots[40][:4])
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        g = generate_graph("cycle_undirected", {"n": 6})
-        init = default_initial_state(6)
-        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 8)
-        kw = dict(checkpoints=[0, 30, 60], snapshot_times=[30, 60])
-        serial = run_ensemble(g, POLYA, init, 60, 20, 77, workers=1, **kw)
-        for workers in (2, 3):
-            pooled = run_ensemble(g, POLYA, init, 60, 20, 77, workers=workers, **kw)
-            assert np.array_equal(serial.mean_z, pooled.mean_z)
-            assert np.array_equal(serial.cov_final, pooled.cov_final)
-            for t in (30, 60):
-                assert np.array_equal(serial.snapshots[t], pooled.snapshots[t])
-                assert np.array_equal(serial.snapshot_totals[t], pooled.snapshot_totals[t])
+        # 10 batches: chunks of 5 on two workers, of 4, 4 and 2 on three
+        _pooled_equals_serial(monkeypatch, {2: 5, 3: 4})
+
+    def test_one_batch_a_task_keeps_every_bit(self, monkeypatch):
+        # 64 doubles hold less than one batch's outputs: one batch a task
+        monkeypatch.setattr(dynamics, "_BLOCK_DOUBLES", 64)
+        _pooled_equals_serial(monkeypatch, {2: 1, 3: 1})
+
+    def test_pooled_without_checkpoints(self, monkeypatch):
+        # no moment sums and no snapshot rows come back: a chunk per worker
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)
+        res = run_ensemble(two_cycle(), POLYA, default_initial_state(2), 5, 12, 0,
+                           checkpoints=[], workers=2)
+        assert res.mean_z.shape == (0, 2) and res.cov_final is None
+
+    def test_every_step_at_n200_sends_one_batch_a_task(self, monkeypatch):
+        # 251 checkpoints of 200 + 20,100 doubles pass the 2^22-double
+        # budget, so each task holds one batch however few the runs
+        n, horizon = 200, 250
+        g = generate_graph("d_regular_random", {"n": n, "d": 4}, seed=1)
+        monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 1)
+        sizes = []
+
+        class Serial:
+            def __init__(self, workers):
+                pass
+
+            def map(self, fn, items, chunksize):
+                sizes.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "_batch_pool", Serial)
+        run_ensemble(g, POLYA, default_initial_state(n), horizon, 4, 0,
+                     checkpoints=range(horizon + 1), workers=2)
+        assert sizes == [1]
 
     def test_mean_bounds_and_psd(self):
         g = generate_graph("star_undirected", {"n": 5})
