@@ -24,8 +24,8 @@ from .dynamics import (
     UrnState,
     check_state,
     default_initial_state,
+    geometric_checkpoints,
     normalised_rule,
-    record_times,
     run_trajectory,
 )
 from .errors import InvalidParamsError, NumericalError, UrnNetError, ZeroInDegreeError
@@ -43,6 +43,13 @@ _FAMILY_ALIASES = {
 }
 
 _RULE_FLAGS = ("a", "b", "m", "polya", "hetero")
+
+# the recording times `simulate --checkpoints` names, for a horizon h
+_CHECKPOINTS = {
+    "every": lambda h: list(range(h + 1)),
+    "geometric": lambda h: sorted({0, *geometric_checkpoints(h)}),
+    "final": lambda h: [h],
+}
 
 
 def _family_params(args) -> dict:
@@ -187,12 +194,10 @@ def cmd_simulate(args) -> int:
     if not args.allow_violations:
         g.check_reinforced()
     config = _resolved_config(args, "simulate")
-    policy = {"every": "every_step", "geometric": "geometric_checkpoints", "final": "final_only"}[
-        args.checkpoints
-    ]
+    times = _CHECKPOINTS[args.checkpoints](args.horizon)
 
     if args.runs == 1:
-        traj = run_trajectory(g, scheme, initial, args.horizon, args.seed, record=policy)
+        traj = run_trajectory(g, scheme, initial, args.horizon, args.seed, times)
         out = args.out or "trajectory.csv"
         if args.format == "jsonl":
             fileio.write_trajectory_jsonl(out, traj, config, __version__)
@@ -201,10 +206,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote {out}  (final Z = {np.array2string(traj[-1][1], precision=6)})")
         return 0
 
-    checkpoints = record_times(args.horizon, policy)
-    result = run_ensemble(
-        g, scheme, initial, args.horizon, args.runs, args.seed, checkpoints=checkpoints,
-    )
+    result = run_ensemble(g, scheme, initial, args.horizon, args.runs, args.seed, checkpoints=times)
     out = args.out or "ensemble.json"
     fileio.write_ensemble_json(out, result, config, __version__)
     print(f"wrote {out}")
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--initial", help="JSON initial state file")
-    p.add_argument("--checkpoints", choices=("every", "geometric", "final"), default="geometric")
+    p.add_argument("--checkpoints", choices=tuple(_CHECKPOINTS), default="geometric")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--allow-violations", action="store_true")
     p.add_argument("--out", help="trajectory (runs=1) or ensemble JSON output path")

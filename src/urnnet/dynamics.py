@@ -39,8 +39,6 @@ MAX_EXACT_INFLOW = 2**24
 #: target number of uniforms held in memory per batch, over all its blocks
 _BLOCK_DOUBLES = 1 << 22
 
-RECORD_POLICIES = ("every_step", "geometric_checkpoints", "final_only")
-
 
 @dataclass(frozen=True)
 class ReplacementMatrix:
@@ -96,9 +94,6 @@ class HeterogeneousScheme:
     @property
     def n(self) -> int:
         return len(self.matrices)
-
-    def is_polya(self) -> bool:
-        return all(r.is_polya() for r in self.matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,16 +309,6 @@ def geometric_checkpoints(horizon: int) -> list:
     return sorted(times)
 
 
-def record_times(horizon: int, policy: str) -> list:
-    if policy == "every_step":
-        return list(range(horizon + 1))
-    if policy == "geometric_checkpoints":
-        return sorted({0, *geometric_checkpoints(horizon)})
-    if policy == "final_only":
-        return [horizon]
-    raise InvalidParamsError(f"unknown record policy {policy!r}; choose from {RECORD_POLICIES}")
-
-
 @functools.cache
 def packed_upper(n: int) -> np.ndarray:
     """Flat indices of an n x n upper triangle, row by row; shared, never written."""
@@ -481,7 +466,9 @@ def simulate_runs(
             out.snapshots[t] = w.astype(np.int64)
             out.snapshot_totals[t] = initial.totals() + t * rf.inflow
 
-    record(0)
+    # an empty batch records every time at once: zero sums, (0, n) rows
+    for t in (0,) if n_runs else {0, *checkpoints, *snapshot_set}:
+        record(t)
     if horizon == 0 or n_runs == 0:
         return out
 
@@ -549,14 +536,15 @@ def run_trajectory(
     initial: UrnState,
     horizon: int,
     seed: int,
-    record: str = "every_step",
+    times=None,
 ) -> list:
-    """Simulate one seeded run and return [(t, Z_t)] at the recorded times.
+    """Simulate one seeded run and return [(t, Z_t)] at `times`, by default
+    every step 0, ..., horizon.
 
     Deterministic in the seed; the trajectory equals run 0 of any ensemble
     drawn from the same master seed.
     """
-    times = record_times(horizon, record)
+    times = range(horizon + 1) if times is None else times
     out = simulate_runs(g, scheme, initial, horizon, seed, [0], snapshot_times=times)
     return [(t, out.snapshots[t][0] / out.snapshot_totals[t]) for t in times]
 

@@ -55,10 +55,6 @@ class NonDiagonalizableError(NumericalError):
     """Eigenvector matrix is too ill-conditioned for a spectral solve."""
 
 
-class PolyaTypeError(UrnNetError):
-    """Operation is undefined for identity-type reinforcement (a = b = m)."""
-
-
 class WrongRegimeError(UrnNetError):
     """A prediction or estimator was requested outside its fluctuation regime."""
 

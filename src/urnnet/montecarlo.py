@@ -36,13 +36,7 @@ from .dynamics import (
     set_blas_threads,
     simulate_runs,
 )
-from .errors import (
-    EnumerationTooLargeError,
-    InsufficientCheckpointsError,
-    InvalidParamsError,
-    NotRegularError,
-    WrongRegimeError,
-)
+from .errors import EnumerationTooLargeError, InsufficientCheckpointsError, InvalidParamsError
 from .graph import DirectedGraph
 from .theory import REGIME_CRITICAL, REGIME_SQRT_T, Fluctuations
 
@@ -58,14 +52,15 @@ _pool = None
 
 @dataclass
 class EnsembleResult:
-    """Streaming-moment summary of a seeded ensemble.
+    """Streaming-moment summary of a seeded ensemble: its statistics only.
 
     mean_z and var_phi are indexed by checkpoint; var_phi is the average
     over vertices of the variance of Z_i minus the cross-sectional mean (the
     dispersion the identity-type decay theory is about).  cov_final is the
     covariance of Z at the last checkpoint, None without checkpoints.
     Snapshots, when requested, hold exact white counts per run at selected
-    times.
+    times.  It records nothing about the rule or the graph: the suites of
+    `urnnet.verify` judge those before they simulate.
     """
 
     runs: int
@@ -78,8 +73,6 @@ class EnsembleResult:
     raw_seed: int
     initial_white: np.ndarray
     initial_black: np.ndarray
-    is_polya: bool
-    regular_graph: bool
     snapshots: dict = field(default_factory=dict)
     snapshot_totals: dict = field(default_factory=dict)
 
@@ -93,20 +86,8 @@ class EnsembleResult:
         return self.snapshots[t] / self.snapshot_totals[t]
 
     @classmethod
-    def from_moments(
-        cls,
-        runs,
-        horizon,
-        checkpoints,
-        sum_z,
-        sum_outer,
-        raw_seed,
-        initial: UrnState,
-        is_polya: bool,
-        regular_graph: bool,
-        snapshots=None,
-        snapshot_totals=None,
-    ) -> "EnsembleResult":
+    def from_moments(cls, runs, horizon, checkpoints, sum_z, sum_outer, raw_seed,
+                     initial: UrnState, snapshots=None, snapshot_totals=None) -> "EnsembleResult":
         """Normalise moment sums over `runs` into a result.  `sum_outer[k]`
         is checkpoint k's Z^T Z sum packed at `packed_upper(n)`; its
         covariance is formed on that triangle, mirrored into one n x n array
@@ -137,8 +118,6 @@ class EnsembleResult:
             raw_seed=raw_seed,
             initial_white=initial.white.copy(),
             initial_black=initial.black.copy(),
-            is_polya=is_polya,
-            regular_graph=regular_graph,
             snapshots=dict(snapshots or {}),
             snapshot_totals=dict(snapshot_totals or {}),
         )
@@ -155,8 +134,6 @@ class EnsembleResult:
             "cov_Z_final": None if self.cov_final is None else self.cov_final.tolist(),
             "initial_white": self.initial_white.tolist(),
             "initial_black": self.initial_black.tolist(),
-            "is_polya": self.is_polya,
-            "regular_graph": self.regular_graph,
         }
 
 
@@ -283,16 +260,7 @@ def run_ensemble(
     snapshots = {t: np.concatenate([s[t] for s in snapshots], axis=0) for t in first.snapshots}
 
     return EnsembleResult.from_moments(
-        runs,
-        horizon,
-        checkpoints,
-        sum_z,
-        sum_outer,
-        master_seed,
-        initial,
-        scheme.is_polya(),
-        g.is_regular_undirected(),
-        snapshots,
+        runs, horizon, checkpoints, sum_z, sum_outer, master_seed, initial, snapshots,
         first.snapshot_totals,
     )
 
@@ -309,9 +277,10 @@ def scaled_covariance(result: EnsembleResult, record: Fluctuations) -> np.ndarra
     sqrt(t / log t), not sqrt(t log t): the fraction variance decays like
     log(t)/t there (the familiar sqrt(t log t) belongs to ball counts, which
     carry an extra factor of t).
+
+    It measures and does not gate: the suites judge the rule and regime
+    (`fluctuations` gives no record for a Polya-type rule).
     """
-    if result.is_polya:
-        raise WrongRegimeError("scaled deviations from c are for non-identity rules")
     t = result.checkpoints[-1]
     if record.regime == REGIME_SQRT_T:
         s2 = float(t)
@@ -351,9 +320,9 @@ def variance_decay_slope(result: EnsembleResult) -> SlopeEstimate:
 
     Fits ordinary least squares on the later half of the positive-variance
     checkpoints and returns the slope with a 1.96-standard-error halfwidth.
+    It measures and does not gate: the polya-rate suite requires an
+    identity-type rule before it simulates.
     """
-    if not result.is_polya:
-        raise WrongRegimeError("variance decay classes apply to identity-type rules")
     # Graphs where all in-neighbourhoods coincide keep every urn identical,
     # so the cross-sectional variance is exactly zero up to rounding dust;
     # refuse to fit a slope through that.
@@ -385,13 +354,11 @@ class MartingaleReport:
     passed: bool
 
 
-def check_martingale_inputs(regular_graph: bool, runs: int, last_checkpoint: int) -> None:
-    """Refuse what the martingale test cannot judge, known before simulating:
-    a graph that is not regular and undirected, fewer than 2 runs, which give
-    no standard error, and a last checkpoint at t = 0, where the drift is
-    zero by construction."""
-    if not regular_graph:
-        raise NotRegularError("martingale test needs a regular undirected graph")
+def check_martingale_inputs(runs: int, last_checkpoint: int) -> None:
+    """Refuse what the ensemble leaves the martingale test unable to judge,
+    known before simulating: fewer than 2 runs (no standard error) and a last
+    checkpoint at t = 0 (zero drift by construction).  The martingale suite
+    judges the rule and the graph."""
     if runs < 2:
         raise InvalidParamsError(f"martingale test needs at least 2 runs, got {runs}")
     if last_checkpoint < 1:
@@ -403,12 +370,11 @@ def martingale_test(result: EnsembleResult) -> MartingaleReport:
 
     Valid for identity-type reinforcement on a regular undirected graph,
     where the cross-sectional mean is a bounded martingale; passes when the
-    observed drift is within three standard errors.  Refuses a non-identity
-    rule and whatever `check_martingale_inputs` refuses.
+    observed drift is within three standard errors.  It measures and does
+    not gate: the martingale suite judges the rule and the graph before it
+    simulates, and this refuses only what `check_martingale_inputs` does.
     """
-    if not result.is_polya:
-        raise WrongRegimeError("martingale test applies to identity-type rules")
-    check_martingale_inputs(result.regular_graph, result.runs, (result.checkpoints or (0,))[-1])
+    check_martingale_inputs(result.runs, (result.checkpoints or (0,))[-1])
     zbar0 = float(result.initial_fractions().mean())
     mean_zbar = float(result.mean_z[-1].mean())
     ones = np.ones(result.n)

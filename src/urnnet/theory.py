@@ -29,12 +29,7 @@ import numpy as np
 
 from . import spectral
 from .dynamics import blas_threads, normalised_rule
-from .errors import (
-    InvalidParamsError,
-    NotRegularError,
-    PolyaTypeError,
-    SingularLimitSystemError,
-)
+from .errors import InvalidParamsError, NotRegularError, SingularLimitSystemError
 from .graph import DirectedGraph
 
 REGIME_POLYA = "polya"
@@ -50,24 +45,26 @@ RATE_T_POW = "t_pow"
 #: bound above which the limit solve refuses
 SINGULAR_RHO_TOL = 1.0 / spectral.INVERSION_COND_MAX
 
-_POLYA_PARAM_TOL = 1e-12
-
-
-def is_polya_params(alpha: float, beta: float) -> bool:
-    return abs(alpha - 1.0) <= _POLYA_PARAM_TOL and abs(beta - 1.0) <= _POLYA_PARAM_TOL
-
 
 def _check_params(alpha, beta):
     if not all(np.all((0.0 <= x) & (x <= 1.0)) for x in map(np.asarray, (alpha, beta))):
         raise InvalidParamsError("alpha and beta must lie in [0, 1]")
 
 
+def _nonsingular(rho: float) -> float:
+    """rho, unless H is singular at it: rho <= SINGULAR_RHO_TOL raises
+    `SingularLimitSystemError`, the one refusal of a rule with no unique limit."""
+    if rho <= SINGULAR_RHO_TOL:
+        raise SingularLimitSystemError(f"H = I - B is singular (rho = {rho:.3e}): no unique limit")
+    return rho
+
+
 def consensus_equilibrium(alpha: float, beta: float) -> float:
-    """Common limit fraction c = (1 - beta) / (2 - alpha - beta)."""
+    """Common limit fraction c = (1 - beta) / (2 - alpha - beta).  Its
+    denominator is rho for alpha + beta >= 1, so a Polya-type rule
+    (alpha = beta = 1) is refused as a singular H."""
     _check_params(alpha, beta)
-    if is_polya_params(alpha, beta):
-        raise PolyaTypeError("no deterministic consensus for alpha = beta = 1")
-    return (1.0 - beta) / (2.0 - alpha - beta)
+    return (1.0 - beta) / _nonsingular(2.0 - alpha - beta)
 
 
 def noise_variance_c(alpha: float, beta: float) -> float:
@@ -146,8 +143,7 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
 
     form = None if common and k.max() >= 0.0 else schur_b()
     rho = float(np.min(2.0 - alpha - beta) if form is None else 1.0 - form.eigenvalues.real.max())
-    if rho <= SINGULAR_RHO_TOL:
-        raise SingularLimitSystemError(f"H = I - B is singular (rho = {rho:.3e}): no unique limit")
+    _nonsingular(rho)
     if per_vertex:
         c = _solve_limit(b, q, np.zeros(len(w)), w.any(axis=0))
     else:  # a Polya-type rule never gets here: its H is singular
@@ -277,11 +273,16 @@ class TheoryReport:
 
 
 def predict(g: DirectedGraph, alpha: float, beta: float) -> TheoryReport:
-    """All predictions for a homogeneous rule on a fully reinforced graph."""
-    _check_params(alpha, beta)
+    """All predictions for a homogeneous rule on a fully reinforced graph.
+    A rule whose closed-form rho = 2 - alpha - beta makes H singular, the
+    Polya-type alpha = beta = 1, gets its variance decay class instead."""
+    try:
+        noise = noise_variance_c(alpha, beta)
+    except SingularLimitSystemError:
+        noise = None
     a_tilde = g.weighted_adjacency()
 
-    if is_polya_params(alpha, beta):
+    if noise is None:
         notes, rate = (), None
         try:
             rate = polya_rate_class(a_tilde)
@@ -294,5 +295,5 @@ def predict(g: DirectedGraph, alpha: float, beta: float) -> TheoryReport:
     fl = fluctuations(alpha, beta, a_tilde)
     return TheoryReport(
         regime=fl.regime, n=g.n, alpha=alpha, beta=beta, rho=fl.rho,
-        equilibrium=np.full(g.n, fl.c), noise_var_c=noise_variance_c(alpha, beta), sigma=fl.sigma,
+        equilibrium=np.full(g.n, fl.c), noise_var_c=noise, sigma=fl.sigma,
     )

@@ -30,7 +30,7 @@ from .dynamics import (
     normalised_rule,
     simulate_runs,
 )
-from .errors import InvalidParamsError, WrongRegimeError
+from .errors import InvalidParamsError, NotRegularError, WrongRegimeError
 from .graph import DirectedGraph, generate_graph
 from .montecarlo import run_ensemble
 
@@ -279,9 +279,13 @@ def verify_martingale(
     runs: int = 2000,
     seed: int = 23,
 ) -> dict:
-    """Preservation of the cross-sectional mean under identity-type rules."""
+    """Preservation of the cross-sectional mean under identity-type rules,
+    which is a martingale on a regular undirected graph: any other rule or
+    graph is refused before simulating."""
     initial = _start(g, scheme, initial, "martingale")
-    montecarlo.check_martingale_inputs(g.is_regular_undirected(), runs, horizon)
+    if not g.is_regular_undirected():
+        raise NotRegularError("martingale test needs a regular undirected graph")
+    montecarlo.check_martingale_inputs(runs, horizon)
     result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     rep = montecarlo.martingale_test(result)
     report = {

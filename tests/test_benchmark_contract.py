@@ -103,6 +103,18 @@ def test_workload_calls_keep_their_arguments():
     assert np.allclose(closed, theory.fluctuations(0.25, 0.25, a_t).sigma, atol=1e-12)
 
 
+def test_workload_ensemble_keys_are_written():
+    # simulate-wide reads these keys of the ensemble JSON's "result"; a trim
+    # of `EnsembleResult.to_dict` must keep them
+    keys = set(re.findall(r"\bresult\[\"(\w+)\"\]", (PERFBENCH / "workloads.py").read_text()))
+    assert {"mean_Z", "var_phi", "cov_Z_final", "checkpoints"} <= keys
+    g = generate_graph("cycle_directed", {"n": 3})
+    initial = dynamics.default_initial_state(3)
+    result = montecarlo.run_ensemble(g, ReplacementMatrix(1, 2, 3), initial, 4, 3, 0,
+                                     checkpoints=range(5))
+    assert keys <= result.to_dict().keys()
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_predict_theory_solves_every_case(tmp_path, seed):
     # each operation once, under its own output check: neither a failure

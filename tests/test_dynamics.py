@@ -18,7 +18,6 @@ from urnnet.dynamics import (
     geometric_checkpoints,
     make_stream,
     mean_field_path,
-    record_times,
     run_trajectory,
     simulate_runs,
     step,
@@ -232,7 +231,7 @@ def test_trajectory_t0():
 
 def test_trajectory_determinism():
     g = generate_graph("star_undirected", {"n": 5})
-    kw = dict(record="geometric_checkpoints")
+    kw = dict(times=[0, *geometric_checkpoints(500)])
     a = run_trajectory(g, ReplacementMatrix(1, 1, 2), default_initial_state(5), 500, 123, **kw)
     b = run_trajectory(g, ReplacementMatrix(1, 1, 2), default_initial_state(5), 500, 123, **kw)
     assert [t for t, _ in a] == [t for t, _ in b]
@@ -241,12 +240,19 @@ def test_trajectory_determinism():
 
 
 def test_record_policies():
-    assert record_times(5, "every_step") == [0, 1, 2, 3, 4, 5]
-    assert record_times(5, "final_only") == [5]
-    geo = record_times(100, "geometric_checkpoints")
-    assert geo[0] == 0 and geo[-1] == 100 and geo == sorted(set(geo))
-    with pytest.raises(InvalidParamsError):
-        record_times(5, "hourly")
+    # run_trajectory records every step by default, else the times it is given;
+    # the CLI's --checkpoints names its times in one table
+    from urnnet.cli import _CHECKPOINTS
+
+    g, scheme, init = two_cycle(), ReplacementMatrix(1, 2, 3), default_initial_state(2)
+    every = run_trajectory(g, scheme, init, 5, 3)
+    assert [t for t, _ in every] == [0, 1, 2, 3, 4, 5]
+    [(t, z)] = run_trajectory(g, scheme, init, 5, 3, [5])
+    assert t == 5 and np.array_equal(z, every[-1][1])
+    assert _CHECKPOINTS["every"](5) == [0, 1, 2, 3, 4, 5]
+    assert _CHECKPOINTS["final"](5) == [5]
+    geo = _CHECKPOINTS["geometric"](100)
+    assert geo == [0, *geometric_checkpoints(100)] and geo[-1] == 100
 
 
 def test_geometric_checkpoints_cover_endpoint():
@@ -286,7 +292,7 @@ def test_trajectory_equals_ensemble_member():
     g = two_cycle()
     scheme = ReplacementMatrix(1, 1, 1)
     init = default_initial_state(2)
-    traj = run_trajectory(g, scheme, init, 64, 7, record="final_only")
+    traj = run_trajectory(g, scheme, init, 64, 7, [64])
     out = simulate_runs(g, scheme, init, 64, 7, range(8), snapshot_times=[64])
     assert np.array_equal(out.snapshots[64][0] / out.snapshot_totals[64], traj[-1][1])
 
@@ -364,6 +370,22 @@ def test_run_range_inside_bounds_accepted(runs):
     for t in listed.snapshots:
         assert np.array_equal(kept.snapshots[t], listed.snapshots[t])
     assert np.array_equal(kept.sum_outer, listed.sum_outer)
+
+
+def test_empty_batch_records_every_requested_time():
+    # an empty batch has zero sums and (0, n) rows at every checkpoint and
+    # snapshot time, where a nonempty one has them filled
+    g, scheme, init = two_cycle(), ReplacementMatrix(1, 2, 3), default_initial_state(2)
+    out = simulate_runs(g, scheme, init, 9, 4, range(5, 5), checkpoints=[9], snapshot_times=[9])
+    assert out.snapshots[9].shape == (0, 2) and out.snapshots[9].dtype == np.int64
+    assert np.array_equal(out.snapshot_totals[9], init.totals() + 9 * 3)
+    assert out.sum_z.shape == (1, 2) and not out.sum_z.any() and not out.sum_outer.any()
+    kw = dict(checkpoints=[0, 4, 9], snapshot_times=[3, 9])
+    empty, full = (simulate_runs(g, scheme, init, 9, 4, r, **kw) for r in (range(0), range(1)))
+    assert empty.snapshots.keys() == empty.snapshot_totals.keys() == full.snapshots.keys()
+    for t in full.snapshots:
+        assert empty.snapshots[t].shape == (0, 2)
+        assert np.array_equal(empty.snapshot_totals[t], full.snapshot_totals[t])
 
 
 def _blas_counts():
@@ -549,7 +571,7 @@ def test_friedman_consensus_single_run():
     # undirected star ends up at (1/2 - s, (1/2 + s) 1) for random s).
     g = generate_graph("cycle_undirected", {"n": 5})
     traj = run_trajectory(
-        g, ReplacementMatrix(0, 0, 1), default_initial_state(5), 100_000, 21, record="final_only"
+        g, ReplacementMatrix(0, 0, 1), default_initial_state(5), 100_000, 21, [100_000]
     )
     assert np.abs(traj[-1][1] - 0.5).max() < 0.05
 

@@ -130,8 +130,6 @@ def test_json_writers_keep_the_streamed_bytes(tmp_path):
         "cov_Z_final": [list(map(float, row)) for row in res.cov_final],
         "initial_white": list(map(int, res.initial_white)),
         "initial_black": list(map(int, res.initial_black)),
-        "is_polya": res.is_polya,
-        "regular_graph": res.regular_graph,
     }
     assert res.to_dict() == result
     path = tmp_path / "ens.json"

@@ -15,7 +15,6 @@ from urnnet.errors import (
     InvalidParamsError,
     NonDiagonalizableError,
     NotRegularError,
-    PolyaTypeError,
     SingularLimitSystemError,
     UrnNetError,
     ZeroInDegreeError,
@@ -99,8 +98,11 @@ class TestConsensus:
         assert theory.consensus_equilibrium(1.0, 0.0) == pytest.approx(1.0)
 
     def test_polya_rejected(self):
-        with pytest.raises(PolyaTypeError):
+        with pytest.raises(SingularLimitSystemError):
             theory.consensus_equilibrium(1.0, 1.0)
+        # rho = 8e-13 lies above SINGULAR_RHO_TOL: a rule with a unique limit,
+        # 1/2 up to the cancellation in 1 - beta and 2 - alpha - beta
+        assert theory.consensus_equilibrium(1 - 4e-13, 1 - 4e-13) == pytest.approx(0.5, abs=1e-3)
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0, 1), beta=st.floats(0, 0.999))
@@ -504,6 +506,10 @@ class TestInfluenceThreshold:
         assert theory.influence_threshold(d, *exact) == expected
 
 
+# alpha or beta anywhere in [0, 1], exactly 1, or within 1e-12 of 1
+_NEAR_ONE = st.one_of(st.floats(0, 1), st.just(1.0), st.floats(0, 1e-12).map(lambda d: 1.0 - d))
+
+
 class TestPredict:
     def test_sqrt_t_regime_report(self):
         g = generate_graph("star_undirected", {"n": 5})
@@ -576,6 +582,26 @@ class TestPredict:
         star = generate_graph("star_undirected", {"n": 5})
         rep2 = theory.predict(star, 1.0, 1.0)
         assert rep2.rate_class is None and rep2.notes
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=_NEAR_ONE, beta=_NEAR_ONE)
+    @example(alpha=1.0, beta=1.0)
+    @example(alpha=1 - 4e-13, beta=1 - 4e-13)  # rho = 8e-13
+    @example(alpha=1.0, beta=1 - 1e-13)  # rho at SINGULAR_RHO_TOL, up to rounding
+    def test_polya_branch_is_the_singular_refusal(self, alpha, beta):
+        # one predicate: predict reports a Polya-type rule exactly where
+        # consensus_equilibrium and fluctuations refuse a singular H
+        g = generate_graph("cycle_undirected", {"n": 5})
+        a_tilde, refused = g.weighted_adjacency(), []
+        for solve in (lambda: theory.consensus_equilibrium(alpha, beta),
+                      lambda: theory.fluctuations(alpha, beta, a_tilde)):
+            try:
+                solve()
+                refused.append(False)
+            except SingularLimitSystemError:
+                refused.append(True)
+        polya = theory.predict(g, alpha, beta).regime == theory.REGIME_POLYA
+        assert refused == [polya, polya]
 
     def test_unreinforced_graph_rejected(self):
         g = DirectedGraph(2, frozenset({(1, 2)}))
