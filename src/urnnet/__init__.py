@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.20"
+__version__ = "0.1.21"
 
 from .dynamics import (
     HeterogeneousScheme,
@@ -19,7 +19,9 @@ from .dynamics import (
 from .graph import FAMILIES, DirectedGraph, generate_graph
 from .montecarlo import (
     EnsembleResult,
+    ExactLaw,
     brute_force_distribution,
+    exact_law,
     martingale_test,
     oracle_check,
     run_ensemble,
@@ -55,6 +57,8 @@ __all__ = [
     "scaled_covariance",
     "variance_decay_slope",
     "martingale_test",
+    "ExactLaw",
+    "exact_law",
     "brute_force_distribution",
     "oracle_check",
     "TheoryReport",

@@ -96,13 +96,6 @@ def read_graph(path) -> DirectedGraph:
     return read_edge_list(path)
 
 
-def write_initial_state(state: UrnState, path) -> None:
-    payload = {"white": [int(x) for x in state.white], "black": [int(x) for x in state.black]}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def read_initial_state(path) -> UrnState:
     payload = _load_json(path)
     try:
@@ -125,11 +118,6 @@ def read_hetero_scheme(path) -> HeterogeneousScheme:
     for abm in values:
         _integers(abm, f"{path}: a, b, m")
     return HeterogeneousScheme(tuple(ReplacementMatrix(*abm) for abm in values))
-
-
-def format_config(config: dict) -> str:
-    """Flat "key = value" text, keys sorted."""
-    return "".join(f"{k} = {config[k]}\n" for k in sorted(config))
 
 
 def read_config(path) -> dict:

@@ -389,87 +389,92 @@ def martingale_test(result: EnsembleResult) -> MartingaleReport:
     )
 
 
-def brute_force_distribution(
-    g: DirectedGraph,
-    scheme,
-    initial: UrnState,
-    horizon: int,
-) -> list:
-    """Exact law of the urn state at time `horizon` by path enumeration.
+class ExactLaw(NamedTuple):
+    """State k has white counts `white[k]` and probability `weights[k] /
+    denominator`, rows distinct and ascending, ball totals all equal.
+    `weights` is int64 or an object array of Python ints (see `exact_law`)."""
 
-    Probabilities are exact rationals and sum to one.  Feasible only while
-    n * horizon stays small (2^(n*horizon) draw sequences).  Pairs come in
-    ascending lexicographic order of the white counts.
+    white: np.ndarray
+    weights: np.ndarray
+    denominator: int
 
-    Ball totals are the same on every path, so each step's draw
-    probabilities share the denominator prod_i T_i(t).  States therefore
-    carry integer weights (products of the numerators w_i and T_i - w_i)
-    over one common denominator, and each step convolves the urns' draws
-    vertex by vertex, merging paths that reach the same partial state.
 
-    A state is one Python int in mixed radix: digit i is urn i's white gain
-    since t = 0, in radix horizon * inflow_i + 1, urn 1 most significant.
-    A draw adds a fixed key per vertex and colour with no carry, and
-    integer order is the white counts' lexicographic order.  The sorted
-    keys are decoded once into one white array.
+def exact_law(g: DirectedGraph, scheme, initial: UrnState, horizon: int) -> ExactLaw:
+    """Exact law of the urn state at time `horizon` by path enumeration,
+    feasible only while n * horizon stays small (2^(n*horizon) draw
+    sequences).  Ball totals are the same on every path, so each step's draw
+    probabilities share the denominator prod_i T_i(t), and states carry
+    integer weights (products of the numerators w_i and T_i - w_i).
+
+    A state is one integer key in mixed radix: digit i is urn i's white gain
+    since t = 0, in radix horizon * g_i + 1 (g_i the most white balls urn i
+    gains in a step), urn 1 most significant, so that a draw adds a fixed
+    key per vertex and colour with no carry and integer order is the white
+    counts' lexicographic order.  Each step branches every state at once,
+    vertex by vertex, into a row of 2^n weights (times the draw numerators),
+    adds each draw vector's key, drops the zero weights and merges equal
+    keys after one stable sort.  Keys and weights are int64 when the radix
+    product and the denominator are below 2^63, which bound every partial
+    key and weight, and Python ints otherwise.
     """
     n = g.n
     if n * horizon > BRUTE_FORCE_MAX_BITS:
-        raise EnumerationTooLargeError(
-            f"n * horizon = {n * horizon} exceeds {BRUTE_FORCE_MAX_BITS}"
-        )
+        raise EnumerationTooLargeError(f"n * horizon = {n * horizon} exceeds {BRUTE_FORCE_MAX_BITS}")
     rf = check_batch(g, scheme, initial, horizon, ())
-    inflow = rf.inflow.tolist()
-    radix = [horizon * f + 1 for f in inflow]
+    gain = np.maximum(rf.on_white, rf.on_black).sum(axis=0)  # an urn's most white balls a step
+    radix = [horizon * f + 1 for f in gain.tolist()]
     place = [math.prod(radix[i + 1 :]) for i in range(n)]
-    # the key vertex j adds when it draws white / black: its payouts at place value
-    sends = list(zip(*(m.astype(object) @ place for m in (rf.on_white, rf.on_black))))
+    totals = [initial.totals() + t * rf.inflow for t in range(horizon)]
+    denominator = math.prod(math.prod(row.tolist()) for row in totals)
+    dtype = np.int64 if max(math.prod(radix), denominator) < 2**63 else object
+    # the key each of the 2^n draw vectors adds, vertex n's draw slowest:
+    # its payouts at place value when it draws white / black
+    offsets = np.zeros(1, dtype)
+    for sent in zip(*(m.astype(object) @ place for m in (rf.on_white, rf.on_black))):
+        offsets = np.add.outer(np.array(sent, dtype), offsets).ravel()
 
-    white0 = initial.white.tolist()
-    states = {0: 1}
-    totals = [int(x) for x in initial.totals()]
-    denom = 1
-    for _ in range(horizon):
-        nxt: dict = {}
-        for state, weight in states.items():
-            w = [w0 + state // p % r for w0, p, r in zip(white0, place, radix)]
-            partial = {state: weight}
-            for j, (if_white, if_black) in enumerate(sends):
-                # draw numerators; a zero one is an impossible branch
-                branches = [(if_white, w[j]), (if_black, totals[j] - w[j])]
-                merged: dict = {}
-                for acc, wt in partial.items():
-                    for add, p in branches:
-                        if p:
-                            merged[acc + add] = merged.get(acc + add, 0) + wt * p
-                partial = merged
-            for key, wt in partial.items():
-                nxt[key] = nxt.get(key, 0) + wt
-        states = nxt
-        denom *= math.prod(totals)
-        totals = [t + f for t, f in zip(totals, inflow)]
+    def whites(keys):
+        white = keys[:, None] // np.array(place, dtype)
+        white %= np.array(radix, dtype)
+        white = white.astype(np.int64, copy=False)
+        white += initial.white
+        return white
 
-    keys = sorted(states)
-    column = np.array(keys, dtype=object)
-    white = initial.white + np.array([column // p % r for p, r in zip(place, radix)], np.int64).T
-    black = np.array(totals, dtype=np.int64) - white
-    return [
-        (UrnState(white=w, black=b, time=horizon), Fraction(states[k], denom))
-        for k, w, b in zip(keys, white, black)
-    ]
+    keys, weights = np.zeros(1, dtype), np.ones(1, dtype)
+    for total in totals:
+        white = whites(keys)
+        # draw numerators w_j and T_j - w_j per state, in offsets' layout
+        numerators = np.stack([white, total - white], axis=1, dtype=dtype)
+        weights = weights[:, None]
+        for j in range(n):
+            weights = (numerators[:, :, j, None] * weights[:, None, :]).reshape(keys.size, -1)
+        del numerators
+        keys, weights = np.add.outer(keys, offsets).ravel(), weights.ravel()
+        drawn = weights != 0  # a zero numerator is an impossible branch
+        if not drawn.all():
+            keys, weights = keys[drawn], weights[drawn]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        weights = weights[order]
+        del order  # each generation goes before the next is built
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, weights = keys[starts], np.add.reduceat(weights, starts)
+    return ExactLaw(white=whites(keys), weights=weights, denominator=denominator)
+
+
+def brute_force_distribution(g: DirectedGraph, scheme, initial: UrnState, horizon: int) -> list:
+    """`exact_law` as (UrnState, Fraction) pairs, in its ascending row order.
+    The probabilities are exact rationals and sum to one."""
+    law = exact_law(g, scheme, initial, horizon)
+    black = initial.totals() + horizon * dynamics.Reinforcement.of(g, scheme).inflow - law.white
+    return [(UrnState(white=w, black=b, time=horizon), Fraction(p, law.denominator))
+            for w, b, p in zip(law.white, black, law.weights.tolist())]
 
 
 def distribution_mean_fractions(dist) -> list:
     """Exact per-vertex mean of the white fractions under an enumerated law."""
-    if not dist:
-        return []
-    n = dist[0][0].n
-    acc = [Fraction(0)] * n
-    for state, prob in dist:
-        z = state.exact_fractions()
-        for i in range(n):
-            acc[i] += prob * z[i]
-    return acc
+    terms = ([p * z for z in state.exact_fractions()] for state, p in dist)
+    return [sum(vertex, Fraction(0)) for vertex in zip(*terms)]
 
 
 @dataclass(frozen=True)
@@ -492,19 +497,21 @@ def oracle_check(
     """Total-variation distance between the simulator's empirical law and
     the enumerated exact law at the same horizon, which must be at least 1:
     at t = 0 both laws are the start state.  Every input is checked before
-    the enumeration.  The simulated white rows are counted in one `Counter`,
-    keyed in order of first appearance, as the exact law's are."""
+    the enumeration.  The simulated white rows are counted in one `Counter`
+    and the exact law's rows read from its arrays, both keyed by tuples."""
     if horizon < 1:
         raise InvalidParamsError(f"oracle check needs horizon >= 1, got {horizon}")
     if runs < 1:
         raise InvalidParamsError(f"oracle check needs runs >= 1, got {runs}")
     check_batch(g, scheme, initial, horizon, range(runs), (), master_seed)
-    exact = brute_force_distribution(g, scheme, initial, horizon)
+    law = exact_law(g, scheme, initial, horizon)
     result = run_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=[horizon],
                           snapshot_times=[horizon])
     counts = collections.Counter(zip(*result.snapshots[horizon].T.tolist()))
 
-    exact_by_w = {tuple(state.white.tolist()): float(p) for state, p in exact}
+    # int / int rounds once, as float(Fraction(weight, denominator)) does
+    exact_by_w = dict(zip(zip(*law.white.T.tolist()),
+                          (p / law.denominator for p in law.weights.tolist())))
     support = set(exact_by_w) | set(counts)
     tv = 0.5 * sum(
         abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support

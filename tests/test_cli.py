@@ -306,9 +306,9 @@ def test_simulate_rerun_from_embedded_config(tmp_path):
     ) == 0
     # extract the embedded config and re-run from it
     cfg_path = tmp_path / "rerun.cfg"
-    from urnnet.fileio import format_config, read_config
+    from urnnet.fileio import read_config
 
-    cfg_path.write_text(format_config(read_config(out1)))
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in read_config(out1).items()))
     out2 = tmp_path / "again.csv"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out2)) == 0
     assert out1.read_bytes().replace(b"traj.csv", b"") == out2.read_bytes().replace(
@@ -346,12 +346,12 @@ def test_simulate_rerun_from_config_with_threads(tmp_path):
         "simulate", "--graph", str(graph), "--polya", "--horizon", "50",
         "--runs", "3", "--seed", "7", "--out", str(out1),
     ) == 0
-    from urnnet.fileio import format_config, read_config
+    from urnnet.fileio import read_config
 
     cfg = read_config(out1)
     assert "threads" not in cfg
     cfg_path = tmp_path / "old.cfg"
-    cfg_path.write_text(format_config({**cfg, "threads": "1"}))
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()) + "threads = 1\n")
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out2)) == 0
     assert out1.read_bytes().replace(b"ens.json", b"") == out2.read_bytes().replace(
         b"again.json", b""
@@ -615,7 +615,7 @@ def test_oracle_unreinforced_exit_3(tmp_path, capsys, argv):
 def test_old_configs_with_default_m_rerun(tmp_path):
     # 0.1.x wrote the old default m = 1 into every config, also beside --polya
     # and into rule-less verify runs
-    from urnnet.fileio import format_config, read_config
+    from urnnet.fileio import read_config
 
     graph = tmp_path / "c2.edges"
     write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
@@ -626,7 +626,7 @@ def test_old_configs_with_default_m_rerun(tmp_path):
     ) == 0
     old = read_config(out1)
     assert "m" not in old
-    cfg.write_text(format_config({**old, "m": "1"}))
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in old.items()) + "m = 1\n")
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out2)) == 0
 
     def normalised(path):
@@ -634,10 +634,8 @@ def test_old_configs_with_default_m_rerun(tmp_path):
         return [l for l in lines if not l.startswith("# version = ")]
 
     assert normalised(out2) == normalised(out1)
-    cfg.write_text(format_config({
-        "command": "verify", "suite": "consensus", "horizon": "100", "runs": "4",
-        "seed": "1", "m": "1", "polya": "false",
-    }))
+    cfg.write_text("command = verify\nsuite = consensus\nhorizon = 100\nruns = 4\nseed = 1\n"
+                   "m = 1\npolya = false\n")
     assert run_cli("verify", "--config", str(cfg)) in (0, 1)
 
 

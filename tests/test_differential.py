@@ -8,9 +8,10 @@ process pool must equal the same ensemble run in one process, bit for bit;
 the packed second-moment sums must give the mean, covariance and var_phi
 of the full-matrix formula, bit for bit, since matmul returns z^T z
 exactly symmetric; the integer-weight enumerator must return the same
-exact law as a plain Fraction enumeration over every draw vector; and the
-one-step conditional mean, on Fractions and on float64, must be that law's
-mean.
+exact law as a plain Fraction enumeration over every draw vector, in int64
+and in Python ints, and its record must hold the rows of its pairs; and
+the one-step conditional mean, on Fractions and on float64, must be that
+law's mean.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -318,6 +320,38 @@ def test_enumeration_equals_fraction_reference(problem, horizon):
     dist = brute_force_distribution(g, scheme, init, horizon)
     assert all(type(p) is Fraction and p > 0 for _, p in dist)
     assert as_rows(dist) == as_rows(reference_distribution(g, scheme, init, horizon))
+
+
+# past 2^63 the enumeration keeps its keys and weights as Python ints
+PYTHON_INT_CASES = {
+    # denominator (2^21 (2^21 + 1))^2
+    "denominator": (generate_graph("cycle_directed", {"n": 2}), ReplacementMatrix(1, 1, 1),
+                    UrnState(np.full(2, 2**20), np.full(2, 2**20))),
+    # radix product (2 * 2^22 + 1)^3
+    "radix": (generate_graph("cycle_directed", {"n": 3}), ReplacementMatrix(2**22, 2**21, 2**22),
+              dynamics.default_initial_state(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PYTHON_INT_CASES))
+def test_python_int_enumeration_equals_reference(case):
+    g, scheme, init = PYTHON_INT_CASES[case]
+    assert montecarlo.exact_law(g, scheme, init, 2).weights.dtype == object
+    dist = brute_force_distribution(g, scheme, init, 2)
+    assert as_rows(dist) == as_rows(reference_distribution(g, scheme, init, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=urn_problems(max_n=4), horizon=st.integers(0, 4))
+def test_exact_law_rebuilds_the_pairs(problem, horizon):
+    # the record's rows, weights and denominator are the pairs, in order
+    g, scheme, init = problem
+    law = montecarlo.exact_law(g, scheme, init, horizon)
+    pairs = brute_force_distribution(g, scheme, init, horizon)
+    assert law.white.dtype == np.int64 and type(law.denominator) is int
+    assert len(law.white) == len(law.weights) == len(pairs)
+    for w, p, (state, prob) in zip(law.white.tolist(), law.weights.tolist(), pairs):
+        assert state.white.tolist() == w and prob == Fraction(p, law.denominator)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,11 +3,10 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from urnnet import fileio
-from urnnet.dynamics import UrnState, default_initial_state, run_trajectory, ReplacementMatrix
+from urnnet.dynamics import default_initial_state, run_trajectory, ReplacementMatrix
 from urnnet.errors import InvalidParamsError
 from urnnet.graph import DirectedGraph, generate_graph
 from urnnet.montecarlo import run_ensemble
@@ -48,18 +47,17 @@ def test_edge_list_malformed(tmp_path):
 
 
 def test_initial_state_round_trip(tmp_path):
-    s = UrnState(np.array([3, 1]), np.array([1, 3]))
     path = tmp_path / "init.json"
-    fileio.write_initial_state(s, path)
+    path.write_text('{"black": [1, 3], "white": [3, 1]}\n')
     back = fileio.read_initial_state(path)
-    assert np.array_equal(back.white, s.white)
-    assert np.array_equal(back.black, s.black)
+    assert back.white.tolist() == [3, 1] and back.black.tolist() == [1, 3]
+    assert back.time == 0
 
 
 def test_config_text_round_trip(tmp_path):
     cfg = {"a": "1", "horizon": "100", "out": "x.csv"}
     path = tmp_path / "run.cfg"
-    path.write_text(fileio.format_config(cfg))
+    path.write_text("a = 1\nhorizon = 100\nout = x.csv\n")
     assert fileio.read_config(path) == cfg
     path.write_text("# comment\n\na = 1\n")
     assert fileio.read_config(path) == {"a": "1"}

@@ -510,7 +510,7 @@ class TestOracleCheck:
         def enumerate_law(*args):
             raise AssertionError("enumerated before checking the inputs")
 
-        monkeypatch.setattr(montecarlo, "brute_force_distribution", enumerate_law)
+        monkeypatch.setattr(montecarlo, "exact_law", enumerate_law)
         with pytest.raises(InvalidParamsError, match=match):
             oracle_check(two_cycle(), POLYA, default_initial_state(2), 2, runs, seed)
 
