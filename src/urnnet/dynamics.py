@@ -388,9 +388,12 @@ def simulate_runs(
     driving `step` with `make_stream(master_seed, run_index)`.  The batch
     builds one generator and re-keys its Philox bit generator for every run
     and random block: key (master_seed, run_index), counter at the run's
-    next unused draw.  Blocks shorter than the horizon hold a multiple of 4
-    steps, so every block starts on a counter boundary (Philox yields 4
-    doubles per counter value) and no draw is skipped or repeated.  Checkpoints
+    next unused draw.  The re-key state is one dict of plain Python ints,
+    built once per batch, so setting it converts no numpy scalar: a re-key
+    and a 4-double fill cost about 1.5-2 us a run (2-vCPU Xeon).  Blocks
+    shorter than the horizon hold a multiple of 4 steps, so every block
+    starts on a counter boundary (Philox yields 4 doubles per counter
+    value) and no draw is skipped or repeated.  Checkpoints
     accumulate sums of Z and of Z^T Z (its upper triangle) across the batch;
     snapshot times store exact white counts per run.  With a reference path
     (shape (horizon+1, n)), the running sup-norm deviation from it is
@@ -474,10 +477,10 @@ def simulate_runs(
 
     gen = make_stream(master_seed, run_indices[0])
     bitgen, random = gen.bit_generator, gen.random
-    rekey = bitgen.state
+    # buffer_pos = 4: an empty buffer, so the next draw starts a new counter
     key, counter = [int(master_seed), 0], [0, 0, 0, 0]
-    rekey["state"] = {"key": key, "counter": counter}
-    rekey["buffer_pos"] = 4  # empty buffer: the next draw starts a new counter
+    rekey = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     per_step = max(1, n_runs * n)
     half = _BLOCK_DOUBLES // 2 // per_step
     prefetch = 4 <= half < horizon
@@ -498,7 +501,7 @@ def simulate_runs(
         for row, r in zip(uniforms[:, : min(block, horizon - starts[k])], run_indices):
             key[1] = r
             bitgen.state = rekey
-            random(out=row)
+            random(None, np.float64, row)
         return uniforms
 
     with contextlib.ExitStack() as stack:

@@ -505,7 +505,7 @@ def oracle_check(
         raise InvalidParamsError(f"oracle check needs runs >= 1, got {runs}")
     check_batch(g, scheme, initial, horizon, range(runs), (), master_seed)
     law = exact_law(g, scheme, initial, horizon)
-    result = run_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=[horizon],
+    result = run_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=(),
                           snapshot_times=[horizon])
     counts = collections.Counter(zip(*result.snapshots[horizon].T.tolist()))
 

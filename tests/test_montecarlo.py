@@ -492,6 +492,21 @@ class TestOracleCheck:
         assert rep.tv_distance < 0.03
         assert rep.support_size == 4
 
+    def test_requests_no_checkpoint(self, monkeypatch):
+        # the check reads only the snapshot rows at the horizon, so its
+        # batches skip the Z^T Z sums of a checkpoint
+        calls, real = [], montecarlo.run_ensemble
+
+        def spy(*args, **kw):
+            calls.append(kw)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", spy)
+        rep = oracle_check(two_cycle(), POLYA, default_initial_state(2), 2, 3000, 5)
+        assert [tuple(kw["checkpoints"]) for kw in calls] == [()]
+        assert [list(kw["snapshot_times"]) for kw in calls] == [[2]]
+        assert rep.passed and rep.support_size == 9
+
     def test_size_guard_propagates(self):
         with pytest.raises(EnumerationTooLargeError):
             oracle_check(two_cycle(), POLYA, default_initial_state(2), 30, 100, 1)
