@@ -6,6 +6,8 @@ spectrum, the Lyapunov-type solve and the log-averaged Gram integral of the
 critical fluctuation regime all read, and guarded inversion.  Each takes a
 matrix or its form, so a caller holding a form factors nothing again, and
 symmetric inputs (one shared test) take the symmetric eigensolver.
+`schur_form` remembers the last matrix it factored, its bytes and read-only
+form (about 1 MB at n = 200), so rules that share a graph's W factor it once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ DIAGONALIZABILITY_COND_MAX = CRITICAL_LINE_TOL / np.finfo(float).eps
 INVERSION_COND_MAX = 1e13
 
 
-def _is_symmetric(m: np.ndarray) -> bool:
+def is_symmetric(m: np.ndarray) -> bool:
     """The one symmetry test: symmetric inputs take the symmetric solvers."""
     return np.allclose(m, m.T, rtol=0.0, atol=1e-13)
 
@@ -86,20 +88,35 @@ class SchurForm:
         return SchurForm(r, self.u, self.symmetric)
 
 
+#: the (shape, bytes) key and form of the last matrix factored, set in place
+_last_form: list = [None]
+
+
 def schur_form(m: np.ndarray) -> SchurForm:
     """One real Schur factorisation of m^T: eigh's for a matrix that passes
-    the symmetry test, scipy's schur for every other, defective or not."""
+    the symmetry test, scipy's schur for every other, defective or not.
+    The last matrix's bytes (-0.0 is not 0.0) and form, r and u read-only,
+    are held: about 1 MB at n = 200.  The same bytes again return that form,
+    the one a fresh factorisation gives."""
     m = square_matrix(m)
+    key = (m.shape, m.tobytes())
+    held = _last_form[0]
+    if held is not None and held[0] == key:
+        return held[1]
     try:
-        if _is_symmetric(m):
+        if is_symmetric(m):
             lam, u = np.linalg.eigh(m)
-            return SchurForm(np.diag(lam), u, symmetric=True)
-        # scipy.linalg takes longer to import than the whole package
-        from scipy.linalg import schur
+            form = SchurForm(np.diag(lam), u, symmetric=True)
+        else:
+            # scipy.linalg takes longer to import than the whole package
+            from scipy.linalg import schur
 
-        return SchurForm(*schur(m.T, output="real"), symmetric=False)
+            form = SchurForm(*schur(m.T, output="real"), symmetric=False)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
+    form.r.flags.writeable = form.u.flags.writeable = False
+    _last_form[0] = (key, form)
+    return form
 
 
 def lyapunov_solve(a: np.ndarray | SchurForm, q: np.ndarray) -> np.ndarray:

@@ -192,16 +192,16 @@ class RateClass:
 @blas_threads(1)
 def polya_rate_class(a_tilde: np.ndarray) -> RateClass:
     """Rate class of a symmetric, doubly stochastic A~ from its one Schur form,
-    eigh's: lambda2 is its second real eigenvalue, after the Perron value 1."""
-    form = spectral.schur_form(a_tilde)
-    if not form.symmetric:
+    eigh's, factored after every refusal: lambda2 is its second real eigenvalue."""
+    a_tilde = spectral.square_matrix(a_tilde)
+    if not spectral.is_symmetric(a_tilde):
         raise NotRegularError("weighted adjacency is not symmetric")
     # symmetric, so its row sums are its column sums
     if not np.allclose(np.sum(a_tilde, axis=0), 1.0, atol=1e-9):
         raise NotRegularError("weighted adjacency is not doubly stochastic")
     if len(a_tilde) < 2:
         raise NotRegularError("rate class needs at least two vertices")
-    lam2 = float(spectral.eigenvalues(form)[1].real)
+    lam2 = float(spectral.eigenvalues(a_tilde)[1].real)
     if abs(lam2 - 0.5) <= spectral.CRITICAL_LINE_TOL:
         return RateClass(kind=RATE_LOGT_OVER_T, exponent=-1.0, lambda2=lam2)
     if lam2 < 0.5:

@@ -1,5 +1,9 @@
 """Spectra, Lyapunov solves, inversion, and the log-averaged Gram limit."""
 
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnnet import spectral, theory
-from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, normalised_rule
+from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, blas_threads, normalised_rule
 from urnnet.errors import (
     InvalidParamsError,
     NonDiagonalizableError,
@@ -278,8 +282,10 @@ def test_lyapunov_singular_pair_detected():
 
 def _factorisations(monkeypatch):
     """Record, as (name, shape) in call order, the spectral factorisations
-    numpy and scipy run from here on; the eigenvalue-only routines raise."""
+    numpy and scipy run from here on, starting from an empty `schur_form`
+    memo; the eigenvalue-only routines raise."""
     calls = []
+    monkeypatch.setattr(spectral, "_last_form", [None])
 
     def counted(module, name):
         f = getattr(module, name)
@@ -310,6 +316,74 @@ def test_lyapunov_factors_once(monkeypatch, case, factor):
     calls = _factorisations(monkeypatch)
     spectral.lyapunov_solve(a, q)
     assert calls == [(factor, a.shape)]
+
+
+@pytest.mark.parametrize("case,factor", [("reg64", "eigh"), ("er40", "schur")])
+def test_schur_form_memo_keys_on_every_byte(monkeypatch, case, factor):
+    # the same bytes hit the memo; an edit in place, or a 0.0 turned -0.0, misses
+    a = LYAPUNOV_CASES[case]()[0].copy()
+    calls = _factorisations(monkeypatch)
+    form = spectral.schur_form(a)
+    assert spectral.schur_form(a.copy()) is form
+    a[tuple(np.argwhere(a == 0.0)[0])] = -0.0
+    assert spectral.schur_form(a) is not form
+    a[0, 0] += 1e-3
+    spectral.schur_form(a)
+    assert calls == [(factor, a.shape)] * 3
+
+
+@pytest.mark.parametrize("case", ["reg64", "er40"])
+def test_schur_form_holds_read_only_arrays(case):
+    form = spectral.schur_form(LYAPUNOV_CASES[case]()[0])
+    for held in (form.r, form.u):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("d_regular_random", {"n": 200, "d": 4}), ("erdos_renyi_min_indegree", {"n": 200, "p": 0.02})],
+)
+def test_schur_form_same_bits_in_any_blas_scope(monkeypatch, family, params):
+    # a hit hands out a form factored in an earlier caller's BLAS scope
+    a = generate_graph(family, params, seed=5).weighted_adjacency()
+    forms = []
+    for scope in (contextlib.nullcontext(), blas_threads(1)):
+        monkeypatch.setattr(spectral, "_last_form", [None])
+        with scope:
+            forms.append(spectral.schur_form(a))
+    outside, inside = forms
+    assert outside.r.tobytes() == inside.r.tobytes()
+    assert outside.u.tobytes() == inside.u.tobytes()
+
+
+def test_schur_form_memo_under_threads(monkeypatch):
+    # one thread's hit must never hand out the form another thread stored
+    # for a different matrix
+    mats = [LYAPUNOV_CASES[case]()[0] for case in ("sym5", "5", "9", "near_sym5")]
+    expected = []
+    for m in mats:
+        monkeypatch.setattr(spectral, "_last_form", [None])
+        expected.append(spectral.schur_form(m).u.tobytes())
+    wrong = []
+
+    def hammer(i):
+        for k in range(200):
+            j = (i + k // 2) % len(mats)  # hits as well as misses
+            if spectral.schur_form(mats[j]).u.tobytes() != expected[j]:
+                wrong.append(j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 @pytest.mark.parametrize("scale,info", [(0.5, 0), (1.0, 1)])

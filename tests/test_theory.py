@@ -564,6 +564,33 @@ class TestPredict:
             expected.append(("eig", (k, k)))
         assert calls == expected
 
+    @pytest.mark.parametrize("ab", [0.25, 0.75, 1.0])  # sqrt(t), critical, Polya
+    @pytest.mark.parametrize(
+        "family,params",
+        [("d_regular_random", {"n": 64, "d": 4}), ("erdos_renyi_min_indegree", {"n": 64, "p": 1 / 16})],
+    )
+    def test_warm_prediction_factors_no_n_by_n(self, monkeypatch, family, params, ab):
+        # every common rule reads W's form, so after any rule on the same
+        # graph the memo holds it, and a hit changes no bit of the report
+        g = generate_graph(family, params, seed=3)
+        calls = _factorisations(monkeypatch)
+        cold = theory.predict(g, ab, ab)
+        cold_calls = list(calls)
+        # a cold prediction factors W, unless a Polya rule refused the directed graph
+        assert cold.notes or cold_calls[0][1] == (g.n, g.n)
+        theory.predict(g, 0.25, 0.25)
+        calls.clear()
+        warm = theory.predict(g, ab, ab)
+        assert calls == [call for call in cold_calls if call[1] != (g.n, g.n)]
+        assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+
+    def test_polya_refuses_a_directed_graph_before_factoring(self, monkeypatch):
+        calls = _factorisations(monkeypatch)
+        rep = theory.predict(generate_graph("cycle_directed", {"n": 5}), 1.0, 1.0)
+        assert calls == []
+        assert rep.rate_class is None
+        assert rep.notes == ("variance decay class unavailable: weighted adjacency is not symmetric",)
+
     def test_per_vertex_critical_factors_once(self, monkeypatch):
         # B = diag(k) J / 4 on K4 has the one nonzero eigenvalue sum(k) / 4 =
         # 1/2, so rho = 1/2 comes from B's Schur form, which the Gram reuses
