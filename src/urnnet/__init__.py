@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.21"
+__version__ = "0.1.22"
 
 from .dynamics import (
     HeterogeneousScheme,

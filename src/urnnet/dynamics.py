@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -199,9 +200,9 @@ def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
 
 
 @functools.cache
-def _numpy_openblas() -> tuple:
-    """(get, set) thread counts of the OpenBLAS numpy maps, found once in
-    /proc/self/maps, in numpy's tree (numpy.libs) first: never a scipy
+def _openblas(package: str) -> tuple:
+    """(get, set) thread counts of the OpenBLAS `package` (numpy or scipy) maps, found
+    once in /proc/self/maps, in its own tree (numpy.libs) first: never the other
     wheel's copy.  Without it, or with another BLAS, they read 1, set nothing."""
     import ctypes
     import os
@@ -211,7 +212,7 @@ def _numpy_openblas() -> tuple:
             paths = {line.split()[-1] for line in fh if "openblas" in line}
     except OSError:
         paths = set()
-    root = os.path.dirname(np.__file__)  # a prefix of .../numpy.libs too
+    root = os.path.dirname(sys.modules[package].__file__)  # a prefix of its .libs too
     names = [
         (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
         for prefix in ("scipy_openblas", "openblas")
@@ -228,30 +229,33 @@ def _numpy_openblas() -> tuple:
     return (lambda: 1), (lambda threads: None)
 
 
-def set_blas_threads(threads: int) -> int:
-    """Cap numpy's OpenBLAS at `threads` threads (at least one, raising no
-    count) and return its old count.  Pool workers start with it, so their
-    BLAS threads do not contend for cores (2,048 runs x 250 steps, n = 200,
-    2 vCPUs: 5.6-7.4 s uncapped on two workers, 2.5-3.1 s capped)."""
-    get, put = _numpy_openblas()
-    before = get()
-    put(max(1, min(before, threads)))
-    return before
+def set_blas_threads(threads: int) -> list:
+    """Cap numpy's OpenBLAS, and scipy's once its LAPACK is loaded (never
+    importing it), at `threads` (at least one, raising no count); return
+    [(set, old count)].  Pool workers start with it, so their BLAS threads do
+    not contend for cores (2,048 runs x 250 steps, n = 200, 2 vCPUs: 5.6-7.4 s
+    uncapped on two workers, 2.5-3.1 s capped)."""
+    loaded = ("numpy", "scipy") if "scipy.linalg._flapack" in sys.modules else ("numpy",)
+    capped = [(put, get()) for get, put in map(_openblas, loaded)]
+    for put, before in capped:
+        put(max(1, min(before, threads)))
+    return capped
 
 
 @contextlib.contextmanager
 def blas_threads(threads: int):
-    """`set_blas_threads` for one scope, or a decorator; restores the count
-    on every exit, so nested scopes restore in order.  The prefetch holds
-    one thread fewer, leaving the fill thread a core.  The theory solves
-    hold one: idle OpenBLAS threads spin about 0.13 s after a call, so on
-    2 cores a 2-thread numpy call after a scipy one oversubscribes them.
-    scipy's OpenBLAS is never touched, and scipy never imported."""
-    before = set_blas_threads(threads)
+    """`set_blas_threads` for one scope, or a decorator; restores what it
+    capped on every exit, so nested scopes restore in order.  The prefetch
+    holds one thread fewer, leaving the fill thread a core.  The theory solves
+    and every scipy LAPACK call in `spectral` hold one: idle OpenBLAS threads
+    spin about 0.13 s after a call, which oversubscribes 2 cores, and scipy's
+    n = 200 Schur form rounds differently on 1 and 2 threads."""
+    capped = set_blas_threads(threads)
     try:
         yield
     finally:
-        _numpy_openblas()[1](before)
+        for put, before in reversed(capped):
+            put(before)
 
 
 def check_state(g: DirectedGraph, state: UrnState) -> None:
@@ -509,7 +513,7 @@ def simulate_runs(
             from concurrent.futures import ThreadPoolExecutor
 
             # exits in reverse: the helper is joined, then BLAS restored
-            stack.enter_context(blas_threads(_numpy_openblas()[0]() - 1))
+            stack.enter_context(blas_threads(_openblas("numpy")[0]() - 1))
             helper = stack.enter_context(ThreadPoolExecutor(1))
             ahead = helper.submit(fill, 0)
         t = 0

@@ -3,11 +3,13 @@
 Everything here operates on small dense matrices (target scale n <= 200):
 reusable real Schur forms of real matrices, the one factorisation that the
 spectrum, the Lyapunov-type solve and the log-averaged Gram integral of the
-critical fluctuation regime all read, and guarded inversion.  Each takes a
+critical fluctuation regime all read, and guarded solves.  Each takes a
 matrix or its form, so a caller holding a form factors nothing again, and
 symmetric inputs (one shared test) take the symmetric eigensolver.
 `schur_form` remembers the last matrix it factored, its bytes and read-only
 form (about 1 MB at n = 200), so rules that share a graph's W factor it once.
+Every scipy LAPACK call holds both OpenBLAS libraries at one thread
+(`dynamics.blas_threads(1)`), so no caller's thread count changes its bits.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import blas_threads
 from .errors import (
     EigenConvergenceError,
     InvalidParamsError,
@@ -37,8 +40,11 @@ CRITICAL_CLUSTER_RADIUS = 1e-3
 #: Bauer-Fike leaves its real parts uncertain by more than CRITICAL_LINE_TOL
 DIAGONALIZABILITY_COND_MAX = CRITICAL_LINE_TOL / np.finfo(float).eps
 
-#: inversion is refused above this condition estimate
+#: a guarded solve is refused above this condition estimate
 INVERSION_COND_MAX = 1e13
+
+#: blocks up to this order are one trsyl call: LAPACK's NB (16-64 run alike at n = 200)
+TRSYL_BLOCK = 32
 
 
 def is_symmetric(m: np.ndarray) -> bool:
@@ -108,15 +114,41 @@ def schur_form(m: np.ndarray) -> SchurForm:
             lam, u = np.linalg.eigh(m)
             form = SchurForm(np.diag(lam), u, symmetric=True)
         else:
-            # scipy.linalg takes longer to import than the whole package
+            # slower to import than the whole package; imported first so the cap holds its BLAS
             from scipy.linalg import schur
 
-            form = SchurForm(*schur(m.T, output="real"), symmetric=False)
+            with blas_threads(1):
+                form = SchurForm(*schur(m.T, output="real"), symmetric=False)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     form.r.flags.writeable = form.u.flags.writeable = False
     _last_form[0] = (key, form)
     return form
+
+
+def _trsyl(a: np.ndarray, b: np.ndarray, c: np.ndarray, **kwargs) -> np.ndarray:
+    """X with A X + isgn X op(B) = C by LAPACK's trsyl, which returns scale * X
+    (scaled against overflow), refused when it perturbed cancelling eigenvalues."""
+    from scipy.linalg.lapack import dtrsyl
+
+    x, scale, info = dtrsyl(a, b, c, **kwargs)
+    if info != 0:
+        raise SingularSylvesterError(f"trsyl perturbed nearly cancelling eigenvalues (info {info})")
+    return x / scale
+
+
+def _triangular_lyapunov(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X with R X + X R^T = C (symmetric) by halving quasi-triangular R outside its 2x2
+    blocks (Jonsson and Kagstrom's recursive blocking): X22, X12 by one trsyl, X11."""
+    n = len(r)
+    if n <= TRSYL_BLOCK:
+        return _trsyl(r, r, c, tranb="T")
+    p = n // 2 + int(r[n // 2, n // 2 - 1] != 0)
+    r11, r12, r22 = r[:p, :p], r[:p, p:], r[p:, p:]
+    x22 = _triangular_lyapunov(r22, c[p:, p:])
+    x12 = _trsyl(r11, r22, c[:p, p:] - r12 @ x22, tranb="T")
+    x11 = _triangular_lyapunov(r11, c[:p, :p] - r12 @ x12.T - x12 @ r12.T)
+    return np.block([[x11, x12], [x12.T, x22]])
 
 
 def lyapunov_solve(a: np.ndarray | SchurForm, q: np.ndarray) -> np.ndarray:
@@ -125,8 +157,8 @@ def lyapunov_solve(a: np.ndarray | SchurForm, q: np.ndarray) -> np.ndarray:
     Solvable iff no two eigenvalues of A sum to zero (always true when all
     real parts are positive).  Bartels-Stewart, O(n^3): with A^T = U R U^T,
     X = U^T S U solves R X + X R^T = U^T Q U, elementwise X_ij = C_ij /
-    (mu_i + mu_j) when R is diagonal (symmetric A), else by LAPACK's trsyl;
-    then S = U X U^T.
+    (mu_i + mu_j) when R is diagonal (symmetric A), else by halving R down
+    to blocks of `TRSYL_BLOCK`, each one LAPACK trsyl call; then S = U X U^T.
     """
     form = a if isinstance(a, SchurForm) else schur_form(a)
     q = np.asarray(q, dtype=float)
@@ -140,30 +172,33 @@ def lyapunov_solve(a: np.ndarray | SchurForm, q: np.ndarray) -> np.ndarray:
             f"eigenvalue pair sums reach {smallest:.3e}; equation is singular"
         )
 
-    c = form.u.T @ q @ form.u
-    if form.symmetric:
-        x = c / pair_sums.real
-    else:
-        from scipy.linalg.lapack import dtrsyl
-
-        # trsyl solves R X + X R^T = scale * C, scaling down to avoid overflow
-        x, scale, info = dtrsyl(form.r, form.r, c, tranb="T")
-        if info != 0:
-            raise SingularSylvesterError(
-                f"trsyl perturbed nearly cancelling eigenvalues (info {info})"
-            )
-        x /= scale
-    s = form.u @ x @ form.u.T
+    with blas_threads(1):  # a non-symmetric form is scipy's: its LAPACK is loaded
+        c = form.u.T @ q @ form.u
+        x = c / pair_sums.real if form.symmetric else _triangular_lyapunov(form.r, c)
+        s = form.u @ x @ form.u.T
     return 0.5 * (s + s.T)
 
 
-def invert(m: np.ndarray) -> np.ndarray:
-    """Inverse with a condition-number guard."""
+def guarded_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with m x = b on one LU of m (LAPACK getrf, getrs), refused above
+    INVERSION_COND_MAX of its 1-norm condition estimate (gecon; inf at a zero pivot)."""
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+
     m = square_matrix(m)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > INVERSION_COND_MAX:
-        raise SingularMatrixError(cond)
-    return np.linalg.solve(m, np.eye(len(m)))
+    if not m.size:  # LAPACK refuses order 0
+        return np.asarray(b, dtype=float)
+    with blas_threads(1):
+        lu, piv, info = dgetrf(m)
+        rcond = 0.0 if info else dgecon(lu, np.linalg.norm(m, 1))[0]
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
+        if cond > INVERSION_COND_MAX:
+            raise SingularMatrixError(cond)
+        return dgetrs(lu, piv, b)[0]
+
+
+def invert(m: np.ndarray) -> np.ndarray:
+    """Inverse by `guarded_solve`."""
+    return guarded_solve(m, np.eye(len(m)))
 
 
 def _cluster_to_top(form: SchurForm, cluster: np.ndarray) -> tuple:
@@ -172,15 +207,14 @@ def _cluster_to_top(form: SchurForm, cluster: np.ndarray) -> tuple:
     if form.symmetric:  # R is diagonal: a permutation, and Y = 0
         u1 = form.u[:, cluster]
         return form.r[np.ix_(cluster, cluster)], u1, u1.T
-    from scipy.linalg.lapack import dtrsen, dtrsyl
+    from scipy.linalg.lapack import dtrsen
 
-    r, u, *_, k, _, _, info = dtrsen(cluster, form.r, form.u, job="N")
-    y, scale = np.zeros((k, len(r) - k)), 1.0
-    if info == 0 and k < len(r):  # trsyl returns scale * Y, scaled against overflow
-        y, scale, info = dtrsyl(r[:k, :k], r[k:, k:], -r[:k, k:], isgn=-1)
-    if info != 0:
-        raise SingularSylvesterError(f"critical modes not separable (trsen/trsyl info {info})")
-    return r[:k, :k], u[:, :k], u[:, :k].T - (y / scale) @ u[:, k:].T
+    with blas_threads(1):
+        r, u, *_, k, _, _, info = dtrsen(cluster, form.r, form.u, job="N")
+        if info != 0:
+            raise SingularSylvesterError(f"critical modes not separable (trsen info {info})")
+        y = _trsyl(r[:k, :k], r[k:, k:], -r[:k, k:], isgn=-1) if k < len(r) else np.zeros((k, 0))
+    return r[:k, :k], u[:, :k], u[:, :k].T - y @ u[:, k:].T
 
 
 def log_averaged_gram(h: np.ndarray | SchurForm, gamma: np.ndarray) -> np.ndarray:

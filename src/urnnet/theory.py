@@ -14,9 +14,9 @@ c = (1 - beta) / (2 - alpha - beta) unless H is singular: at the identity
 rule alpha = beta = 1, and at a = b = 0 where A~ has the eigenvalue -1 (a
 bipartite graph).  The limit is random there, and every solve refuses.
 
-`fluctuations`, `polya_rate_class` and `heterogeneous_limit` run under
-`dynamics.blas_threads(1)`: numpy's OpenBLAS on one thread, faster at
-n <= 200 than two threads racing scipy's own pool on 2 cores.
+`fluctuations`, `polya_rate_class` and `heterogeneous_limit` (which loads
+scipy's LAPACK on its first call) hold numpy's and scipy's OpenBLAS at one
+thread (`dynamics.blas_threads(1)`), faster at n <= 200 on 2 cores.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import spectral
 from .dynamics import blas_threads, normalised_rule
-from .errors import InvalidParamsError, NotRegularError, SingularLimitSystemError
+from .errors import InvalidParamsError, NotRegularError, SingularLimitSystemError, SingularMatrixError
 from .graph import DirectedGraph
 
 REGIME_POLYA = "polya"
@@ -86,10 +86,10 @@ def _solve_limit(b: np.ndarray, q: np.ndarray, z: np.ndarray, free: np.ndarray) 
     """z with its `free` entries set to the fixed point of z = z B + q."""
     idx, held = np.flatnonzero(free), np.flatnonzero(~free)
     system = np.eye(idx.size) - b[np.ix_(idx, idx)]
-    cond = np.linalg.cond(system) if idx.size else 1.0
-    if not np.isfinite(cond) or cond > spectral.INVERSION_COND_MAX:
-        raise SingularLimitSystemError(f"limit system is singular (condition estimate {cond:.3e})")
-    z[idx] = np.linalg.solve(system.T, q[idx] + z[held] @ b[np.ix_(held, idx)])
+    try:
+        z[idx] = spectral.guarded_solve(system.T, q[idx] + z[held] @ b[np.ix_(held, idx)])
+    except SingularMatrixError as exc:
+        raise SingularLimitSystemError(f"the limit system's {exc}") from exc
     return z
 
 

@@ -1,9 +1,11 @@
 """Exact state machine behaviour, stream determinism, and the batch engine."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack  # noqa: F401  loaded, so the BLAS cap holds scipy's OpenBLAS too
 from fractions import Fraction
 
 from urnnet import dynamics
@@ -389,7 +391,8 @@ def test_empty_batch_records_every_requested_time():
 
 
 def _blas_counts():
-    return [dynamics._numpy_openblas()[0]()]
+    """Thread counts of numpy's and scipy's OpenBLAS, as the cap finds them."""
+    return [dynamics._openblas(package)[0]() for package in ("numpy", "scipy")]
 
 
 class _WatchedStream:
@@ -442,8 +445,9 @@ def test_prefetch_thread_and_blas_cap(monkeypatch, blocks):
     if blocks == 1:
         assert stream.draws == [(True, before)] * len(stream.draws)
     else:
-        # every block is drawn on the helper, under a BLAS of one thread fewer
-        capped = [max(1, count - 1) for count in before]
+        # every block is drawn on the helper, both BLAS at one thread fewer
+        # than numpy's
+        capped = [max(1, min(count, before[0] - 1)) for count in before]
         assert stream.draws == [(False, capped)] * len(stream.draws)
     for i, r in enumerate(case["runs"]):
         rng, state = make_stream(5, r), init
@@ -485,66 +489,86 @@ def test_prefetch_joins_helper_and_restores_blas_on_error(monkeypatch, where):
 
 
 class _FakeBlas:
-    """An OpenBLAS stand-in: a thread count behind a (get, put) pair."""
+    """Stand-ins for numpy's and scipy's OpenBLAS: a thread count each,
+    behind the (get, put) pair that `dynamics._openblas` finds."""
 
-    def __init__(self, count):
-        self.count = count
+    def __init__(self, numpy_count, scipy_count):
+        self.counts = [numpy_count, scipy_count]
 
-    def get(self):
-        return self.count
-
-    def put(self, count):
-        self.count = count
+    def find(self, package):
+        i = ("numpy", "scipy").index(package)
+        return (lambda: self.counts[i]), (lambda count: self.counts.__setitem__(i, count))
 
 
-def _fake_blas(monkeypatch, count):
-    """Put a stand-in with `count` threads in the place of numpy's OpenBLAS."""
-    lib = _FakeBlas(count)
-    monkeypatch.setattr(dynamics, "_numpy_openblas", lambda: (lib.get, lib.put))
+def _fake_blas(monkeypatch, count, scipy_count=None):
+    """Put stand-ins with `count` threads (scipy's: `scipy_count`, default
+    `count`) in the place of both libraries; scipy's LAPACK is loaded here,
+    so the cap holds both."""
+    lib = _FakeBlas(count, count if scipy_count is None else scipy_count)
+    monkeypatch.setattr(dynamics, "_openblas", lib.find)
     return lib
 
 
 def test_blas_cap_spares_one_thread_and_restores(monkeypatch):
     # the engine's prefetch cap: one thread fewer than the caller's, at least one
-    for count, capped in ((1, 1), (3, 2)):
-        lib = _fake_blas(monkeypatch, count)
-        with dynamics.blas_threads(count - 1):
-            assert lib.count == capped
-        assert lib.count == count
+    for counts, capped in (((1, 3), [1, 1]), ((3, 3), [2, 2]), ((3, 1), [2, 1])):
+        lib = _fake_blas(monkeypatch, *counts)
+        with dynamics.blas_threads(counts[0] - 1):
+            assert lib.counts == capped
+        assert lib.counts == list(counts)
 
 
 def test_worker_blas_cap_never_raises_a_count(monkeypatch):
     for count, capped in ((1, 1), (2, 2), (3, 2), (8, 2)):
-        lib = _fake_blas(monkeypatch, count)
-        assert dynamics.set_blas_threads(2) == count
-        assert lib.count == capped
+        lib = _fake_blas(monkeypatch, count, 5)
+        restore = dynamics.set_blas_threads(2)
+        assert [before for _, before in restore] == [count, 5]
+        assert lib.counts == [capped, 2]
 
 
 def test_blas_scopes_nest_and_restore_on_error(monkeypatch):
-    lib = _fake_blas(monkeypatch, 4)
+    lib = _fake_blas(monkeypatch, 4, 6)
 
     @dynamics.blas_threads(1)
     def inner():
-        assert lib.count == 1
+        assert lib.counts == [1, 1]
         raise KeyboardInterrupt
 
     with dynamics.blas_threads(3):
-        assert lib.count == 3
+        assert lib.counts == [3, 3]
         with dynamics.blas_threads(8):  # never raises a count
-            assert lib.count == 3
+            assert lib.counts == [3, 3]
         with pytest.raises(KeyboardInterrupt):
             inner()
-        assert lib.count == 3
-    assert lib.count == 4
+        assert lib.counts == [3, 3]
+    assert lib.counts == [4, 6]
 
 
-def test_numpy_openblas_is_found_once():
-    # a scan of /proc/self/maps costs about 300 us; a scope must not repeat it
-    dynamics._numpy_openblas()
-    scans = dynamics._numpy_openblas.cache_info().misses
+def test_blas_cap_holds_scipy_only_once_its_lapack_is_loaded(monkeypatch):
+    # a scope opened before scipy's LAPACK loads caps numpy's OpenBLAS alone
+    # and restores only what it capped; a scope opened after caps both
+    lib = _fake_blas(monkeypatch, 4, 2)
+    flapack = sys.modules["scipy.linalg._flapack"]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")  # put back after the test
     with dynamics.blas_threads(1):
-        pass
-    assert dynamics._numpy_openblas.cache_info().misses == scans
+        assert lib.counts == [1, 2]
+        sys.modules["scipy.linalg._flapack"] = flapack  # loaded inside the scope
+        with dynamics.blas_threads(1):
+            assert lib.counts == [1, 1]
+        assert lib.counts == [1, 2]
+        lib.counts[1] = 3  # a change the scope did not make survives it
+    assert lib.counts == [4, 3]
+
+
+def test_each_openblas_is_found_once():
+    # a scan of /proc/self/maps costs about 300 us; a scope must not repeat it
+    for package in ("numpy", "scipy"):
+        dynamics._openblas(package)
+    scans = dynamics._openblas.cache_info().misses
+    with dynamics.blas_threads(1):
+        with dynamics.blas_threads(1):
+            pass
+    assert dynamics._openblas.cache_info().misses == scans
 
 
 def test_make_stream_validation():

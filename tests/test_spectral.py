@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnnet import spectral, theory
+from urnnet import dynamics, spectral, theory
 from urnnet.dynamics import HeterogeneousScheme, ReplacementMatrix, blas_threads, normalised_rule
 from urnnet.errors import (
     InvalidParamsError,
@@ -345,16 +345,24 @@ def test_schur_form_holds_read_only_arrays(case):
     [("d_regular_random", {"n": 200, "d": 4}), ("erdos_renyi_min_indegree", {"n": 200, "p": 0.02})],
 )
 def test_schur_form_same_bits_in_any_blas_scope(monkeypatch, family, params):
-    # a hit hands out a form factored in an earlier caller's BLAS scope
+    # a hit hands out a form factored in an earlier caller's BLAS scope; at
+    # n = 200 scipy's Schur rounds differently on 1 and 2 threads (er200 at
+    # seed 5), so neither library's count in the caller may reach it
     a = generate_graph(family, params, seed=5).weighted_adjacency()
-    forms = []
-    for scope in (contextlib.nullcontext(), blas_threads(1)):
-        monkeypatch.setattr(spectral, "_last_form", [None])
-        with scope:
-            forms.append(spectral.schur_form(a))
-    outside, inside = forms
-    assert outside.r.tobytes() == inside.r.tobytes()
-    assert outside.u.tobytes() == inside.u.tobytes()
+    get, put = dynamics._openblas("scipy")
+    before, forms = get(), []
+    try:
+        for scipy_threads in (2, 1):
+            put(scipy_threads)  # a caller's own count, which no scope raises
+            for scope in (contextlib.nullcontext(), blas_threads(1)):
+                monkeypatch.setattr(spectral, "_last_form", [None])
+                with scope:
+                    forms.append(spectral.schur_form(a))
+    finally:
+        put(before)
+    for form in forms[1:]:
+        assert form.r.tobytes() == forms[0].r.tobytes()
+        assert form.u.tobytes() == forms[0].u.tobytes()
 
 
 def test_schur_form_memo_under_threads(monkeypatch):
@@ -388,22 +396,77 @@ def test_schur_form_memo_under_threads(monkeypatch):
 
 @pytest.mark.parametrize("scale,info", [(0.5, 0), (1.0, 1)])
 def test_lyapunov_honours_trsyl_scale_and_info(monkeypatch, scale, info):
-    # trsyl returns X with R X + X R^T = scale * C, and info 1 when it had to
-    # perturb nearly cancelling eigenvalues
-    a, q = LYAPUNOV_CASES["9"]()
+    # trsyl returns X with A X + X B^T = scale * C, and info 1 when it had to
+    # perturb nearly cancelling eigenvalues; at n = 200 the blocked solve
+    # calls it at every split and leaf, and each call's scale and info count
     dtrsyl = scipy.linalg.lapack.dtrsyl
+    for case in ("9", "200"):
+        a, q = LYAPUNOV_CASES[case]()
+        calls, fail_at = [], [None]
 
-    def scaled(*args, **kwargs):
-        x, _, _ = dtrsyl(*args, **kwargs)
-        return scale * x, scale, info
+        def scaled(*args, **kwargs):
+            x, _, _ = dtrsyl(*args, **kwargs)
+            call_scale = scale ** (len(calls) % 3)  # each call its own scale
+            calls.append(call_scale)
+            return call_scale * x, call_scale, info * (len(calls) - 1 == fail_at[0])
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", scaled)
-    if info:
-        with pytest.raises(SingularSylvesterError):
-            spectral.lyapunov_solve(a, q)
-    else:
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", scaled)
         oracle = scipy.linalg.solve_sylvester(a.T, a, q)
         assert np.allclose(spectral.lyapunov_solve(a, q), oracle, atol=1e-9)
+        assert (len(calls) > 1) == (case == "200")
+        for fail_at[0] in range(len(calls) if info else 0):
+            calls.clear()
+            with pytest.raises(SingularSylvesterError):
+                spectral.lyapunov_solve(a, q)
+
+
+def _quasi_triangular(n, seed):
+    """A random quasi-triangular R, eigenvalue real parts in [1/2, 2], with a
+    standardised 2x2 block (a complex pair) across the midpoint of every
+    block that the blocked Lyapunov solve halves, and at its top left when
+    it halves none."""
+    rng = np.random.default_rng(seed)
+    r = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    np.fill_diagonal(r, rng.uniform(0.5, 2.0, n))
+    starts = []
+
+    def halve(lo, hi):
+        if hi - lo > spectral.TRSYL_BLOCK:
+            p = lo + (hi - lo) // 2
+            starts.append(p - 1)
+            halve(lo, p + 1)
+            halve(p + 1, hi)
+
+    halve(0, n)
+    for i in starts or range(min(n - 1, 1)):
+        r[i + 1, i + 1] = r[i, i]
+        r[i, i + 1], r[i + 1, i] = rng.uniform(0.2, 1.0), -rng.uniform(0.2, 1.0)
+    return r
+
+
+_LEAF = spectral.TRSYL_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 200])
+def test_blocked_lyapunov_matches_unblocked_trsyl(n):
+    r = _quasi_triangular(n, seed=n)
+    c = np.random.default_rng(n + 1).standard_normal((n, n))
+    c = c + c.T
+    x, scale, info = scipy.linalg.lapack.dtrsyl(r, r, c, tranb="T")
+    assert info == 0
+    blocked = spectral._triangular_lyapunov(r, c)
+    assert np.linalg.norm(blocked - x / scale) <= 1e-13 * np.linalg.norm(x / scale)
+
+
+def test_blocked_lyapunov_on_the_defective_path():
+    # H - I/2 of the path with loops is one 64-fold Jordan block plus one mode
+    a, q = LYAPUNOV_CASES["path65"]()
+    form = spectral.schur_form(a)
+    x, scale, _ = scipy.linalg.lapack.dtrsyl(form.r, form.r, form.u.T @ q @ form.u, tranb="T")
+    unblocked = form.u @ (x / scale) @ form.u.T
+    unblocked = 0.5 * (unblocked + unblocked.T)
+    s = spectral.lyapunov_solve(form, q)
+    assert np.linalg.norm(s - unblocked) <= 1e-13 * np.linalg.norm(unblocked)
 
 
 def test_invert_basics():
@@ -431,6 +494,20 @@ def test_invert_singular_raises_with_condition():
     assert exc.value.condition > spectral.INVERSION_COND_MAX or not np.isfinite(
         exc.value.condition
     )
+
+
+def test_guarded_solve_refuses_on_its_lu_condition_estimate():
+    # gecon's 1-norm estimate from the one LU, against INVERSION_COND_MAX = 1e13
+    b = np.array([1.0, 1.0])
+    assert np.array_equal(spectral.guarded_solve(np.diag([1.0, 1e-11]), b), [1.0, 1e11])
+    with pytest.raises(SingularMatrixError) as exc:
+        spectral.guarded_solve(np.diag([1.0, 1e-14]), b)
+    assert exc.value.condition == pytest.approx(1e14)
+    with pytest.raises(SingularMatrixError) as exc:  # a zero pivot
+        spectral.guarded_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), b)
+    assert exc.value.condition == np.inf
+    # order 0, which LAPACK refuses: the limit of a graph no urn of which is reinforced
+    assert spectral.guarded_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
 
 def test_log_averaged_gram_scalar():

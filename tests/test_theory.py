@@ -21,7 +21,7 @@ from urnnet.errors import (
 )
 from urnnet.graph import DirectedGraph, generate_graph
 
-from test_dynamics import _fake_blas
+from test_dynamics import _blas_counts, _fake_blas
 from test_spectral import _factorisations, drift_jacobian
 
 ALL_FAMILIES = [
@@ -350,8 +350,9 @@ class TestOneRuleIsPerVertex:
             theory.fluctuations(0.0, 0.0, g.weighted_adjacency())
         with pytest.raises(SingularLimitSystemError):
             theory.fluctuations(*normalised_rule(g, rules))
-        with pytest.raises(SingularLimitSystemError):
+        with pytest.raises(SingularLimitSystemError) as exc:
             theory.heterogeneous_limit(g, rules)
+        assert not exc.value.__cause__.condition <= spectral.INVERSION_COND_MAX
         with pytest.raises(SingularLimitSystemError):
             theory.predict(g, 0.0, 0.0)
 
@@ -446,6 +447,11 @@ class TestHeterogeneousLimit:
         assert limit[0] == pytest.approx((0.8 * d1 + 0.2 * d2) / d, abs=1e-12)
         assert np.array_equal(limit[1:], np.ones(d))
 
+    def test_nothing_reinforced_keeps_every_start(self):
+        g = DirectedGraph(2, frozenset())
+        limit = theory.heterogeneous_limit(g, ReplacementMatrix(1, 1, 2), frozen_fractions=[0.3, 0.6])
+        assert np.array_equal(limit, [0.3, 0.6])
+
     def test_frozen_required_for_unreinforced(self):
         g = DirectedGraph(2, frozenset({(1, 2)}))
         scheme = HeterogeneousScheme((ReplacementMatrix(1, 0, 2),) * 2)
@@ -455,8 +461,10 @@ class TestHeterogeneousLimit:
     def test_polya_system_is_singular(self):
         g = generate_graph("complete_with_loops", {"n": 2})
         scheme = HeterogeneousScheme((ReplacementMatrix(1, 1, 1),) * 2)
-        with pytest.raises(SingularLimitSystemError):
+        with pytest.raises(SingularLimitSystemError) as exc:
             theory.heterogeneous_limit(g, scheme)
+        # the guard's estimate, carried by the cause: inf at a zero pivot
+        assert not exc.value.__cause__.condition <= spectral.INVERSION_COND_MAX
 
     @pytest.mark.parametrize("seed", range(6))
     def test_components_in_unit_interval(self, seed):
@@ -638,11 +646,12 @@ class TestPredict:
 
 
 def _blas_spy(monkeypatch, module, name):
-    """Wrap `module.name` so that each call notes numpy's OpenBLAS count."""
+    """Wrap `module.name` so that each call notes numpy's and scipy's
+    OpenBLAS counts."""
     seen, original = [], getattr(module, name)
 
     def spy(*args, **kwargs):
-        seen.append(dynamics._numpy_openblas()[0]())
+        seen.append(_blas_counts())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
@@ -667,47 +676,49 @@ _JORDAN_PAIR = DirectedGraph(3, frozenset({(1, 2), (1, 3), (2, 1), (2, 3), (3, 2
 
 
 class TestBlasCap:
-    """The theory entry points hold numpy's OpenBLAS at one thread for their
-    own scope, and every exit restores the caller's count."""
+    """The theory entry points hold numpy's and scipy's OpenBLAS at one
+    thread for their own scope, and every exit restores the caller's counts."""
 
     @pytest.mark.parametrize("entry", sorted(_CAPPED))
     def test_one_thread_inside_restored_after(self, monkeypatch, entry):
         call, module, name = _CAPPED[entry]
-        lib = _fake_blas(monkeypatch, 3)
+        lib = _fake_blas(monkeypatch, 3, 2)
         seen = _blas_spy(monkeypatch, module, name)
         g = generate_graph("cycle_undirected", {"n": 6})
         call(g.weighted_adjacency(), g)
-        assert seen == [1] and lib.count == 3
+        assert seen == [[1, 1]] and lib.counts == [3, 2]
 
     @pytest.mark.parametrize("error,ab,g", [
         (SingularLimitSystemError, 1.0, generate_graph("cycle_directed", {"n": 4})),
         (NonDiagonalizableError, 0.0, _JORDAN_PAIR),
     ])
     def test_restored_after_refusal(self, monkeypatch, error, ab, g):
-        lib = _fake_blas(monkeypatch, 3)
+        lib = _fake_blas(monkeypatch, 3, 2)
         with pytest.raises(error):
             theory.fluctuations(ab, ab, g.weighted_adjacency())
-        assert lib.count == 3
+        assert lib.counts == [3, 2]
 
     def test_nested_scopes_restore_the_outer_count(self, monkeypatch):
-        lib = _fake_blas(monkeypatch, 4)
+        lib = _fake_blas(monkeypatch, 4, 3)
         seen = _blas_spy(monkeypatch, spectral, "lyapunov_solve")
         g = generate_graph("erdos_renyi_min_indegree", {"n": 12, "p": 0.3}, seed=2)
         with dynamics.blas_threads(2):
             assert theory.predict(g, 0.25, 0.25).regime == theory.REGIME_SQRT_T
-            assert lib.count == 2
-        assert seen == [1] and lib.count == 4
+            assert lib.counts == [2, 2]
+        assert seen == [[1, 1]] and lib.counts == [4, 3]
 
     def test_real_library_capped_and_restored(self, monkeypatch):
-        get, put = dynamics._numpy_openblas()
-        before = get()
-        put(2)  # two threads to cap, on any machine
+        libs = [dynamics._openblas(package) for package in ("numpy", "scipy")]
+        before = _blas_counts()
+        for _, put in libs:
+            put(2)  # two threads to cap, on any machine
         try:
-            if get() != 2:
-                pytest.skip("numpy's BLAS is not an OpenBLAS this process can find")
+            if _blas_counts() != [2, 2]:
+                pytest.skip("numpy's and scipy's BLAS are not OpenBLAS this process can find")
             seen = _blas_spy(monkeypatch, spectral, "schur_form")
             g = generate_graph("erdos_renyi_min_indegree", {"n": 40, "p": 0.1}, seed=1)
             theory.predict(g, 0.25, 0.25)
-            assert seen == [1] and get() == 2
+            assert seen == [[1, 1]] and _blas_counts() == [2, 2]
         finally:
-            put(before)
+            for (_, put), count in zip(libs, before):
+                put(count)

@@ -108,29 +108,30 @@ def test_blas_cap_stays_in_the_theory_solves(monkeypatch):
     # the suite's prediction runs on one BLAS thread, but the ensemble's
     # moment reductions (about 1.3x faster on two threads at n = 200) keep
     # the caller's count
-    lib = _fake_blas(monkeypatch, 3)
+    lib = _fake_blas(monkeypatch, 3, 2)
     seen = {"solve": [], "moments": []}
     solve, moments = spectral.lyapunov_solve, montecarlo.EnsembleResult.from_moments
 
     def spy_solve(*args):
-        seen["solve"].append(lib.count)
+        seen["solve"].append(tuple(lib.counts))
         return solve(*args)
 
     def spy_moments(cls, *args, **kwargs):
-        seen["moments"].append(lib.count)
+        seen["moments"].append(tuple(lib.counts))
         return moments(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "lyapunov_solve", spy_solve)
     monkeypatch.setattr(montecarlo.EnsembleResult, "from_moments", classmethod(spy_moments))
     suite = verify.SUITES["clt"]
     verify.verify_clt(suite.graph(), ReplacementMatrix(*suite.rule), horizon=100, runs=16, seed=2)
-    assert seen["solve"] and set(seen["solve"]) == {1}
-    assert seen["moments"] == [3] and lib.count == 3
+    assert seen["solve"] and set(seen["solve"]) == {(1, 1)}
+    assert seen["moments"] == [(3, 2)] and lib.counts == [3, 2]
 
 
-def test_blas_cap_leaves_scipy_openblas_alone():
+def test_blas_cap_holds_scipy_openblas_too():
     # scipy's wheel brings its own OpenBLAS; mapped before urnnet's first
-    # lookup, it must still not be taken for numpy's
+    # lookup, neither library must be taken for the other, and the theory
+    # solves hold both at one thread
     src = os.path.dirname(os.path.dirname(verify.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = """
@@ -160,7 +161,8 @@ if numpy_lib is None or scipy_lib is None:
 for _, put in (numpy_lib, scipy_lib):
     put(2)  # a known start on any machine
 address = lambda f: ctypes.cast(f, ctypes.c_void_p).value
-found = address(dynamics._numpy_openblas()[0]) == address(numpy_lib[0])
+found = [address(dynamics._openblas(package)[0]) for package in ("numpy", "scipy")]
+found = found == [address(numpy_lib[0]), address(scipy_lib[0])]
 seen, schur = [], spectral.schur_form
 def spy(*args):
     seen.append([numpy_lib[0](), scipy_lib[0]()])
@@ -177,8 +179,8 @@ print(json.dumps([found, seen, [numpy_lib[0](), scipy_lib[0]()]]))
     result = json.loads(done.stdout)
     if result is None:
         pytest.skip("numpy and scipy do not each bring their own OpenBLAS here")
-    # inside the solve numpy's library reads 1 and scipy's keeps its 2
-    assert result == [True, [[1, 2]], [2, 2]]
+    # inside the solve both libraries read 1, and both read 2 again after it
+    assert result == [True, [[1, 1]], [2, 2]]
 
 
 @pytest.mark.parametrize("suite,rule", [("clt", ("3", "3", "4")), ("clt-critical", ("1", "1", "4"))])
