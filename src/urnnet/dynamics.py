@@ -341,6 +341,7 @@ def check_batch(
     run_indices,
     recording_times=(),
     master_seed: int = 0,
+    reference_path: np.ndarray | None = None,
 ) -> Reinforcement:
     """Raise the error `simulate_runs` would raise for these arguments, and
     return the rule's `Reinforcement` on `g` otherwise.
@@ -349,7 +350,8 @@ def check_batch(
     scheme, integer exactness of the ball counts up to `horizon` (below
     2**53) and of the balls an urn gains per step (below 2**24), the master
     seed (default 0) and run indices in [0, 2**64), a `range` by its two
-    ends, and recording times in [0, horizon].  A vertex without in-edges is
+    ends, recording times in [0, horizon], and a reference path's shape,
+    (horizon + 1, n).  A vertex without in-edges is
     no error: its urn stays frozen.  Cheap, so callers that hand batches to
     other processes run it first and report bad input in their own process.
     """
@@ -371,6 +373,8 @@ def check_batch(
         raise InvalidParamsError("run index must fit in 64 bits")
     if any(t < 0 or t > horizon for t in recording_times):
         raise InvalidParamsError("recording times must lie in [0, horizon]")
+    if reference_path is not None and np.shape(reference_path) != (horizon + 1, g.n):
+        raise InvalidParamsError("reference path must have shape (horizon+1, n)")
     return rf
 
 
@@ -431,7 +435,7 @@ def simulate_runs(
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     snapshot_set = set(int(t) for t in snapshot_times)
     rf = check_batch(g, scheme, initial, horizon, run_indices, (*checkpoints, *snapshot_set),
-                     master_seed)
+                     master_seed, reference_path)
     n = g.n
     n_runs = len(run_indices)
     cp_index = {t: k for k, t in enumerate(checkpoints)}
@@ -446,8 +450,6 @@ def simulate_runs(
     track_from = horizon + 1  # no deviation track
     if reference_path is not None:
         reference_path = np.asarray(reference_path, dtype=float)
-        if reference_path.shape != (horizon + 1, n):
-            raise InvalidParamsError("reference path must have shape (horizon+1, n)")
         out.sup_dev = np.zeros(n_runs)
         track_from = deviation_start
         dev = np.empty((n_runs, n))

@@ -59,7 +59,8 @@ class EnsembleResult:
     dispersion the identity-type decay theory is about).  cov_final is the
     covariance of Z at the last checkpoint, None without checkpoints.
     Snapshots, when requested, hold exact white counts per run at selected
-    times.  It records nothing about the rule or the graph: the suites of
+    times; sup_dev, given a reference path, each run's sup-norm distance
+    from it.  It records nothing about the rule or the graph: the suites of
     `urnnet.verify` judge those before they simulate.
     """
 
@@ -75,6 +76,7 @@ class EnsembleResult:
     initial_black: np.ndarray
     snapshots: dict = field(default_factory=dict)
     snapshot_totals: dict = field(default_factory=dict)
+    sup_dev: np.ndarray | None = None
 
     def initial_fractions(self) -> np.ndarray:
         return self.initial_white / (self.initial_white + self.initial_black)
@@ -87,7 +89,8 @@ class EnsembleResult:
 
     @classmethod
     def from_moments(cls, runs, horizon, checkpoints, sum_z, sum_outer, raw_seed,
-                     initial: UrnState, snapshots=None, snapshot_totals=None) -> "EnsembleResult":
+                     initial: UrnState, snapshots=None, snapshot_totals=None,
+                     sup_dev=None) -> "EnsembleResult":
         """Normalise moment sums over `runs` into a result.  `sum_outer[k]`
         is checkpoint k's Z^T Z sum packed at `packed_upper(n)`; its
         covariance is formed on that triangle, mirrored into one n x n array
@@ -120,6 +123,7 @@ class EnsembleResult:
             initial_black=initial.black.copy(),
             snapshots=dict(snapshots or {}),
             snapshot_totals=dict(snapshot_totals or {}),
+            sup_dev=sup_dev,
         )
 
     def to_dict(self) -> dict:
@@ -184,6 +188,24 @@ def _discard_pool() -> None:
         atexit.unregister(_discard_pool)
 
 
+def check_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=None,
+                   snapshot_times=(), workers=None, reference_path=None, deviation_start=0):
+    """Raise what `run_ensemble` would raise for the same arguments, else
+    return its sorted checkpoints and worker count.  Cheap: plans call it."""
+    if runs < 1:
+        raise InvalidParamsError("runs must be >= 1")
+    if workers is None:
+        workers = usable_cores()
+    if workers < 1:
+        raise InvalidParamsError("workers must be >= 1")
+    if checkpoints is None:
+        checkpoints = geometric_checkpoints(horizon)
+    checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
+    check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times),
+                master_seed, reference_path)
+    return checkpoints, workers
+
+
 def run_ensemble(
     g: DirectedGraph,
     scheme,
@@ -194,6 +216,8 @@ def run_ensemble(
     checkpoints=None,
     snapshot_times=(),
     workers: int | None = None,
+    reference_path: np.ndarray | None = None,
+    deviation_start: int = 0,
 ) -> EnsembleResult:
     """Simulate `runs` seeded trajectories and stream their moments.
 
@@ -211,24 +235,17 @@ def run_ensemble(
     block on a helper thread while it steps the current one, when its
     horizon spans more than one block (see `simulate_runs`); a worker caps
     numpy's OpenBLAS at (usable cores // workers) threads.  Urns without
-    in-edges stay frozen.
+    in-edges stay frozen.  A reference path and deviation start go to every
+    batch (see `simulate_runs`), and sup_dev joins the batches' in run order.
     """
-    if runs < 1:
-        raise InvalidParamsError("runs must be >= 1")
-    if workers is None:
-        workers = usable_cores()
-    if workers < 1:
-        raise InvalidParamsError("workers must be >= 1")
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints(horizon)
-    checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
-    check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times),
-                master_seed)
+    checkpoints, workers = check_ensemble(g, scheme, initial, horizon, runs, master_seed,
+                                          checkpoints, snapshot_times, workers, reference_path)
 
     batches = [range(lo, min(lo + _BATCH_RUNS, runs)) for lo in range(0, runs, _BATCH_RUNS)]
     work = functools.partial(
         simulate_runs, g, scheme, initial, horizon, master_seed, checkpoints=checkpoints,
-        snapshot_times=snapshot_times,
+        snapshot_times=snapshot_times, reference_path=reference_path,
+        deviation_start=deviation_start,
     )
     pool = _batch_pool(workers) if workers > 1 and len(batches) > 1 else None
     if pool is None:
@@ -246,22 +263,23 @@ def run_ensemble(
         # batches add into the first one's sums as they arrive, in the fixed
         # batch order that keeps merging schedule-independent
         first = next(outs)
-        sum_z, sum_outer, snapshots = first.sum_z, first.sum_outer, [first.snapshots]
+        sum_z, sum_outer, rows = first.sum_z, first.sum_outer, [(first.snapshots, first.sup_dev)]
         for out in outs:
             sum_z += out.sum_z
             sum_outer += out.sum_outer
-            snapshots.append(out.snapshots)
+            rows.append((out.snapshots, out.sup_dev))
             del out  # else it holds this batch while the next one runs
     except broken:
         # a dead worker, or an interrupt that reached the workers too: the
         # next call starts a fresh pool
         _discard_pool()
         raise
-    snapshots = {t: np.concatenate([s[t] for s in snapshots], axis=0) for t in first.snapshots}
+    snapshots = {t: np.concatenate([s[t] for s, _ in rows], axis=0) for t in first.snapshots}
+    sup_dev = None if first.sup_dev is None else np.concatenate([d for _, d in rows])
 
     return EnsembleResult.from_moments(
         runs, horizon, checkpoints, sum_z, sum_outer, master_seed, initial, snapshots,
-        first.snapshot_totals,
+        first.snapshot_totals, sup_dev,
     )
 
 
@@ -486,41 +504,40 @@ class OracleReport:
     passed: bool
 
 
-def oracle_check(
-    g: DirectedGraph,
-    scheme,
-    initial: UrnState,
-    horizon: int,
-    runs: int,
-    master_seed: int,
-) -> OracleReport:
-    """Total-variation distance between the simulator's empirical law and
-    the enumerated exact law at the same horizon, which must be at least 1:
-    at t = 0 both laws are the start state.  Every input is checked before
-    the enumeration.  The simulated white rows are counted in one `Counter`
-    and the exact law's rows read from its arrays, both keyed by tuples."""
+def oracle_plan(g: DirectedGraph, scheme, initial: UrnState, horizon: int, runs: int,
+                master_seed: int) -> tuple:
+    """The oracle's first half: refuse a horizon below 1 (at t = 0 both laws
+    are the start state) and what `run_ensemble` would, then return the exact
+    law at `horizon` and the keywords of its ensemble, snapshotted there."""
     if horizon < 1:
         raise InvalidParamsError(f"oracle check needs horizon >= 1, got {horizon}")
     if runs < 1:
         raise InvalidParamsError(f"oracle check needs runs >= 1, got {runs}")
-    check_batch(g, scheme, initial, horizon, range(runs), (), master_seed)
-    law = exact_law(g, scheme, initial, horizon)
-    result = run_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=(),
-                          snapshot_times=[horizon])
-    counts = collections.Counter(zip(*result.snapshots[horizon].T.tolist()))
+    ensemble = dict(g=g, scheme=scheme, initial=initial, horizon=horizon, runs=runs,
+                    master_seed=master_seed, checkpoints=(), snapshot_times=[horizon])
+    check_ensemble(**ensemble)
+    return exact_law(g, scheme, initial, horizon), ensemble
 
+
+def oracle_judge(law: ExactLaw, result: EnsembleResult) -> OracleReport:
+    """The oracle's second half: total-variation distance between the
+    result's white rows at its horizon, counted in one `Counter`, and the
+    law's rows, read from its arrays, both keyed by tuples."""
+    runs = result.runs
+    counts = collections.Counter(zip(*result.snapshots[result.horizon].T.tolist()))
     # int / int rounds once, as float(Fraction(weight, denominator)) does
     exact_by_w = dict(zip(zip(*law.white.T.tolist()),
                           (p / law.denominator for p in law.weights.tolist())))
     support = set(exact_by_w) | set(counts)
-    tv = 0.5 * sum(
-        abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support
-    )
+    tv = 0.5 * sum(abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support)
     threshold = 3.0 * math.sqrt(len(exact_by_w) / runs)
-    return OracleReport(
-        tv_distance=tv,
-        threshold=threshold,
-        support_size=len(exact_by_w),
-        runs=runs,
-        passed=tv <= threshold,
-    )
+    return OracleReport(tv, threshold, len(exact_by_w), runs, tv <= threshold)
+
+
+def oracle_check(g: DirectedGraph, scheme, initial: UrnState, horizon: int, runs: int,
+                 master_seed: int) -> OracleReport:
+    """Total-variation distance between the simulator's empirical law and
+    the enumerated exact law at the same horizon: `oracle_plan`, which
+    checks every input before it enumerates, its ensemble, `oracle_judge`."""
+    law, ensemble = oracle_plan(g, scheme, initial, horizon, runs, master_seed)
+    return oracle_judge(law, run_ensemble(**ensemble))

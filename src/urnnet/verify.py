@@ -1,18 +1,21 @@
 """Named verification suites: desk-scale statistical reproductions of the
 limit theory, plus exact oracle comparisons.
 
-Every runner takes (g, scheme, initial=None, *, horizon, runs, seed[, tol])
-and refuses a graph with an unreinforced urn (`ZeroInDegreeError`); the
-heterogeneous one builds its own graphs and takes only the keywords.
-Each returns a JSON-ready report with the statistics behind its verdict,
-"checks" as {name, value, bound, pass} records, and "pass", true when every
-check passes.  Tolerances default to the documented acceptance values, and
-fixed bounds are module constants.  `SUITES` holds the CLI defaults.
+Each row of `SUITES` is a plan and a judge, which `Suite.run` joins over
+the one engine path, `run_ensemble`.  A plan makes every refusal (an
+unreinforced urn is `ZeroInDegreeError`), computes the prediction and any
+other seed-free part, and returns it with the `run_ensemble` keyword sets
+it needs, each refused as `run_ensemble` would refuse it before any
+O(horizon) work.  A judge reads only the results and the prediction, so one
+stored result can be judged many times; its checks become {name, value,
+bound, pass} records and "pass", true when every check passes.  The
+`verify_*` names are the table's runs.  Tolerances default to the
+documented acceptance values, and fixed bounds are module constants.
 """
 
 from __future__ import annotations
 
-import inspect
+import functools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
@@ -28,7 +31,7 @@ from .dynamics import (
     expected_fractions_after_step,
     mean_field_path,
     normalised_rule,
-    simulate_runs,
+    simulate_runs,  # noqa: F401  bound here for perfbench's tracer, which patches it by name
 )
 from .errors import InvalidParamsError, NotRegularError, WrongRegimeError
 from .graph import DirectedGraph, generate_graph
@@ -38,7 +41,6 @@ EXACT_TOL = 1e-12  # exact limits in the heterogeneous suite
 _SWEEP_TOL = 1e-8  # Lyapunov solver against the regular-graph closed form
 RATIO_WINDOW = (0.3, 3.0)  # subcritical decade ratios of the t^rho-scaled median
 REQUIRED_FRACTION = 0.9  # ode-tracking runs that must stay within tol
-_POLYA = ReplacementMatrix(1, 1, 1)
 
 
 def _frobenius_rel_error(estimate: np.ndarray, target: np.ndarray) -> float:
@@ -73,16 +75,15 @@ def _start(g, scheme, initial, suite: str) -> UrnState:
     return _initial(g, initial)
 
 
-def verify_consensus(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix | HeterogeneousScheme,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 100_000,
-    runs: int = 200,
-    seed: int = 2024,
-    tol: float = 0.02,
-) -> dict:
+def _ensemble(g, scheme, initial, horizon, runs, seed, **options) -> dict:
+    """One planned ensemble's `run_ensemble` keywords, refused now."""
+    ensemble = dict(g=g, scheme=scheme, initial=initial, horizon=horizon, runs=runs,
+                    master_seed=seed, **options)
+    montecarlo.check_ensemble(**ensemble)
+    return ensemble
+
+
+def _consensus_plan(g, scheme, initial, horizon, runs, seed):
     """Per-vertex ensemble means against the predicted limit: the consensus
     value of one rule, one value per vertex for a per-vertex rule.  A horizon
     below 100 is refused, as it would mostly measure the start."""
@@ -91,17 +92,21 @@ def verify_consensus(
         raise InvalidParamsError(f"suite consensus needs horizon >= 100, got {horizon}")
     # the subcritical regime asks for c and rho only, with no covariance solve
     c = theory.fluctuations(*normalised_rule(g, scheme), theory.REGIME_SUBCRITICAL).c
-    result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    return c, [_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
+
+
+def _consensus_judge(results, c, tol):
+    (result,) = results
     worst = float(np.abs(result.mean_z[-1] - c).max())
     report = {
         "suite": "consensus",
         "target": np.asarray(c).tolist(),
         "per_vertex_mean": [float(v) for v in result.mean_z[-1]],
         "max_abs_deviation": worst,
-        "horizon": horizon,
-        "runs": runs,
+        "horizon": result.horizon,
+        "runs": result.runs,
     }
-    return _verdict(report, [("max_abs_deviation", worst, tol, worst < tol)])
+    return report, [("max_abs_deviation", worst, tol, worst < tol)]
 
 
 def lyapunov_closed_form_sweep() -> dict:
@@ -123,75 +128,43 @@ def lyapunov_closed_form_sweep() -> dict:
     return {"n_graphs": n_graphs, "max_rel_error": worst}
 
 
-def _clt(suite, regime, g, scheme, initial, horizon, runs, seed, tol):
+def _clt_plan(regime, g, scheme, initial, horizon, runs, seed):
     """Empirical scaled covariance against the theoretical one of `regime`,
-    for one rule or one per vertex: the body of the sqrt(t) and critical
-    suites.  Another regime or a singular H is refused before simulating."""
+    for one rule or one per vertex: sqrt(t), plus the Lyapunov solver
+    against the regular-graph closed form (clt), or sqrt(t / log t) on the
+    critical line (clt-critical).  Another regime or a singular H is
+    refused."""
     initial = _initial(g, initial)
     fl = theory.fluctuations(*normalised_rule(g, scheme), regime)
     if fl.regime != regime:
         raise WrongRegimeError(f"rho = {fl.rho:.6g} gives regime {fl.regime}, not {regime}")
-    result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    sweep = lyapunov_closed_form_sweep() if regime == theory.REGIME_SQRT_T else None
+    return (fl, sweep), [ensemble]
+
+
+def _clt_judge(results, prediction, tol):
+    (result,), (fl, sweep) = results, prediction
     empirical = montecarlo.scaled_covariance(result, fl)
     rel = _frobenius_rel_error(empirical, fl.sigma)
     report = {
-        "suite": suite,
+        "suite": "clt" if sweep is not None else "clt-critical",
         "rho": fl.rho,
         "sigma_theory": [list(map(float, row)) for row in fl.sigma],
         "sigma_empirical": [list(map(float, row)) for row in empirical],
         "frobenius_rel_error": rel,
-        "horizon": horizon,
-        "runs": runs,
+        "horizon": result.horizon,
+        "runs": result.runs,
     }
-    return report, [("frobenius_rel_error", rel, tol, rel <= tol)]
+    checks = [("frobenius_rel_error", rel, tol, rel <= tol)]
+    if sweep is not None:
+        report["closed_form_sweep"] = dict(sweep)
+        err = sweep["max_rel_error"]
+        checks.append(("closed_form_sweep", err, _SWEEP_TOL, err <= _SWEEP_TOL))
+    return report, checks
 
 
-def verify_clt(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix | HeterogeneousScheme,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 10_000,
-    runs: int = 5000,
-    seed: int = 11,
-    tol: float = 0.15,
-) -> dict:
-    """Empirical sqrt(t)-scaled covariance against the Lyapunov prediction,
-    plus the Lyapunov solver against the regular-graph closed form."""
-    report, checks = _clt(
-        "clt", theory.REGIME_SQRT_T, g, scheme, initial, horizon, runs, seed, tol,
-    )
-    sweep = report["closed_form_sweep"] = lyapunov_closed_form_sweep()
-    err = sweep["max_rel_error"]
-    checks.append(("closed_form_sweep", err, _SWEEP_TOL, err <= _SWEEP_TOL))
-    return _verdict(report, checks)
-
-
-def verify_clt_critical(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix | HeterogeneousScheme,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 100_000,
-    runs: int = 5000,
-    seed: int = 13,
-    tol: float = 0.20,
-) -> dict:
-    """Empirical sqrt(t / log t)-scaled covariance on the critical line."""
-    return _verdict(*_clt(
-        "clt-critical", theory.REGIME_CRITICAL, g, scheme, initial, horizon, runs, seed, tol,
-    ))
-
-
-def verify_subcritical(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix | HeterogeneousScheme,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 100_000,
-    runs: int = 200,
-    seed: int = 17,
-) -> dict:
+def _subcritical_plan(g, scheme, initial, horizon, runs, seed):
     """Regime detection plus stability of the t^rho-scaled deviation norm.
 
     Checks that rho < 1/2 is reported and that the median of
@@ -203,10 +176,13 @@ def verify_subcritical(
         raise InvalidParamsError(f"suite subcritical needs horizon >= 100, got {horizon}")
     fl = theory.fluctuations(*normalised_rule(g, scheme), theory.REGIME_SUBCRITICAL)
     horizons = [horizon // 100, horizon // 10, horizon]
-    result = run_ensemble(
-        g, scheme, initial, horizon, runs, seed,
-        checkpoints=horizons, snapshot_times=horizons,
-    )
+    return fl, [_ensemble(g, scheme, initial, horizon, runs, seed,
+                          checkpoints=horizons, snapshot_times=horizons)]
+
+
+def _subcritical_judge(results, fl, tol):
+    (result,) = results
+    horizons = list(result.checkpoints)
     medians = []
     for t in horizons:
         norms = np.linalg.norm(result.z_at(t) - fl.c, axis=1)
@@ -221,31 +197,27 @@ def verify_subcritical(
         "horizons": horizons,
         "scaled_medians": medians,
         "ratios": ratios,
-        "runs": runs,
+        "runs": result.runs,
     }
-    return _verdict(report, [
+    return report, [
         ("rho", fl.rho, 0.5, fl.regime == theory.REGIME_SUBCRITICAL),
         ("ratios", ratios, [lo, hi], all(r is not None and lo <= r <= hi for r in ratios)),
-    ])
+    ]
 
 
-def verify_polya_rate(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix = _POLYA,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 100_000,
-    runs: int = 500,
-    seed: int = 19,
-    slope_window=None,
-) -> dict:
+def _polya_rate_plan(g, scheme, initial, horizon, runs, seed, slope_window=None):
     """Log-log decay slope of the cross-sectional variance under an
-    identity-type rule, against the predicted rate class."""
+    identity-type rule, against the predicted rate class: within
+    `slope_window`, by default 0.15 either side of its exponent."""
     initial = _start(g, scheme, initial, "polya-rate")
     rate = theory.polya_rate_class(g.weighted_adjacency())
     if slope_window is None:
         slope_window = (rate.exponent - 0.15, rate.exponent + 0.15)
-    result = run_ensemble(g, scheme, initial, horizon, runs, seed)
+    return (rate, slope_window), [_ensemble(g, scheme, initial, horizon, runs, seed)]
+
+
+def _polya_rate_judge(results, prediction, tol):
+    (result,), (rate, (lo, hi)) = results, prediction
     est = montecarlo.variance_decay_slope(result)
 
     # Log-correction diagnostic: slope of log(var * t) vs log log t is near 1
@@ -255,8 +227,6 @@ def verify_polya_rate(
     log_diag, _ = montecarlo.least_squares_slope(
         np.log(np.log([t for t, _ in tail])), np.log([v * t for t, v in tail])
     )
-
-    lo, hi = slope_window
     report = {
         "suite": "polya-rate",
         "rate_class": asdict(rate),
@@ -264,83 +234,66 @@ def verify_polya_rate(
         "ci_halfwidth": est.ci_halfwidth,
         "log_correction_diagnostic": log_diag,
         "t_window": list(est.t_window),
-        "horizon": horizon,
-        "runs": runs,
+        "horizon": result.horizon,
+        "runs": result.runs,
     }
-    return _verdict(report, [("slope", est.slope, [lo, hi], lo <= est.slope <= hi)])
+    return report, [("slope", est.slope, [lo, hi], lo <= est.slope <= hi)]
 
 
-def verify_martingale(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix = _POLYA,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 10_000,
-    runs: int = 2000,
-    seed: int = 23,
-) -> dict:
+def _martingale_plan(g, scheme, initial, horizon, runs, seed):
     """Preservation of the cross-sectional mean under identity-type rules,
     which is a martingale on a regular undirected graph: any other rule or
-    graph is refused before simulating."""
+    graph is refused."""
     initial = _start(g, scheme, initial, "martingale")
     if not g.is_regular_undirected():
         raise NotRegularError("martingale test needs a regular undirected graph")
     montecarlo.check_martingale_inputs(runs, horizon)
-    result = run_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    return None, [_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
+
+
+def _martingale_judge(results, prediction, tol):
+    (result,) = results
     rep = montecarlo.martingale_test(result)
     report = {
         "suite": "martingale",
         "drift_estimate": rep.drift_estimate,
         "threshold": rep.threshold,
         "standard_error": rep.standard_error,
-        "horizon": horizon,
-        "runs": runs,
+        "horizon": result.horizon,
+        "runs": result.runs,
     }
-    return _verdict(report, [("abs_drift", abs(rep.drift_estimate), rep.threshold, rep.passed)])
+    return report, [("abs_drift", abs(rep.drift_estimate), rep.threshold, rep.passed)]
 
 
-def verify_oracle(
-    g: DirectedGraph,
-    scheme,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 1,
-    runs: int = 100_000,
-    seed: int = 29,
-) -> dict:
-    """Simulator law against exact enumeration, plus the exact one-step
-    conditional mean identity."""
+def _oracle_plan(g, scheme, initial, horizon, runs, seed):
+    """Simulator law against exact enumeration (`montecarlo.oracle_plan`),
+    plus the exact one-step conditional mean identity."""
     initial = _initial(g, initial)
-    rep = montecarlo.oracle_check(g, scheme, initial, horizon, runs, seed)
+    law, ensemble = montecarlo.oracle_plan(g, scheme, initial, horizon, runs, seed)
     one_step = montecarlo.brute_force_distribution(g, scheme, initial, 1)
     mean_exact = montecarlo.distribution_mean_fractions(one_step)
-    mean_formula = expected_fractions_after_step(initial, g, scheme)
-    mean_match = bool(mean_exact == mean_formula)
+    mean_match = bool(mean_exact == expected_fractions_after_step(initial, g, scheme))
+    return (law, mean_match), [ensemble]
+
+
+def _oracle_judge(results, prediction, tol):
+    (result,), (law, mean_match) = results, prediction
+    rep = montecarlo.oracle_judge(law, result)
     report = {
         "suite": "oracle",
         "tv_distance": rep.tv_distance,
         "support_size": rep.support_size,
         "one_step_mean_exact_match": mean_match,
-        "horizon": horizon,
-        "runs": runs,
+        "horizon": result.horizon,
+        "runs": result.runs,
     }
-    return _verdict(report, [
+    return report, [
         ("tv_distance", rep.tv_distance, rep.threshold, rep.passed),
         ("one_step_mean_exact_match", mean_match, True, mean_match),
-    ])
+    ]
 
 
-def verify_ode_tracking(
-    g: DirectedGraph,
-    scheme: ReplacementMatrix,
-    initial: UrnState | None = None,
-    *,
-    horizon: int = 100_000,
-    runs: int = 100,
-    seed: int = 31,
-    tol: float = 0.05,
-    start_time: int = 1000,
-) -> dict:
+def _ode_tracking_plan(g, scheme, initial, horizon, runs, seed, start_time=1000):
     """Fraction of seeded runs whose sup-norm distance from the noise-free
     companion path stays within `tol`, which must reach REQUIRED_FRACTION.
 
@@ -351,41 +304,30 @@ def verify_ode_tracking(
     """
     if horizon < start_time:
         raise InvalidParamsError(f"suite ode-tracking needs horizon >= {start_time}, got {horizon}")
-    if runs < 1:
-        raise InvalidParamsError("runs must be >= 1")
     initial = _initial(g, initial)
-    reference = mean_field_path(g, scheme, initial, horizon)
-    out = simulate_runs(
-        g,
-        scheme,
-        initial,
-        horizon,
-        seed,
-        range(runs),
-        reference_path=reference,
-        deviation_start=start_time,
-    )
-    frac_ok = float(np.mean(out.sup_dev <= tol))
+    ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=(),
+                         deviation_start=start_time)
+    ensemble["reference_path"] = mean_field_path(g, scheme, initial, horizon)
+    return start_time, [ensemble]
+
+
+def _ode_tracking_judge(results, start_time, tol):
+    (result,) = results
+    frac_ok = float(np.mean(result.sup_dev <= tol))
     report = {
         "suite": "ode-tracking",
         "fraction_within": frac_ok,
         "start_time": start_time,
-        "max_sup_deviation": float(out.sup_dev.max()),
-        "runs": runs,
-        "horizon": horizon,
+        "max_sup_deviation": float(result.sup_dev.max()),
+        "runs": result.runs,
+        "horizon": result.horizon,
     }
-    return _verdict(report, [
+    return report, [
         ("fraction_within", frac_ok, REQUIRED_FRACTION, frac_ok >= REQUIRED_FRACTION),
-    ])
+    ]
 
 
-def verify_heterogeneous(
-    *,
-    horizon: int = 100_000,
-    runs: int = 64,
-    seed: int = 37,
-    tol: float = 0.02,
-) -> dict:
+def _heterogeneous_plan(g, scheme, initial, horizon, runs, seed):
     """Per-vertex limits under mixed replacement matrices.
 
     Covers the two-node mutual-influence formula, the star of influencers
@@ -397,13 +339,6 @@ def verify_heterogeneous(
     m = 4
     r1, r2 = ReplacementMatrix(1, 2, m), ReplacementMatrix(3, 1, m)
     scheme2 = HeterogeneousScheme((r1, r2))
-    a_sum, b_sum = r1.a + r2.a, r1.b + r2.b
-    expected2 = (1 - b_sum / (2 * m)) / (2 - a_sum / (2 * m) - b_sum / (2 * m))
-    limit2 = theory.heterogeneous_limit(g2, scheme2)
-    err2 = float(np.abs(limit2 - expected2).max())
-    res2 = run_ensemble(g2, scheme2, default_initial_state(2), horizon, runs, seed,
-                        checkpoints=[horizon])
-    sim_err2 = float(np.abs(res2.mean_z[-1] - expected2).max())
 
     # Star of influencers: d1 senders in camp one, d2 in camp two, all
     # fully white, only the centre is reinforced.
@@ -413,20 +348,23 @@ def verify_heterogeneous(
     camp1 = ReplacementMatrix(4, 2, m_star)
     camp2 = ReplacementMatrix(1, 2, m_star)
     centre = ReplacementMatrix(m_star, m_star, m_star)  # centre sends nothing (no out-edges)
-    edges = frozenset((j, 1) for j in range(2, d + 2))
-    g_star = DirectedGraph(n_vertices=d + 1, edges=edges)
+    g_star = DirectedGraph(n_vertices=d + 1, edges=frozenset((j, 1) for j in range(2, d + 2)))
     scheme_star = HeterogeneousScheme((centre,) + (camp1,) * d1 + (camp2,) * d2)
-    expected_star = (camp1.alpha * d1 + camp2.alpha * d2) / d
-    frozen = np.ones(d + 1)
-    limit_star = theory.heterogeneous_limit(g_star, scheme_star, frozen_fractions=frozen)
-    err_star = abs(float(limit_star[0]) - expected_star)
     init_star = UrnState(
         white=np.array([1] + [1] * d, dtype=np.int64),
         black=np.array([1] + [0] * d, dtype=np.int64),
     )
-    res_star = run_ensemble(g_star, scheme_star, init_star, horizon, runs, seed + 1,
-                            checkpoints=[horizon])
-    sim_err_star = abs(float(res_star.mean_z[-1][0]) - expected_star)
+    ensembles = [
+        _ensemble(g2, scheme2, default_initial_state(2), horizon, runs, seed, checkpoints=[horizon]),
+        _ensemble(g_star, scheme_star, init_star, horizon, runs, seed + 1, checkpoints=[horizon]),
+    ]
+
+    a_sum, b_sum = r1.a + r2.a, r1.b + r2.b
+    expected2 = (1 - b_sum / (2 * m)) / (2 - a_sum / (2 * m) - b_sum / (2 * m))
+    limit2 = theory.heterogeneous_limit(g2, scheme2)
+    expected_star = (camp1.alpha * d1 + camp2.alpha * d2) / d
+    limit_star = theory.heterogeneous_limit(g_star, scheme_star,
+                                            frozen_fractions=np.ones(d + 1))
 
     # Threshold sweep, tied to the limit solver: with its senders fully white
     # the centre's limit is their mean alpha, so the first d1 at which it
@@ -443,23 +381,29 @@ def verify_heterogeneous(
             exact = (Fraction(x, 20) for x in (a, r, target))
             sweep_ok &= first == theory.influence_threshold(dd, *exact)
 
-    report = {
-        "suite": "heterogeneous",
+    exact = {
         "two_node_expected": expected2,
-        "two_node_exact_error": err2,
-        "two_node_sim_error": sim_err2,
+        "two_node_exact_error": float(np.abs(limit2 - expected2).max()),
         "star_expected": expected_star,
-        "star_exact_error": err_star,
-        "star_sim_error": sim_err_star,
+        "star_exact_error": abs(float(limit_star[0]) - expected_star),
         "threshold_sweep_ok": sweep_ok,
     }
-    return _verdict(report, [
-        ("two_node_exact_error", err2, EXACT_TOL, err2 <= EXACT_TOL),
-        ("star_exact_error", err_star, EXACT_TOL, err_star <= EXACT_TOL),
-        ("two_node_sim_error", sim_err2, tol, sim_err2 <= tol),
-        ("star_sim_error", sim_err_star, tol, sim_err_star <= tol),
-        ("threshold_sweep_ok", sweep_ok, True, sweep_ok),
-    ])
+    return exact, ensembles
+
+
+def _heterogeneous_judge(results, exact, tol):
+    two_node, star = results
+    report = {
+        "suite": "heterogeneous",
+        **exact,
+        "two_node_sim_error": float(np.abs(two_node.mean_z[-1] - exact["two_node_expected"]).max()),
+        "star_sim_error": abs(float(star.mean_z[-1][0]) - exact["star_expected"]),
+    }
+    bounds = {"two_node_exact_error": EXACT_TOL, "star_exact_error": EXACT_TOL,
+              "two_node_sim_error": tol, "star_sim_error": tol}
+    checks = [(name, report[name], bound, report[name] <= bound) for name, bound in bounds.items()]
+    sweep_ok = exact["threshold_sweep_ok"]
+    return report, checks + [("threshold_sweep_ok", sweep_ok, True, sweep_ok)]
 
 
 def _alternating(heavy: int, light: int) -> Callable[[int], UrnState]:
@@ -479,36 +423,72 @@ def _graph(name: str, seed: int = 0, **params) -> Callable[[], DirectedGraph]:
 
 @dataclass(frozen=True)
 class Suite:
-    """A runner and its CLI defaults: `graph` builds the default graph (None
-    when the runner builds its own), `rule` is the default (a, b, m), and
-    `initial` maps the vertex count to the start state."""
+    """A suite: `plan(g, scheme, initial, horizon, runs, seed, **options)`
+    returns (prediction, a list of `run_ensemble` keyword sets), and
+    `judge(results, prediction, tol)` returns (report, checks) from those
+    ensembles' results in order.  `graph` builds the CLI's default graph
+    (None when the plan builds its own) and `initial` maps the vertex count
+    to the CLI's start state; `rule` (a, b, m), `horizon`, `runs`, `seed`
+    and `tol` (None when the suite takes none) are every caller's defaults.
+    """
 
-    run: Callable[..., dict]
-    graph: Callable[[], DirectedGraph] | None = None
-    rule: tuple | None = None
-    initial: Callable[[int], UrnState] = default_initial_state
+    plan: Callable[..., tuple]
+    judge: Callable[..., tuple]
+    graph: Callable[[], DirectedGraph] | None
+    rule: tuple | None
+    initial: Callable[[int], UrnState]
+    horizon: int
+    runs: int
+    seed: int
+    tol: float | None = None
 
-    @property
-    def tol(self) -> float | None:
-        """The runner's default `tol`, None when it takes none."""
-        param = inspect.signature(self.run).parameters.get("tol")
-        return None if param is None else param.default
+    def run(self, g=None, scheme=None, initial=None, *, horizon=None, runs=None, seed=None,
+            tol=None, **options) -> dict:
+        """Plan, simulate each planned ensemble, judge, attach the verdict.  An
+        argument left None takes the suite's default (a start state: one ball
+        of each colour per urn); `options` go to the plan."""
+        if (g is None) != (self.graph is None) or (
+                self.graph is None and (scheme, initial) != (None, None)):
+            raise TypeError("give a graph to every suite but heterogeneous, which takes none")
+        if tol is not None and self.tol is None:
+            raise TypeError("this suite takes no tol")
+        if scheme is None and self.rule is not None:
+            scheme = ReplacementMatrix(*self.rule)
+        prediction, ensembles = self.plan(
+            g, scheme, initial, self.horizon if horizon is None else horizon,
+            self.runs if runs is None else runs, self.seed if seed is None else seed, **options,
+        )
+        results = [run_ensemble(**ensemble) for ensemble in ensembles]
+        return _verdict(*self.judge(results, prediction, self.tol if tol is None else tol))
 
 
+_ONE_EACH = default_initial_state  # one ball of each colour per urn
 SUITES = {
-    "consensus": Suite(verify_consensus, _graph("d_regular_random", seed=1, n=10, d=3), (1, 1, 4)),
-    "clt": Suite(verify_clt, _graph("complete_with_loops", n=2), (1, 1, 4)),
-    "clt-critical": Suite(verify_clt_critical, _graph("complete_with_loops", n=4), (3, 3, 4)),
+    # plan, judge, default graph, rule, start state, horizon, runs, seed[, tol]
+    "consensus": Suite(_consensus_plan, _consensus_judge, _graph("d_regular_random", 1, n=10, d=3),
+                       (1, 1, 4), _ONE_EACH, 100_000, 200, 2024, 0.02),
+    "clt": Suite(functools.partial(_clt_plan, theory.REGIME_SQRT_T), _clt_judge,
+                 _graph("complete_with_loops", n=2), (1, 1, 4), _ONE_EACH, 10_000, 5000, 11, 0.15),
+    "clt-critical": Suite(functools.partial(_clt_plan, theory.REGIME_CRITICAL), _clt_judge,
+                          _graph("complete_with_loops", n=4), (3, 3, 4), _ONE_EACH,
+                          100_000, 5000, 13, 0.20),
     # loopless: with self-loops all urns stay identical and the
     # cross-sectional variance is identically zero
-    "polya-rate": Suite(verify_polya_rate, _graph("complete", n=5), (1, 1, 1)),
-    "martingale": Suite(
-        verify_martingale, _graph("cycle_directed", n=2), (1, 1, 1), _alternating(3, 1)
-    ),
-    "oracle": Suite(verify_oracle, _graph("cycle_directed", n=2), (1, 1, 1)),
-    "ode-tracking": Suite(
-        verify_ode_tracking, _graph("star_undirected", n=5), (1, 1, 4), _alternating(9, 1)
-    ),
-    "subcritical": Suite(verify_subcritical, _graph("cycle_undirected", n=5), (0, 0, 1)),
-    "heterogeneous": Suite(verify_heterogeneous),
+    "polya-rate": Suite(_polya_rate_plan, _polya_rate_judge, _graph("complete", n=5),
+                        (1, 1, 1), _ONE_EACH, 100_000, 500, 19),
+    "martingale": Suite(_martingale_plan, _martingale_judge, _graph("cycle_directed", n=2),
+                        (1, 1, 1), _alternating(3, 1), 10_000, 2000, 23),
+    "oracle": Suite(_oracle_plan, _oracle_judge, _graph("cycle_directed", n=2),
+                    (1, 1, 1), _ONE_EACH, 1, 100_000, 29),
+    "ode-tracking": Suite(_ode_tracking_plan, _ode_tracking_judge, _graph("star_undirected", n=5),
+                          (1, 1, 4), _alternating(9, 1), 100_000, 100, 31, 0.05),
+    "subcritical": Suite(_subcritical_plan, _subcritical_judge, _graph("cycle_undirected", n=5),
+                         (0, 0, 1), _ONE_EACH, 100_000, 200, 17),
+    "heterogeneous": Suite(_heterogeneous_plan, _heterogeneous_judge, None,
+                           None, _ONE_EACH, 100_000, 64, 37, 0.02),
 }
+
+# the runners, in table order
+(verify_consensus, verify_clt, verify_clt_critical, verify_polya_rate, verify_martingale,
+ verify_oracle, verify_ode_tracking, verify_subcritical, verify_heterogeneous) = (
+    suite.run for suite in SUITES.values())

@@ -6,6 +6,7 @@ and only check report shape, JSON round-tripping, and obvious verdicts.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from urnnet.dynamics import (
     UrnState,
     default_initial_state,
     run_trajectory,
+    simulate_runs,
 )
 from urnnet.errors import InvalidParamsError, WrongRegimeError, ZeroInDegreeError
 from urnnet.fileio import write_edge_list
@@ -226,6 +228,92 @@ def test_polya_rule_refused_before_simulating(monkeypatch, capsys, tmp_path, sui
     assert cli.main(["verify", "--suite", suite, *flag]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "singular" in err
+
+
+@pytest.mark.parametrize("suite,seed", [
+    ("heterogeneous", "18446744073709551615"),  # the star's ensemble takes seed + 1
+    ("ode-tracking", "18446744073709551616"),
+])
+def test_bad_seed_refused_before_simulating(monkeypatch, capsys, suite, seed):
+    # every planned ensemble is checked before the mean-field path, the exact
+    # solves and the first simulation
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a seed the engine refuses")
+
+    monkeypatch.setattr(verify, "run_ensemble", no_work)
+    monkeypatch.setattr(verify, "mean_field_path", no_work)
+    monkeypatch.setattr(theory, "heterogeneous_limit", no_work)
+    assert cli.main(["verify", "--suite", suite, "--seed", seed]) == 2
+    assert capsys.readouterr().err == "error: master seed must fit in 64 bits\n"
+
+
+def _suite_args(suite):
+    """A suite's default graph, rule and start state, as its plan takes them."""
+    if suite.graph is None:
+        return None, None, None
+    g = suite.graph()
+    return g, ReplacementMatrix(*suite.rule), suite.initial(g.n)
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_suite_is_a_plan_and_a_pure_judge(monkeypatch, name):
+    suite = verify.SUITES[name]
+    horizon, runs = (2, 2000) if name == "oracle" else (2000, 16)
+    args = _suite_args(suite)
+
+    def no_simulation(*a, **k):
+        raise AssertionError("a plan simulated")
+
+    with monkeypatch.context() as m:
+        for module in (verify, montecarlo):
+            m.setattr(module, "run_ensemble", no_simulation)
+        m.setattr(montecarlo, "simulate_runs", no_simulation)
+        prediction, ensembles = suite.plan(*args, horizon, runs, 5)
+    assert len(ensembles) == (2 if name == "heterogeneous" else 1)
+    results = [montecarlo.run_ensemble(**ensemble) for ensemble in ensembles]
+    stored = pickle.dumps((results, prediction))
+    reports = [json.dumps(verify._verdict(*suite.judge(results, prediction, suite.tol)),
+                          sort_keys=True) for _ in range(2)]
+    assert reports[0] == reports[1]
+    assert pickle.dumps((results, prediction)) == stored
+    run = suite.run(*(a for a in args if a is not None), horizon=horizon, runs=runs, seed=5)
+    assert json.dumps(run, sort_keys=True) == reports[0]
+    assert getattr(verify, "verify_" + name.replace("-", "_")).__self__ is suite
+
+
+def test_suite_refuses_arguments_it_would_ignore():
+    g = verify.SUITES["polya-rate"].graph()
+    with pytest.raises(TypeError, match="no tol"):
+        verify.verify_polya_rate(g, horizon=100, runs=4, tol=0.1)
+    with pytest.raises(TypeError, match="graph"):
+        verify.verify_heterogeneous(g, horizon=100, runs=4)
+    with pytest.raises(TypeError, match="graph"):
+        verify.verify_heterogeneous(initial=default_initial_state(2), horizon=100, runs=4)
+    with pytest.raises(TypeError, match="graph"):
+        verify.verify_consensus(horizon=100, runs=4)
+
+
+def test_ode_tracking_keeps_every_bit_through_the_pool(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BATCH_RUNS", 4)  # three batches on two workers
+    suite = verify.SUITES["ode-tracking"]
+    g, scheme, initial = _suite_args(suite)
+    prediction, (ensemble,) = suite.plan(g, scheme, initial, 1500, 10, 31)
+    one, pooled = (montecarlo.run_ensemble(**ensemble, workers=w) for w in (1, 2))
+    # merged in run order: one batch of all ten runs gives the same row
+    alone = simulate_runs(g, scheme, initial, 1500, 31, range(10),
+                          reference_path=ensemble["reference_path"], deviation_start=1000)
+    assert one.sup_dev.tobytes() == pooled.sup_dev.tobytes() == alone.sup_dev.tobytes()
+    reports = [suite.judge([r], prediction, suite.tol)[0] for r in (one, pooled)]
+    for key in ("fraction_within", "max_sup_deviation"):
+        assert float.hex(reports[0][key]) == float.hex(reports[1][key])
+
+    def no_pool(workers):
+        raise AssertionError("started the pool for a path of the wrong shape")
+
+    monkeypatch.setattr(montecarlo, "_batch_pool", no_pool)
+    short = {**ensemble, "reference_path": ensemble["reference_path"][:-1]}
+    with pytest.raises(InvalidParamsError, match="reference path must have shape"):
+        montecarlo.run_ensemble(**short, workers=2)
 
 
 def _alternating_rules(n, *rules):
