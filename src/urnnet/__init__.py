@@ -5,7 +5,7 @@ its consensus and fluctuation behaviour, and seeded Monte Carlo machinery
 to verify the two against each other.
 """
 
-__version__ = "0.1.23"
+__version__ = "0.1.24"
 
 from .dynamics import (
     HeterogeneousScheme,
@@ -22,11 +22,8 @@ from .montecarlo import (
     ExactLaw,
     brute_force_distribution,
     exact_law,
-    martingale_test,
     oracle_check,
     run_ensemble,
-    scaled_covariance,
-    variance_decay_slope,
 )
 from .theory import (
     Fluctuations,
@@ -54,9 +51,6 @@ __all__ = [
     "run_trajectory",
     "EnsembleResult",
     "run_ensemble",
-    "scaled_covariance",
-    "variance_decay_slope",
-    "martingale_test",
     "ExactLaw",
     "exact_law",
     "brute_force_distribution",

@@ -1,4 +1,4 @@
-"""Seeded ensembles, scaled statistics, and exact small-case oracles.
+"""Seeded ensembles and exact small-case oracles.
 
 Ensembles stream first and second moments of the fraction vector at a fixed
 checkpoint grid, so memory stays flat in the number of runs.  Runs are
@@ -11,7 +11,11 @@ The second-moment sums, n(n + 1)/2 packed doubles per checkpoint, are the
 largest arrays (40 MB at n = 200 with 250 steps recorded).  Each batch adds
 into the first one's sums as it arrives, so the total and one batch's sums
 are held while the ensemble runs.  The result keeps one n x n covariance,
-the final checkpoint's, the only one the scaled statistics and output read.
+the final checkpoint's, the only one the suites' judges and output read.
+
+This layer knows the engine and the graph, not the theory: each statistic
+a suite judges by (scaled covariance, decay slope, martingale drift) is
+computed in `urnnet.verify`, beside the judge that reads it.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from .dynamics import (
     set_blas_threads,
     simulate_runs,
 )
-from .errors import EnumerationTooLargeError, InsufficientCheckpointsError, InvalidParamsError
+from .errors import EnumerationTooLargeError, InvalidParamsError
 from .graph import DirectedGraph
-from .theory import REGIME_CRITICAL, REGIME_SQRT_T, Fluctuations
 
 #: bound on n * horizon for exact enumeration (2^(n*T) draw sequences)
 BRUTE_FORCE_MAX_BITS = 20
@@ -77,9 +80,6 @@ class EnsembleResult:
     snapshots: dict = field(default_factory=dict)
     snapshot_totals: dict = field(default_factory=dict)
     sup_dev: np.ndarray | None = None
-
-    def initial_fractions(self) -> np.ndarray:
-        return self.initial_white / (self.initial_white + self.initial_black)
 
     def z_at(self, t: int) -> np.ndarray:
         """Per-run fraction vectors at a snapshot time, shape (runs, n)."""
@@ -280,130 +280,6 @@ def run_ensemble(
     return EnsembleResult.from_moments(
         runs, horizon, checkpoints, sum_z, sum_outer, master_seed, initial, snapshots,
         first.snapshot_totals, sup_dev,
-    )
-
-
-def scaled_covariance(result: EnsembleResult, record: Fluctuations) -> np.ndarray:
-    """Empirical covariance of the scaled deviation s(t) (Z_t - c 1).
-
-    Second moment about the predicted limit c of `record`, common or one
-    entry per vertex (the limit law is centred), taken at the final
-    checkpoint t.
-
-    The record's regime sets s(t): sqrt(t) above the critical line, t^rho
-    below it, and sqrt(t / log t) on it.  The critical factor is
-    sqrt(t / log t), not sqrt(t log t): the fraction variance decays like
-    log(t)/t there (the familiar sqrt(t log t) belongs to ball counts, which
-    carry an extra factor of t).
-
-    It measures and does not gate: the suites judge the rule and regime
-    (`fluctuations` gives no record for a Polya-type rule).
-    """
-    t = result.checkpoints[-1]
-    if record.regime == REGIME_SQRT_T:
-        s2 = float(t)
-    elif record.regime == REGIME_CRITICAL:
-        if t < 2:
-            raise InvalidParamsError("critical scaling needs t >= 2")
-        s2 = t / math.log(t)
-    else:
-        s2 = float(t) ** (2.0 * record.rho)
-
-    mean = result.mean_z[-1]
-    second = result.cov_final * (result.runs - 1) / result.runs + np.outer(mean, mean)
-    cvec = np.full(result.n, record.c, dtype=float)
-    moment = second - np.outer(mean, cvec) - np.outer(cvec, mean) + np.outer(cvec, cvec)
-    return s2 * 0.5 * (moment + moment.T)
-
-
-class SlopeEstimate(NamedTuple):
-    slope: float
-    ci_halfwidth: float
-    n_points: int
-    t_window: tuple
-
-
-def least_squares_slope(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Least-squares slope of y on x and its standard error (0 for two points)."""
-    x_c = x - x.mean()
-    sxx = float(x_c @ x_c)
-    slope = float(x_c @ y) / sxx
-    resid = y - y.mean() - slope * x_c
-    dof = len(x) - 2
-    return slope, math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx) if dof > 0 else 0.0
-
-
-def variance_decay_slope(result: EnsembleResult) -> SlopeEstimate:
-    """Log-log slope of var_phi against t over the late checkpoints.
-
-    Fits ordinary least squares on the later half of the positive-variance
-    checkpoints and returns the slope with a 1.96-standard-error halfwidth.
-    It measures and does not gate: the polya-rate suite requires an
-    identity-type rule before it simulates.
-    """
-    # Graphs where all in-neighbourhoods coincide keep every urn identical,
-    # so the cross-sectional variance is exactly zero up to rounding dust;
-    # refuse to fit a slope through that.
-    floor = 1e-25
-    usable = [
-        (t, v)
-        for t, v in zip(result.checkpoints, result.var_phi)
-        if t >= 1 and v > floor
-    ]
-    tail = usable[len(usable) // 2 :]
-    if len(tail) < 5:
-        raise InsufficientCheckpointsError(
-            f"need at least 5 tail checkpoints, have {len(tail)}"
-        )
-    slope, se = least_squares_slope(np.log([t for t, _ in tail]), np.log([v for _, v in tail]))
-    return SlopeEstimate(
-        slope=slope,
-        ci_halfwidth=1.96 * se,
-        n_points=len(tail),
-        t_window=(tail[0][0], tail[-1][0]),
-    )
-
-
-@dataclass(frozen=True)
-class MartingaleReport:
-    drift_estimate: float
-    threshold: float
-    standard_error: float
-    passed: bool
-
-
-def check_martingale_inputs(runs: int, last_checkpoint: int) -> None:
-    """Refuse what the ensemble leaves the martingale test unable to judge,
-    known before simulating: fewer than 2 runs (no standard error) and a last
-    checkpoint at t = 0 (zero drift by construction).  The martingale suite
-    judges the rule and the graph."""
-    if runs < 2:
-        raise InvalidParamsError(f"martingale test needs at least 2 runs, got {runs}")
-    if last_checkpoint < 1:
-        raise InvalidParamsError("martingale test needs a last checkpoint after t = 0")
-
-
-def martingale_test(result: EnsembleResult) -> MartingaleReport:
-    """Check that the cross-sectional mean fraction keeps its starting value.
-
-    Valid for identity-type reinforcement on a regular undirected graph,
-    where the cross-sectional mean is a bounded martingale; passes when the
-    observed drift is within three standard errors.  It measures and does
-    not gate: the martingale suite judges the rule and the graph before it
-    simulates, and this refuses only what `check_martingale_inputs` does.
-    """
-    check_martingale_inputs(result.runs, (result.checkpoints or (0,))[-1])
-    zbar0 = float(result.initial_fractions().mean())
-    mean_zbar = float(result.mean_z[-1].mean())
-    ones = np.ones(result.n)
-    var_zbar = float(ones @ result.cov_final @ ones) / result.n**2
-    se = math.sqrt(max(var_zbar, 0.0) / result.runs)
-    drift = mean_zbar - zbar0
-    return MartingaleReport(
-        drift_estimate=drift,
-        threshold=3.0 * se,
-        standard_error=se,
-        passed=abs(drift) <= 3.0 * se,
     )
 
 

@@ -8,14 +8,18 @@ other seed-free part, and returns it with the `run_ensemble` keyword sets
 it needs, each refused as `run_ensemble` would refuse it before any
 O(horizon) work.  A judge reads only the results and the prediction, so one
 stored result can be judged many times; its checks become {name, value,
-bound, pass} records and "pass", true when every check passes.  The
-`verify_*` names are the table's runs.  Tolerances default to the
-documented acceptance values, and fixed bounds are module constants.
+bound, pass} records and "pass", true when every check passes.  Each
+statistic a judge tests is computed here, in or beside that judge
+(`scaled_covariance` is the one public helper); `montecarlo` only simulates
+and knows no regime.  The `verify_*` names are the table's runs.
+Tolerances default to the documented acceptance values, and fixed bounds
+are module constants.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
@@ -29,11 +33,12 @@ from .dynamics import (
     UrnState,
     default_initial_state,
     expected_fractions_after_step,
+    geometric_checkpoints,
     mean_field_path,
     normalised_rule,
     simulate_runs,  # noqa: F401  bound here for perfbench's tracer, which patches it by name
 )
-from .errors import InvalidParamsError, NotRegularError, WrongRegimeError
+from .errors import InsufficientCheckpointsError, InvalidParamsError, NotRegularError, WrongRegimeError
 from .graph import DirectedGraph, generate_graph
 from .montecarlo import run_ensemble
 
@@ -41,6 +46,7 @@ EXACT_TOL = 1e-12  # exact limits in the heterogeneous suite
 _SWEEP_TOL = 1e-8  # Lyapunov solver against the regular-graph closed form
 RATIO_WINDOW = (0.3, 3.0)  # subcritical decade ratios of the t^rho-scaled median
 REQUIRED_FRACTION = 0.9  # ode-tracking runs that must stay within tol
+_VAR_FLOOR = 1e-25  # polya-rate: cross-sectional variance below this is rounding dust
 
 
 def _frobenius_rel_error(estimate: np.ndarray, target: np.ndarray) -> float:
@@ -139,13 +145,41 @@ def _clt_plan(regime, g, scheme, initial, horizon, runs, seed):
     if fl.regime != regime:
         raise WrongRegimeError(f"rho = {fl.rho:.6g} gives regime {fl.regime}, not {regime}")
     ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    _scale_squared(fl, horizon)  # refuses a horizon with no critical scale
     sweep = lyapunov_closed_form_sweep() if regime == theory.REGIME_SQRT_T else None
     return (fl, sweep), [ensemble]
 
 
+def _scale_squared(record: theory.Fluctuations, t: int) -> float:
+    """s(t)^2 for the regime of `record`: t above the critical line, t^(2 rho)
+    below it, and t / log t on it (t < 2 refused), not t log t: the fraction
+    variance decays like log(t)/t there (sqrt(t log t) scales ball counts,
+    which carry an extra factor of t)."""
+    if record.regime == theory.REGIME_SQRT_T:
+        return float(t)
+    if record.regime == theory.REGIME_CRITICAL:
+        if t < 2:
+            raise InvalidParamsError("critical scaling needs t >= 2")
+        return t / math.log(t)
+    return float(t) ** (2.0 * record.rho)
+
+
+def scaled_covariance(result: montecarlo.EnsembleResult, record: theory.Fluctuations) -> np.ndarray:
+    """Empirical covariance of the scaled deviation s(t) (Z_t - c 1) at the
+    final checkpoint t: the second moment about the predicted limit c of
+    `record`, common or one entry per vertex (the limit law is centred),
+    times s(t)^2 of the record's regime (`_scale_squared`)."""
+    s2 = _scale_squared(record, result.checkpoints[-1])
+    mean = result.mean_z[-1]
+    second = result.cov_final * (result.runs - 1) / result.runs + np.outer(mean, mean)
+    cvec = np.full(result.n, record.c, dtype=float)
+    moment = second - np.outer(mean, cvec) - np.outer(cvec, mean) + np.outer(cvec, cvec)
+    return s2 * 0.5 * (moment + moment.T)
+
+
 def _clt_judge(results, prediction, tol):
     (result,), (fl, sweep) = results, prediction
-    empirical = montecarlo.scaled_covariance(result, fl)
+    empirical = scaled_covariance(result, fl)
     rel = _frobenius_rel_error(empirical, fl.sigma)
     report = {
         "suite": "clt" if sweep is not None else "clt-critical",
@@ -208,61 +242,99 @@ def _subcritical_judge(results, fl, tol):
 def _polya_rate_plan(g, scheme, initial, horizon, runs, seed, slope_window=None):
     """Log-log decay slope of the cross-sectional variance under an
     identity-type rule, against the predicted rate class: within
-    `slope_window`, by default 0.15 either side of its exponent."""
+    `slope_window`, by default 0.15 either side of its exponent.  A horizon
+    whose checkpoints leave the slope fit fewer than 5 points is refused."""
     initial = _start(g, scheme, initial, "polya-rate")
     rate = theory.polya_rate_class(g.weighted_adjacency())
     if slope_window is None:
         slope_window = (rate.exponent - 0.15, rate.exponent + 0.15)
-    return (rate, slope_window), [_ensemble(g, scheme, initial, horizon, runs, seed)]
+    checkpoints = geometric_checkpoints(horizon)
+    ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=checkpoints)
+    _slope_tail([t for t in checkpoints if t >= 1])  # as if every variance were positive
+    return (rate, slope_window), [ensemble]
+
+
+def least_squares_slope(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares slope of y on x and its standard error (0 for two points)."""
+    x_c = x - x.mean()
+    sxx = float(x_c @ x_c)
+    slope = float(x_c @ y) / sxx
+    resid = y - y.mean() - slope * x_c
+    dof = len(x) - 2
+    return slope, math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx) if dof > 0 else 0.0
+
+
+def _slope_tail(points: list) -> list:
+    """The later half of the slope fit's points, refused below 5."""
+    tail = points[len(points) // 2 :]
+    if len(tail) < 5:
+        raise InsufficientCheckpointsError(f"need at least 5 tail checkpoints, have {len(tail)}")
+    return tail
 
 
 def _polya_rate_judge(results, prediction, tol):
     (result,), (rate, (lo, hi)) = results, prediction
-    est = montecarlo.variance_decay_slope(result)
+    var = list(zip(result.checkpoints, result.var_phi))
+
+    # Decay slope: log var_phi against log t on the later half of the
+    # checkpoints whose variance is above rounding dust, with a
+    # 1.96-standard-error halfwidth.  Graphs whose in-neighbourhoods all
+    # coincide keep every urn identical, so no slope can be fitted there.
+    tail = _slope_tail([(t, v) for t, v in var if t >= 1 and v > _VAR_FLOOR])
+    slope, se = least_squares_slope(np.log([t for t, _ in tail]), np.log([v for _, v in tail]))
 
     # Log-correction diagnostic: slope of log(var * t) vs log log t is near 1
     # when the decay carries a log factor, near 0 for a clean 1/t law.
-    tail = [(t, v) for t, v in zip(result.checkpoints, result.var_phi) if t >= 2 and v > 0]
-    tail = tail[len(tail) // 2 :]
-    log_diag, _ = montecarlo.least_squares_slope(
-        np.log(np.log([t for t, _ in tail])), np.log([v * t for t, v in tail])
+    log_tail = [(t, v) for t, v in var if t >= 2 and v > 0]
+    log_tail = log_tail[len(log_tail) // 2 :]
+    log_diag, _ = least_squares_slope(
+        np.log(np.log([t for t, _ in log_tail])), np.log([v * t for t, v in log_tail])
     )
     report = {
         "suite": "polya-rate",
         "rate_class": asdict(rate),
-        "slope": est.slope,
-        "ci_halfwidth": est.ci_halfwidth,
+        "slope": slope,
+        "ci_halfwidth": 1.96 * se,
         "log_correction_diagnostic": log_diag,
-        "t_window": list(est.t_window),
+        "t_window": [tail[0][0], tail[-1][0]],
         "horizon": result.horizon,
         "runs": result.runs,
     }
-    return report, [("slope", est.slope, [lo, hi], lo <= est.slope <= hi)]
+    return report, [("slope", slope, [lo, hi], lo <= slope <= hi)]
 
 
 def _martingale_plan(g, scheme, initial, horizon, runs, seed):
     """Preservation of the cross-sectional mean under identity-type rules,
     which is a martingale on a regular undirected graph: any other rule or
-    graph is refused."""
+    graph is refused, as are fewer than 2 runs (no standard error) and a
+    horizon below 1 (zero drift by construction).  The prediction is the
+    start's mean fraction, from which the horizon's may drift 3 SE."""
     initial = _start(g, scheme, initial, "martingale")
     if not g.is_regular_undirected():
         raise NotRegularError("martingale test needs a regular undirected graph")
-    montecarlo.check_martingale_inputs(runs, horizon)
-    return None, [_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
+    if runs < 2:
+        raise InvalidParamsError(f"martingale test needs at least 2 runs, got {runs}")
+    if horizon < 1:
+        raise InvalidParamsError("martingale test needs a last checkpoint after t = 0")
+    return float(initial.fractions().mean()), [
+        _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
 
 
-def _martingale_judge(results, prediction, tol):
+def _martingale_judge(results, start_mean, tol):
     (result,) = results
-    rep = montecarlo.martingale_test(result)
+    ones = np.ones(result.n)
+    var_zbar = float(ones @ result.cov_final @ ones) / result.n**2
+    se = math.sqrt(max(var_zbar, 0.0) / result.runs)
+    drift = float(result.mean_z[-1].mean()) - start_mean
     report = {
         "suite": "martingale",
-        "drift_estimate": rep.drift_estimate,
-        "threshold": rep.threshold,
-        "standard_error": rep.standard_error,
+        "drift_estimate": drift,
+        "threshold": 3.0 * se,
+        "standard_error": se,
         "horizon": result.horizon,
         "runs": result.runs,
     }
-    return report, [("abs_drift", abs(rep.drift_estimate), rep.threshold, rep.passed)]
+    return report, [("abs_drift", abs(drift), 3.0 * se, abs(drift) <= 3.0 * se)]
 
 
 def _oracle_plan(g, scheme, initial, horizon, runs, seed):

@@ -1,5 +1,7 @@
-"""Ensemble statistics, estimators, and the exact enumeration oracle."""
+"""Ensembles, the statistics the suites judge them by, and the exact
+enumeration oracle."""
 
+import ast
 import hashlib
 import math
 import os
@@ -12,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from urnnet import dynamics, montecarlo, theory
+from urnnet import dynamics, montecarlo, theory, verify
 from urnnet.dynamics import (
     HeterogeneousScheme,
     ReplacementMatrix,
@@ -37,12 +39,10 @@ from urnnet.montecarlo import (
     EnsembleResult,
     brute_force_distribution,
     distribution_mean_fractions,
-    martingale_test,
     oracle_check,
     run_ensemble,
-    scaled_covariance,
-    variance_decay_slope,
 )
+from urnnet.verify import scaled_covariance
 
 
 def two_cycle():
@@ -51,6 +51,10 @@ def two_cycle():
 
 def _exit_worker(*args, **kwargs):
     os._exit(1)
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated an input the plan refuses")
 
 
 POLYA = ReplacementMatrix(1, 1, 1)
@@ -320,19 +324,27 @@ def _synthetic_var_phi(checkpoints, values):
     )
 
 
+def _judge_slope(res):
+    """The polya-rate judge's report on `res`, against a 1/t decay."""
+    rate = theory.polya_rate_class(generate_graph("complete", {"n": 5}).weighted_adjacency())
+    report, _ = verify._polya_rate_judge([res], (rate, (-1.15, -0.85)), None)
+    return report
+
+
 class TestVarianceDecaySlope:
     def test_exact_power_law(self):
         ts = [int(1.5**k) for k in range(4, 26)]
         ts = sorted(set(ts))
         res = _synthetic_var_phi(ts, [7.0 / t for t in ts])
-        est = variance_decay_slope(res)
-        assert est.slope == pytest.approx(-1.0, abs=1e-9)
-        assert est.ci_halfwidth <= 1e-9
+        report = _judge_slope(res)
+        assert report["slope"] == pytest.approx(-1.0, abs=1e-9)
+        assert report["ci_halfwidth"] <= 1e-9
+        assert report["t_window"] == [ts[len(ts) // 2], ts[-1]]
 
     def test_requires_enough_checkpoints(self):
         res = _synthetic_var_phi([10, 20, 40, 80], [1e-3] * 4)
-        with pytest.raises(InsufficientCheckpointsError):
-            variance_decay_slope(res)
+        with pytest.raises(InsufficientCheckpointsError, match="have 2"):
+            _judge_slope(res)
 
     def test_identical_neighbourhoods_are_degenerate(self):
         # With self-loops on a complete graph every urn receives the same
@@ -340,8 +352,8 @@ class TestVarianceDecaySlope:
         g = generate_graph("complete_with_loops", {"n": 4})
         res = run_ensemble(g, POLYA, default_initial_state(4), 2000, 40, 6)
         assert res.var_phi.max() <= 1e-25
-        with pytest.raises(InsufficientCheckpointsError):
-            variance_decay_slope(res)
+        with pytest.raises(InsufficientCheckpointsError, match="have 0"):
+            _judge_slope(res)
 
     def test_loopless_complete_has_real_dispersion(self):
         g = generate_graph("complete", {"n": 4})
@@ -352,17 +364,17 @@ class TestVarianceDecaySlope:
 class TestMartingale:
     def test_symmetric_initials_pass(self):
         g = two_cycle()
-        res = run_ensemble(g, POLYA, default_initial_state(2), 500, 400, 15, checkpoints=[500])
-        rep = martingale_test(res)
-        assert rep.passed
-        assert abs(rep.drift_estimate) <= rep.threshold
+        rep = verify.verify_martingale(g, POLYA, default_initial_state(2), horizon=500, runs=400,
+                                       seed=15)
+        assert rep["pass"]
+        assert abs(rep["drift_estimate"]) <= rep["threshold"]
+        assert rep["threshold"] == 3 * rep["standard_error"] > 0
 
     def test_asymmetric_initials_pass(self):
         g = two_cycle()
         init = UrnState(np.array([3, 1]), np.array([1, 3]))
-        res = run_ensemble(g, POLYA, init, 2000, 500, 16, checkpoints=[2000])
-        rep = martingale_test(res)
-        assert rep.passed
+        rep = verify.verify_martingale(g, POLYA, init, horizon=2000, runs=500, seed=16)
+        assert rep["pass"]
 
     def test_exact_mean_preserved_one_step(self):
         # Exact oracle: the cross-sectional mean is preserved in expectation.
@@ -373,14 +385,15 @@ class TestMartingale:
         assert sum(means) / 2 == Fraction(1, 2)
 
     @pytest.mark.parametrize("horizon, runs", [(0, 2), (10, 1)])
-    def test_vacuous_ensembles_refused(self, horizon, runs):
+    def test_vacuous_ensembles_refused(self, monkeypatch, horizon, runs):
         # the drift at t = 0 is zero by construction, and one run has no
-        # standard error: neither verdict would say anything
+        # standard error: neither verdict would say anything, so the plan
+        # refuses both before simulating
+        monkeypatch.setattr(verify, "run_ensemble", _no_simulation)
         g = two_cycle()
         init = UrnState(np.array([3, 1]), np.array([1, 3]))
-        res = run_ensemble(g, POLYA, init, horizon, runs, 15, checkpoints=[horizon])
         with pytest.raises(InvalidParamsError, match="martingale test needs"):
-            martingale_test(res)
+            verify.verify_martingale(g, POLYA, init, horizon=horizon, runs=runs, seed=15)
 
 
 class TestBruteForce:
@@ -590,6 +603,28 @@ class TestProcessPool:
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(InvalidParamsError):
             run_ensemble(two_cycle(), POLYA, default_initial_state(2), 5, 4, 0, workers=0)
+
+
+def test_montecarlo_imports_only_the_engine_layer():
+    # the ensemble layer simulates; the theory and the suites' statistics sit
+    # above it, so importing the package must not load the suites either
+    with open(montecarlo.__file__) as source:
+        tree = ast.parse(source.read())
+    names = []  # every imported name, dotted in full
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "urnnet." * bool(node.level) + (f"{node.module}." if node.module else "")
+            names += [package + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert {name.split(".")[1] for name in names if name.startswith("urnnet.")} == {
+        "dynamics", "graph", "errors"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, urnnet; print('urnnet.verify' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_import_loads_no_pool_or_scipy():

@@ -396,24 +396,33 @@ def test_threshold_sweep_follows_the_limit_solver(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "suite,flags,message",
     [
-        ["--runs", "1", "--horizon", "300000"],
-        ["--runs", "2", "--horizon", "0"],
-        ["--runs", "2", "--horizon", "-3"],
-        ["--graph", "IRREGULAR", "--runs", "4", "--horizon", "300000"],
+        ("martingale", ["--runs", "1", "--horizon", "300000"], "at least 2 runs, got 1"),
+        ("martingale", ["--runs", "2", "--horizon", "0"], "last checkpoint after t = 0"),
+        ("martingale", ["--runs", "2", "--horizon", "-3"], "last checkpoint after t = 0"),
+        ("martingale", ["--graph", "IRREGULAR", "--runs", "4", "--horizon", "300000"],
+         "regular undirected graph"),
+        # geometric_checkpoints(26) is the first grid with 9 points at t >= 1
+        ("polya-rate", ["--horizon", "20"], "need at least 5 tail checkpoints, have 4"),
+        ("polya-rate", ["--horizon", "25"], "need at least 5 tail checkpoints, have 4"),
+        ("clt-critical", ["--horizon", "1", "--runs", "3000"], "critical scaling needs t >= 2"),
     ],
+    ids=["martingale-one-run", "martingale-horizon-0", "martingale-horizon-negative",
+         "martingale-irregular", "polya-rate-horizon-20", "polya-rate-horizon-25",
+         "clt-critical-horizon-1"],
 )
-def test_martingale_refused_before_simulating(monkeypatch, capsys, tmp_path, flags):
+def test_refused_before_simulating(monkeypatch, capsys, tmp_path, suite, flags, message):
     def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated an input the martingale test refuses")
+        raise AssertionError("simulated an input the suite refuses")
 
     monkeypatch.setattr(verify, "run_ensemble", no_simulation)
     irregular = tmp_path / "g.edges"  # in-degrees 2 and 1
     write_edge_list(DirectedGraph(2, frozenset({(1, 1), (1, 2), (2, 1)})), irregular)
     flags = [str(irregular) if f == "IRREGULAR" else f for f in flags]
-    assert cli.main(["verify", "--suite", "martingale", *flags]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(["verify", "--suite", suite, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_subcritical_report():
