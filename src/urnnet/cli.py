@@ -74,14 +74,12 @@ def _given_rule_flags(args) -> list:
     return [f"--{key}" for key, value in given if value is not None and value is not False]
 
 
-def _load_scheme(args, default=None):
+def _load_scheme(args):
     """The rule from exactly one of --polya, --hetero FILE and --a/--b[/--m]
-    (m = 1 when omitted); `default` when no rule flag is given."""
+    (m = 1 when omitted)."""
     given = _given_rule_flags(args)
     if not given:
-        if default is None:
-            raise InvalidParamsError("need --a and --b (with --m), or --polya, or --hetero FILE")
-        return default
+        raise InvalidParamsError("need --a and --b (with --m), or --polya, or --hetero FILE")
     if len(given) > 1 and not set(given) <= {"--a", "--b", "--m"}:
         raise InvalidParamsError(f"{' '.join(given)}: give one of --polya, --hetero, --a/--b/--m")
     if args.hetero is not None:
@@ -226,12 +224,9 @@ def cmd_verify(args) -> int:
         flags = " ".join(f"--{key}" for key in sorted(given & refused))
         raise InvalidParamsError(f"suite {args.suite} does not use {flags}")
     kw = {key: vars(args)[key] for key in given & {"horizon", "runs", "seed", "tol"}}
-    if suite.graph is None:
-        report = suite.run(**kw)
-    else:
-        g = fileio.read_graph(args.graph) if args.graph else suite.graph()
-        scheme = _load_scheme(args, default=ReplacementMatrix(*suite.rule))
-        report = suite.run(g, scheme, suite.initial(g.n), **kw)
+    g = fileio.read_graph(args.graph) if args.graph else None
+    scheme = _load_scheme(args) if _given_rule_flags(args) else None
+    report = suite.run(g, scheme, **kw)
 
     if args.out:
         fileio.write_report_json(args.out, report, _resolved_config(args, "verify"), __version__)

@@ -189,21 +189,20 @@ def _discard_pool() -> None:
 
 
 def check_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=None,
-                   snapshot_times=(), workers=None, reference_path=None, deviation_start=0):
-    """Raise what `run_ensemble` would raise for the same arguments, else
-    return its sorted checkpoints and worker count.  Cheap: plans call it."""
+                   snapshot_times=(), reference_path=None, deviation_start=0) -> dict:
+    """Raise what `run_ensemble` would raise for the same ensemble, else
+    return its keywords, checkpoints resolved and sorted.  Cheap: plans
+    build their ensembles with it."""
     if runs < 1:
         raise InvalidParamsError("runs must be >= 1")
-    if workers is None:
-        workers = usable_cores()
-    if workers < 1:
-        raise InvalidParamsError("workers must be >= 1")
     if checkpoints is None:
         checkpoints = geometric_checkpoints(horizon)
     checkpoints = tuple(sorted(set(int(t) for t in checkpoints)))
     check_batch(g, scheme, initial, horizon, range(runs), (*checkpoints, *snapshot_times),
                 master_seed, reference_path)
-    return checkpoints, workers
+    return dict(g=g, scheme=scheme, initial=initial, horizon=horizon, runs=runs,
+                master_seed=master_seed, checkpoints=checkpoints, snapshot_times=snapshot_times,
+                reference_path=reference_path, deviation_start=deviation_start)
 
 
 def run_ensemble(
@@ -238,8 +237,11 @@ def run_ensemble(
     in-edges stay frozen.  A reference path and deviation start go to every
     batch (see `simulate_runs`), and sup_dev joins the batches' in run order.
     """
-    checkpoints, workers = check_ensemble(g, scheme, initial, horizon, runs, master_seed,
-                                          checkpoints, snapshot_times, workers, reference_path)
+    checkpoints = check_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints,
+                                 snapshot_times, reference_path)["checkpoints"]
+    workers = usable_cores() if workers is None else workers
+    if workers < 1:
+        raise InvalidParamsError("workers must be >= 1")
 
     batches = [range(lo, min(lo + _BATCH_RUNS, runs)) for lo in range(0, runs, _BATCH_RUNS)]
     work = functools.partial(
@@ -389,9 +391,8 @@ def oracle_plan(g: DirectedGraph, scheme, initial: UrnState, horizon: int, runs:
         raise InvalidParamsError(f"oracle check needs horizon >= 1, got {horizon}")
     if runs < 1:
         raise InvalidParamsError(f"oracle check needs runs >= 1, got {runs}")
-    ensemble = dict(g=g, scheme=scheme, initial=initial, horizon=horizon, runs=runs,
-                    master_seed=master_seed, checkpoints=(), snapshot_times=[horizon])
-    check_ensemble(**ensemble)
+    ensemble = check_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=(),
+                              snapshot_times=[horizon])
     return exact_law(g, scheme, initial, horizon), ensemble
 
 

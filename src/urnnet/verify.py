@@ -1,19 +1,20 @@
 """Named verification suites: desk-scale statistical reproductions of the
 limit theory, plus exact oracle comparisons.
 
-Each row of `SUITES` is a plan and a judge, which `Suite.run` joins over
-the one engine path, `run_ensemble`.  A plan makes every refusal (an
-unreinforced urn is `ZeroInDegreeError`), computes the prediction and any
-other seed-free part, and returns it with the `run_ensemble` keyword sets
-it needs, each refused as `run_ensemble` would refuse it before any
-O(horizon) work.  A judge reads only the results and the prediction, so one
-stored result can be judged many times; its checks become {name, value,
-bound, pass} records and "pass", true when every check passes.  Each
-statistic a judge tests is computed here, in or beside that judge
-(`scaled_covariance` is the one public helper); `montecarlo` only simulates
-and knows no regime.  The `verify_*` names are the table's runs.
-Tolerances default to the documented acceptance values, and fixed bounds
-are module constants.
+Each row of `SUITES` is a plan, a judge and the suite's inputs, which
+`Suite.run` joins over the one engine path, `run_ensemble`; an input left
+out is the row's, so the API and `urnnet verify` run one experiment.  A
+plan makes every refusal (an unreinforced urn is `ZeroInDegreeError`),
+computes the prediction and any other seed-free part, and returns it with
+the `run_ensemble` keyword sets it needs, each from
+`montecarlo.check_ensemble`, refused before any O(horizon) work.  A judge
+reads only the results and the prediction, so one stored result can be
+judged many times; its checks become {name, value, bound, pass} records
+and "pass", true when every check passes.  Each statistic a judge tests is
+computed here, in or beside that judge (`scaled_covariance` is the one
+public helper); `montecarlo` only simulates and knows no regime.  The
+`verify_*` names are the table's runs.  Tolerances default to the
+documented acceptance values, and fixed bounds are module constants.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .dynamics import (
 )
 from .errors import InsufficientCheckpointsError, InvalidParamsError, NotRegularError, WrongRegimeError
 from .graph import DirectedGraph, generate_graph
-from .montecarlo import run_ensemble
+from .montecarlo import check_ensemble, run_ensemble
 
 EXACT_TOL = 1e-12  # exact limits in the heterogeneous suite
 _SWEEP_TOL = 1e-8  # Lyapunov solver against the regular-graph closed form
@@ -66,39 +67,23 @@ def _verdict(report: dict, checks) -> dict:
     return report
 
 
-def _initial(g, initial) -> UrnState:
-    """Refuse a graph with unreinforced urns, which the suites' limits
-    exclude, then return the start state, by default one ball of each
-    colour per urn."""
-    g.check_reinforced()
-    return default_initial_state(g.n) if initial is None else initial
-
-
-def _start(g, scheme, initial, suite: str) -> UrnState:
-    """Refuse a rule other than one Polya-type a = b = m, then `_initial`."""
+def _start(g, scheme, suite: str) -> None:
+    """Refuse a rule other than one Polya-type a = b = m, then unreinforced urns."""
     if not (isinstance(scheme, ReplacementMatrix) and scheme.is_polya()):
         raise InvalidParamsError(f"suite {suite} needs a Polya-type rule a = b = m, got {scheme}")
-    return _initial(g, initial)
-
-
-def _ensemble(g, scheme, initial, horizon, runs, seed, **options) -> dict:
-    """One planned ensemble's `run_ensemble` keywords, refused now."""
-    ensemble = dict(g=g, scheme=scheme, initial=initial, horizon=horizon, runs=runs,
-                    master_seed=seed, **options)
-    montecarlo.check_ensemble(**ensemble)
-    return ensemble
+    g.check_reinforced()
 
 
 def _consensus_plan(g, scheme, initial, horizon, runs, seed):
     """Per-vertex ensemble means against the predicted limit: the consensus
     value of one rule, one value per vertex for a per-vertex rule.  A horizon
     below 100 is refused, as it would mostly measure the start."""
-    initial = _initial(g, initial)
+    g.check_reinforced()
     if horizon < 100:
         raise InvalidParamsError(f"suite consensus needs horizon >= 100, got {horizon}")
     # the subcritical regime asks for c and rho only, with no covariance solve
     c = theory.fluctuations(*normalised_rule(g, scheme), theory.REGIME_SUBCRITICAL).c
-    return c, [_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
+    return c, [check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
 
 
 def _consensus_judge(results, c, tol):
@@ -140,11 +125,11 @@ def _clt_plan(regime, g, scheme, initial, horizon, runs, seed):
     against the regular-graph closed form (clt), or sqrt(t / log t) on the
     critical line (clt-critical).  Another regime or a singular H is
     refused."""
-    initial = _initial(g, initial)
+    g.check_reinforced()
     fl = theory.fluctuations(*normalised_rule(g, scheme), regime)
     if fl.regime != regime:
         raise WrongRegimeError(f"rho = {fl.rho:.6g} gives regime {fl.regime}, not {regime}")
-    ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
+    ensemble = check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])
     _scale_squared(fl, horizon)  # refuses a horizon with no critical scale
     sweep = lyapunov_closed_form_sweep() if regime == theory.REGIME_SQRT_T else None
     return (fl, sweep), [ensemble]
@@ -205,13 +190,13 @@ def _subcritical_plan(g, scheme, initial, horizon, runs, seed):
     t^rho * ||Z_t - c||_2 neither vanishes nor explodes across the decades
     horizon // 100, horizon // 10 and horizon, each ratio in RATIO_WINDOW.
     """
-    initial = _initial(g, initial)
+    g.check_reinforced()
     if horizon < 100:
         raise InvalidParamsError(f"suite subcritical needs horizon >= 100, got {horizon}")
     fl = theory.fluctuations(*normalised_rule(g, scheme), theory.REGIME_SUBCRITICAL)
     horizons = [horizon // 100, horizon // 10, horizon]
-    return fl, [_ensemble(g, scheme, initial, horizon, runs, seed,
-                          checkpoints=horizons, snapshot_times=horizons)]
+    return fl, [check_ensemble(g, scheme, initial, horizon, runs, seed,
+                               checkpoints=horizons, snapshot_times=horizons)]
 
 
 def _subcritical_judge(results, fl, tol):
@@ -243,13 +228,16 @@ def _polya_rate_plan(g, scheme, initial, horizon, runs, seed, slope_window=None)
     """Log-log decay slope of the cross-sectional variance under an
     identity-type rule, against the predicted rate class: within
     `slope_window`, by default 0.15 either side of its exponent.  A horizon
-    whose checkpoints leave the slope fit fewer than 5 points is refused."""
-    initial = _start(g, scheme, initial, "polya-rate")
+    whose checkpoints leave the slope fit fewer than 5 points is refused, as
+    are fewer than 2 runs, whose cross-run variance is identically zero."""
+    _start(g, scheme, "polya-rate")
+    if runs < 2:
+        raise InvalidParamsError(f"suite polya-rate needs at least 2 runs, got {runs}")
     rate = theory.polya_rate_class(g.weighted_adjacency())
     if slope_window is None:
         slope_window = (rate.exponent - 0.15, rate.exponent + 0.15)
     checkpoints = geometric_checkpoints(horizon)
-    ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=checkpoints)
+    ensemble = check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=checkpoints)
     _slope_tail([t for t in checkpoints if t >= 1])  # as if every variance were positive
     return (rate, slope_window), [ensemble]
 
@@ -309,7 +297,7 @@ def _martingale_plan(g, scheme, initial, horizon, runs, seed):
     graph is refused, as are fewer than 2 runs (no standard error) and a
     horizon below 1 (zero drift by construction).  The prediction is the
     start's mean fraction, from which the horizon's may drift 3 SE."""
-    initial = _start(g, scheme, initial, "martingale")
+    _start(g, scheme, "martingale")
     if not g.is_regular_undirected():
         raise NotRegularError("martingale test needs a regular undirected graph")
     if runs < 2:
@@ -317,7 +305,7 @@ def _martingale_plan(g, scheme, initial, horizon, runs, seed):
     if horizon < 1:
         raise InvalidParamsError("martingale test needs a last checkpoint after t = 0")
     return float(initial.fractions().mean()), [
-        _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
+        check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
 
 
 def _martingale_judge(results, start_mean, tol):
@@ -340,7 +328,7 @@ def _martingale_judge(results, start_mean, tol):
 def _oracle_plan(g, scheme, initial, horizon, runs, seed):
     """Simulator law against exact enumeration (`montecarlo.oracle_plan`),
     plus the exact one-step conditional mean identity."""
-    initial = _initial(g, initial)
+    g.check_reinforced()
     law, ensemble = montecarlo.oracle_plan(g, scheme, initial, horizon, runs, seed)
     one_step = montecarlo.brute_force_distribution(g, scheme, initial, 1)
     mean_exact = montecarlo.distribution_mean_fractions(one_step)
@@ -376,9 +364,9 @@ def _ode_tracking_plan(g, scheme, initial, horizon, runs, seed, start_time=1000)
     """
     if horizon < start_time:
         raise InvalidParamsError(f"suite ode-tracking needs horizon >= {start_time}, got {horizon}")
-    initial = _initial(g, initial)
-    ensemble = _ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=(),
-                         deviation_start=start_time)
+    g.check_reinforced()
+    ensemble = check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=(),
+                              deviation_start=start_time)
     ensemble["reference_path"] = mean_field_path(g, scheme, initial, horizon)
     return start_time, [ensemble]
 
@@ -427,8 +415,8 @@ def _heterogeneous_plan(g, scheme, initial, horizon, runs, seed):
         black=np.array([1] + [0] * d, dtype=np.int64),
     )
     ensembles = [
-        _ensemble(g2, scheme2, default_initial_state(2), horizon, runs, seed, checkpoints=[horizon]),
-        _ensemble(g_star, scheme_star, init_star, horizon, runs, seed + 1, checkpoints=[horizon]),
+        check_ensemble(g2, scheme2, default_initial_state(2), horizon, runs, seed, [horizon]),
+        check_ensemble(g_star, scheme_star, init_star, horizon, runs, seed + 1, [horizon]),
     ]
 
     a_sum, b_sum = r1.a + r2.a, r1.b + r2.b
@@ -498,10 +486,11 @@ class Suite:
     """A suite: `plan(g, scheme, initial, horizon, runs, seed, **options)`
     returns (prediction, a list of `run_ensemble` keyword sets), and
     `judge(results, prediction, tol)` returns (report, checks) from those
-    ensembles' results in order.  `graph` builds the CLI's default graph
-    (None when the plan builds its own) and `initial` maps the vertex count
-    to the CLI's start state; `rule` (a, b, m), `horizon`, `runs`, `seed`
-    and `tol` (None when the suite takes none) are every caller's defaults.
+    ensembles' results in order.  `graph` builds the suite's graph (None
+    when the plan builds its own), `rule` is its (a, b, m) and `initial`
+    maps the vertex count to its start state; these, `horizon`, `runs`,
+    `seed` and `tol` (None when the suite takes none) are the defaults of
+    every caller, the CLI included.
     """
 
     plan: Callable[..., tuple]
@@ -517,15 +506,17 @@ class Suite:
     def run(self, g=None, scheme=None, initial=None, *, horizon=None, runs=None, seed=None,
             tol=None, **options) -> dict:
         """Plan, simulate each planned ensemble, judge, attach the verdict.  An
-        argument left None takes the suite's default (a start state: one ball
-        of each colour per urn); `options` go to the plan."""
-        if (g is None) != (self.graph is None) or (
-                self.graph is None and (scheme, initial) != (None, None)):
-            raise TypeError("give a graph to every suite but heterogeneous, which takes none")
+        argument left None takes the row's value, so a call with the CLI's
+        flags runs the CLI's experiment; `options` go to the plan."""
         if tol is not None and self.tol is None:
             raise TypeError("this suite takes no tol")
-        if scheme is None and self.rule is not None:
-            scheme = ReplacementMatrix(*self.rule)
+        if self.graph is None:
+            if any(arg is not None for arg in (g, scheme, initial)):
+                raise TypeError("this suite builds its own graphs, rules and start states")
+        else:
+            g = self.graph() if g is None else g
+            scheme = ReplacementMatrix(*self.rule) if scheme is None else scheme
+            initial = self.initial(g.n) if initial is None else initial
         prediction, ensembles = self.plan(
             g, scheme, initial, self.horizon if horizon is None else horizon,
             self.runs if runs is None else runs, self.seed if seed is None else seed, **options,

@@ -289,8 +289,9 @@ def test_suite_refuses_arguments_it_would_ignore():
         verify.verify_heterogeneous(g, horizon=100, runs=4)
     with pytest.raises(TypeError, match="graph"):
         verify.verify_heterogeneous(initial=default_initial_state(2), horizon=100, runs=4)
-    with pytest.raises(TypeError, match="graph"):
-        verify.verify_consensus(horizon=100, runs=4)
+    # a graph suite given no graph runs its row's
+    row_graph = verify.verify_consensus(verify.SUITES["consensus"].graph(), horizon=100, runs=4)
+    assert verify.verify_consensus(horizon=100, runs=4) == row_graph
 
 
 def test_ode_tracking_keeps_every_bit_through_the_pool(monkeypatch):
@@ -406,11 +407,13 @@ def test_threshold_sweep_follows_the_limit_solver(monkeypatch):
         # geometric_checkpoints(26) is the first grid with 9 points at t >= 1
         ("polya-rate", ["--horizon", "20"], "need at least 5 tail checkpoints, have 4"),
         ("polya-rate", ["--horizon", "25"], "need at least 5 tail checkpoints, have 4"),
+        # one run has no cross-run variance: every var_phi is 0
+        ("polya-rate", ["--runs", "1", "--horizon", "30"], "at least 2 runs, got 1"),
         ("clt-critical", ["--horizon", "1", "--runs", "3000"], "critical scaling needs t >= 2"),
     ],
     ids=["martingale-one-run", "martingale-horizon-0", "martingale-horizon-negative",
          "martingale-irregular", "polya-rate-horizon-20", "polya-rate-horizon-25",
-         "clt-critical-horizon-1"],
+         "polya-rate-one-run", "clt-critical-horizon-1"],
 )
 def test_refused_before_simulating(monkeypatch, capsys, tmp_path, suite, flags, message):
     def no_simulation(*args, **kwargs):
@@ -554,6 +557,20 @@ def test_default_initial_used_when_omitted():
     rep = verify.verify_consensus(g, ReplacementMatrix(1, 1, 4), horizon=200, runs=20, seed=10)
     assert rep["runs"] == 20
     assert default_initial_state(2).fractions().tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_api_and_cli_run_one_experiment(capsys, name):
+    """A row's run with the CLI's sizes is the CLI's experiment: every left-out
+    input (graph, rule, start state) comes from the row on both sides."""
+    horizon = 1 if name == "oracle" else 1000  # ode-tracking starts at t = 1000
+    report = verify.SUITES[name].run(horizon=horizon, runs=8, seed=3)
+    code = cli.main(["verify", "--suite", name, "--horizon", str(horizon), "--runs", "8",
+                     "--seed", "3"])
+    printed, verdict = capsys.readouterr().out.rsplit("\n", 2)[:2]
+    assert printed == json.dumps(report, indent=1, sort_keys=True)
+    assert verdict == f"suite {name}: {'PASS' if report['pass'] else 'FAIL'}"
+    assert code == (0 if report["pass"] else 1)
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))
