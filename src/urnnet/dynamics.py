@@ -199,6 +199,40 @@ def make_stream(master_seed: int, run_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+#: Philox4x64 round multipliers and key bumps (Salmon, Moraes, Dror and
+#: Shaw, SC 2011), as numpy's Philox uses them, for words 0 and 2 and for
+#: key words 0 and 1
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def philox_doubles(master_seed: int, run_indices: np.ndarray, counter: int) -> np.ndarray:
+    """(runs, 4) doubles: row i is `make_stream(master_seed, r).random(4)` for
+    r = run_indices[i] (uint64) with its Philox counter set to `counter`.
+
+    numpy increments the counter before it draws, so this is one
+    Philox4x64-10 block at counter + 1 under key (master_seed, r), computed
+    for every run at once in uint64 arrays, which wrap mod 2**64 without a
+    warning.  A round maps the words (x0, x1, x2, x3) to (hi(M1 x2) ^ x1 ^
+    k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)), so both products run as
+    one (2, runs) expression, their high words from 32-bit halves.  A
+    double is (x >> 11) * 2**-53, as numpy draws it.
+    """
+    key = np.empty((2, len(run_indices)), dtype=np.uint64)
+    key[0], key[1] = master_seed, run_indices
+    even, odd = np.zeros_like(key), np.zeros_like(key)  # words (x0, x2) and (x1, x3)
+    even[0] = counter + 1
+    m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+    for _ in range(10):
+        lo, hi = even & 0xFFFFFFFF, even >> 32
+        mid = hi * m_lo + (lo * m_lo >> 32)  # below 2**64, as is low_mid
+        low_mid = lo * m_hi + (mid & 0xFFFFFFFF)
+        high = hi * m_hi + (mid >> 32) + (low_mid >> 32)
+        even, odd = high[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+        key += _PHILOX_W
+    return (np.stack((even[0], odd[0], even[1], odd[1]), axis=1) >> 11) * 2.0**-53
+
+
 @functools.cache
 def _openblas(package: str) -> tuple:
     """(get, set) thread counts of the OpenBLAS `package` (numpy or scipy) maps, found
@@ -393,15 +427,18 @@ def simulate_runs(
     """Run a batch of independent trajectories in lockstep.
 
     Each run index gets its own stream; per-run results are identical to
-    driving `step` with `make_stream(master_seed, run_index)`.  The batch
-    builds one generator and re-keys its Philox bit generator for every run
-    and random block: key (master_seed, run_index), counter at the run's
-    next unused draw.  The re-key state is one dict of plain Python ints,
-    built once per batch, so setting it converts no numpy scalar: a re-key
-    and a 4-double fill cost about 1.5-2 us a run (2-vCPU Xeon).  Blocks
+    driving `step` with `make_stream(master_seed, run_index)`.  Blocks
     shorter than the horizon hold a multiple of 4 steps, so every block
     starts on a counter boundary (Philox yields 4 doubles per counter
-    value) and no draw is skipped or repeated.  Checkpoints
+    value) and no draw is skipped or repeated.  A block whose rows fit in
+    one counter value (steps * n <= 4, as in the oracle's 1- and 2-step
+    runs on 2 urns) is one Philox block per run, and `philox_doubles`
+    computes it for every run at once: about 0.08 ms a batch plus 0.18 us
+    a run (2-vCPU Xeon).  Every longer block re-keys the batch's one Philox
+    bit generator for every run: key (master_seed, run_index), counter at
+    the run's next unused draw.  The re-key state is one dict of plain
+    Python ints, built once per batch, so setting it converts no numpy
+    scalar: a re-key and a 4-double fill cost about 0.9 us a run.  Checkpoints
     accumulate sums of Z and of Z^T Z (its upper triangle) across the batch;
     snapshot times store exact white counts per run.  With a reference path
     (shape (horizon+1, n)), the running sup-norm deviation from it is
@@ -500,11 +537,21 @@ def simulate_runs(
     drew_white = np.empty((n_runs, n), dtype=np.float32)  # 1 where the urn drew white
     gain = np.empty((n_runs, n), dtype=np.float32)
 
+    # the last block is the shortest: if its rows fit in one Philox block, so
+    # may others, and the kernel draws those for every run at once
+    keys = np.array(run_indices, dtype=np.uint64) if (horizon - starts[-1]) * n <= 4 else None
+
     def fill(k: int) -> np.ndarray:
-        """Draw block k into its buffer, one run's row view at a time."""
+        """Draw block k into its buffer: rows of at most 4 doubles by
+        `philox_doubles`, longer ones one run's row view at a time."""
         uniforms = buffers[k % len(buffers)]
+        steps = min(block, horizon - starts[k])
         counter[0] = starts[k] * n // 4
-        for row, r in zip(uniforms[:, : min(block, horizon - starts[k])], run_indices):
+        if steps * n <= 4:
+            drawn = philox_doubles(master_seed, keys, counter[0])[:, : steps * n]
+            uniforms[:, :steps] = drawn.reshape(n_runs, steps, n)
+            return uniforms
+        for row, r in zip(uniforms[:, :steps], run_indices):
             key[1] = r
             bitgen.state = rekey
             random(None, np.float64, row)

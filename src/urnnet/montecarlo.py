@@ -6,6 +6,10 @@ independent work items keyed by (master_seed, run_index); batches run on a
 pool of worker processes and merge in fixed index order, which makes
 results identical for any worker count.  The pool takes consecutive batches
 in chunks whose outputs fit the engine's uniform budget, in the same order.
+A batch whose runs draw at most 4 uniforms each (horizon * n <= 4, as the
+oracle's do) gets them from one array evaluation of Philox over its run
+keys, `dynamics.philox_doubles`: about 0.26 ms for 1,024 runs, against
+0.9 ms when each run's stream is re-keyed, as longer runs' still are.
 
 The second-moment sums, n(n + 1)/2 packed doubles per checkpoint, are the
 largest arrays (40 MB at n = 200 with 250 steps recorded).  Each batch adds

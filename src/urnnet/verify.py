@@ -488,16 +488,17 @@ class Suite:
     `judge(results, prediction, tol)` returns (report, checks) from those
     ensembles' results in order.  `graph` builds the suite's graph (None
     when the plan builds its own), `rule` is its (a, b, m) and `initial`
-    maps the vertex count to its start state; these, `horizon`, `runs`,
-    `seed` and `tol` (None when the suite takes none) are the defaults of
-    every caller, the CLI included.
+    maps the vertex count to its start state (None when the plan builds its
+    own start states); these, `horizon`, `runs`, `seed` and `tol` (None
+    when the suite takes none) are the defaults of every caller, the CLI
+    included.
     """
 
     plan: Callable[..., tuple]
     judge: Callable[..., tuple]
     graph: Callable[[], DirectedGraph] | None
     rule: tuple | None
-    initial: Callable[[int], UrnState]
+    initial: Callable[[int], UrnState] | None
     horizon: int
     runs: int
     seed: int
@@ -548,7 +549,7 @@ SUITES = {
     "subcritical": Suite(_subcritical_plan, _subcritical_judge, _graph("cycle_undirected", n=5),
                          (0, 0, 1), _ONE_EACH, 100_000, 200, 17),
     "heterogeneous": Suite(_heterogeneous_plan, _heterogeneous_judge, None,
-                           None, _ONE_EACH, 100_000, 64, 37, 0.02),
+                           None, None, 100_000, 64, 37, 0.02),
 }
 
 # the runners, in table order

@@ -206,3 +206,23 @@ def test_tracer_hooks_see_every_fill(monkeypatch, spans):
     assert threading.get_ident() not in stream.threads  # the helper thread drew them
     assert out.count == len(runs) and out.checkpoints == (50, 100)
     assert np.array_equal(out.sum_outer, plain.sum_outer)
+
+
+@pytest.mark.parametrize("n, horizon, calls_per_run", [(2, 2, 0), (1, 4, 0), (5, 1, 1), (1, 5, 1)])
+def test_one_counter_rows_skip_the_stream(monkeypatch, n, horizon, calls_per_run):
+    # rows of at most 4 doubles (horizon * n <= 4) come from the Philox
+    # kernel, which the tracer's stream does not see; a row of 5 is re-keyed
+    # and drawn once per run
+    g = generate_graph("cycle_directed", {"n": n}) if n > 1 else DirectedGraph(1, {(1, 1)})
+    scheme, initial, runs = ReplacementMatrix(1, 2, 3), dynamics.default_initial_state(n), range(9)
+    streams, make = [], dynamics.make_stream
+
+    def counted(*args):
+        streams.append(_CountingStream(make(*args)))
+        return streams[-1]
+
+    monkeypatch.setattr(dynamics, "make_stream", counted)
+    dynamics.simulate_runs(g, scheme, initial, horizon, 3, runs, snapshot_times=[horizon])
+    [stream] = streams
+    assert stream.calls == len(runs) * calls_per_run
+    assert stream.doubles == len(runs) * horizon * n * calls_per_run

@@ -66,6 +66,18 @@ run_index_sets = st.lists(
 )
 
 
+def _ring(n, scheme, white, black):
+    """A directed n-cycle with self-loops and the given rule and start state."""
+    edges = {(i, i % n + 1) for i in range(1, n + 1)} | {(i, i) for i in range(1, n + 1)}
+    return DirectedGraph(n, frozenset(edges)), scheme, UrnState(np.array(white), np.array(black))
+
+
+LOOP1 = _ring(1, ReplacementMatrix(1, 2, 3), [1], [2])
+RING2 = _ring(2, ReplacementMatrix(0, 1, 2), [2, 1], [1, 3])
+RING4 = _ring(4, ReplacementMatrix(2, 2, 2), [1, 3, 1, 2], [1, 1, 2, 1])
+TOP = 2**64 - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     problem=urn_problems(),
@@ -74,6 +86,15 @@ run_index_sets = st.lists(
     runs=run_index_sets,
     block_doubles=st.integers(1, 64),
 )
+# rows of at most 4 doubles, one Philox block each, drawn for all runs at once
+@example(problem=LOOP1, horizon=4, seed=TOP, runs=range(TOP - 2, TOP + 1), block_doubles=64)
+@example(problem=RING2, horizon=2, seed=2**63, runs=[TOP, 0, 2**63], block_doubles=64)
+@example(problem=RING4, horizon=1, seed=0, runs=range(2**63 - 1, 2**63 + 2), block_doubles=64)
+# n = 1 in blocks of 4 steps (10 = 4 + 4 + 2), stepped in turn and prefetched
+@example(problem=LOOP1, horizon=10, seed=5, runs=[TOP - 1, 7], block_doubles=8)
+@example(problem=LOOP1, horizon=10, seed=TOP, runs=[TOP], block_doubles=8)
+# n = 2 in blocks of 4 steps: rows of 8 doubles re-keyed, then one of 4 drawn at once
+@example(problem=RING2, horizon=10, seed=3, runs=[TOP], block_doubles=8)
 def test_engine_equals_exact_steps(problem, horizon, seed, runs, block_doubles):
     g, scheme, init = problem
     # a small block budget makes the horizon span several random blocks

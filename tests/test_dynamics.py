@@ -571,6 +571,23 @@ def test_each_openblas_is_found_once():
     assert dynamics._openblas.cache_info().misses == scans
 
 
+def _key_words(count, seed):
+    """The edge words 0, 1, 2**32, 2**63 and 2**64 - 1, and `count` random ones."""
+    drawn = np.random.default_rng(seed).integers(0, 2**64, count, np.uint64)
+    return [0, 1, 2**32, 2**63, 2**64 - 1, *drawn.tolist()]
+
+
+@pytest.mark.parametrize("counter", [0, 1, 5])
+@pytest.mark.parametrize("seed", _key_words(6, 8))
+def test_philox_kernel_equals_the_stream(seed, counter):
+    runs = _key_words(4, seed % 97)
+    drawn = dynamics.philox_doubles(seed, np.array(runs, dtype=np.uint64), counter)
+    assert drawn.shape == (len(runs), 4)
+    for row, r in zip(drawn, runs):
+        # counter c holds the stream's doubles 4c, ..., 4c + 3
+        assert np.array_equal(row, make_stream(seed, r).random(4 * (counter + 1))[-4:]), r
+
+
 def test_make_stream_validation():
     with pytest.raises(InvalidParamsError):
         make_stream(-1)

@@ -553,10 +553,14 @@ def test_heterogeneous_report():
 
 
 def test_default_initial_used_when_omitted():
-    g = generate_graph("complete_with_loops", {"n": 2})
-    rep = verify.verify_consensus(g, ReplacementMatrix(1, 1, 4), horizon=200, runs=20, seed=10)
-    assert rep["runs"] == 20
-    assert default_initial_state(2).fractions().tolist() == [0.5, 0.5]
+    g, rule = generate_graph("complete_with_loops", {"n": 2}), ReplacementMatrix(1, 1, 4)
+    rep = verify.verify_consensus(g, rule, horizon=200, runs=20, seed=10)
+    row = verify.SUITES["consensus"].initial(g.n)
+    assert rep == verify.verify_consensus(g, rule, initial=row, horizon=200, runs=20, seed=10)
+    # the start state reaches the result: another one moves the means
+    skewed = UrnState(np.array([3, 1]), np.array([1, 3]))
+    other = verify.verify_consensus(g, rule, initial=skewed, horizon=200, runs=20, seed=10)
+    assert other["per_vertex_mean"] != rep["per_vertex_mean"]
 
 
 @pytest.mark.parametrize("name", list(verify.SUITES))
