@@ -52,19 +52,16 @@ _CHECKPOINTS = {
 }
 
 
-def _family_params(args) -> dict:
-    return {key: vars(args)[key] for key in ("n", "d", "p") if vars(args)[key] is not None}
-
-
 def _load_graph(args) -> DirectedGraph:
+    params = {key: vars(args)[key] for key in ("n", "d", "p") if vars(args)[key] is not None}
     if args.graph:
-        generator = [f"--{key}" for key in ("family", "n", "d", "p") if vars(args)[key] is not None]
+        generator = [f"--{key}" for key in ("family", *params) if vars(args)[key] is not None]
         if generator:
             raise InvalidParamsError(f"--graph excludes the generator flags {' '.join(generator)}")
         return fileio.read_graph(args.graph)
     if args.family:
         family = _FAMILY_ALIASES.get(args.family, args.family)
-        return generate_graph(family, _family_params(args), args.seed)
+        return generate_graph(family, params, args.seed)
     raise InvalidParamsError("need --graph FILE or --family NAME")
 
 

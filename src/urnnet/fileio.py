@@ -84,15 +84,11 @@ def write_graph_json(g: DirectedGraph, path) -> None:
         fh.write("\n")
 
 
-def read_graph_json(path) -> DirectedGraph:
-    return graph_from_json(_load_json(path))
-
-
 def read_graph(path) -> DirectedGraph:
     """Dispatch on extension: .json uses the JSON mirror, anything else the
     edge-list text format."""
     if str(path).endswith(".json"):
-        return read_graph_json(path)
+        return graph_from_json(_load_json(path))
     return read_edge_list(path)
 
 

@@ -47,6 +47,8 @@ EXACT_TOL = 1e-12  # exact limits in the heterogeneous suite
 _SWEEP_TOL = 1e-8  # Lyapunov solver against the regular-graph closed form
 RATIO_WINDOW = (0.3, 3.0)  # subcritical decade ratios of the t^rho-scaled median
 REQUIRED_FRACTION = 0.9  # ode-tracking runs that must stay within tol
+ODE_START_TIME = 1000  # ode-tracking measures deviations from this step on
+SLOPE_HALFWIDTH = 0.15  # polya-rate slope window either side of the exponent
 _VAR_FLOOR = 1e-25  # polya-rate: cross-sectional variance below this is rounding dust
 
 
@@ -86,8 +88,8 @@ def _consensus_plan(g, scheme, initial, horizon, runs, seed):
     return c, [check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
 
 
-def _consensus_judge(results, c, tol):
-    (result,) = results
+def _consensus_judge(results, prediction, tol):
+    (result,), c = results, prediction
     worst = float(np.abs(result.mean_z[-1] - c).max())
     report = {
         "suite": "consensus",
@@ -199,8 +201,8 @@ def _subcritical_plan(g, scheme, initial, horizon, runs, seed):
                                checkpoints=horizons, snapshot_times=horizons)]
 
 
-def _subcritical_judge(results, fl, tol):
-    (result,) = results
+def _subcritical_judge(results, prediction, tol):
+    (result,), fl = results, prediction
     horizons = list(result.checkpoints)
     medians = []
     for t in horizons:
@@ -224,22 +226,20 @@ def _subcritical_judge(results, fl, tol):
     ]
 
 
-def _polya_rate_plan(g, scheme, initial, horizon, runs, seed, slope_window=None):
+def _polya_rate_plan(g, scheme, initial, horizon, runs, seed):
     """Log-log decay slope of the cross-sectional variance under an
     identity-type rule, against the predicted rate class: within
-    `slope_window`, by default 0.15 either side of its exponent.  A horizon
-    whose checkpoints leave the slope fit fewer than 5 points is refused, as
-    are fewer than 2 runs, whose cross-run variance is identically zero."""
+    SLOPE_HALFWIDTH either side of its exponent.  A horizon whose
+    checkpoints leave the slope fit fewer than 5 points is refused, as are
+    fewer than 2 runs, whose cross-run variance is identically zero."""
     _start(g, scheme, "polya-rate")
     if runs < 2:
         raise InvalidParamsError(f"suite polya-rate needs at least 2 runs, got {runs}")
     rate = theory.polya_rate_class(g.weighted_adjacency())
-    if slope_window is None:
-        slope_window = (rate.exponent - 0.15, rate.exponent + 0.15)
     checkpoints = geometric_checkpoints(horizon)
     ensemble = check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=checkpoints)
     _slope_tail([t for t in checkpoints if t >= 1])  # as if every variance were positive
-    return (rate, slope_window), [ensemble]
+    return rate, [ensemble]
 
 
 def least_squares_slope(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -261,7 +261,8 @@ def _slope_tail(points: list) -> list:
 
 
 def _polya_rate_judge(results, prediction, tol):
-    (result,), (rate, (lo, hi)) = results, prediction
+    (result,), rate = results, prediction
+    lo, hi = rate.exponent - SLOPE_HALFWIDTH, rate.exponent + SLOPE_HALFWIDTH
     var = list(zip(result.checkpoints, result.var_phi))
 
     # Decay slope: log var_phi against log t on the later half of the
@@ -308,8 +309,8 @@ def _martingale_plan(g, scheme, initial, horizon, runs, seed):
         check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=[horizon])]
 
 
-def _martingale_judge(results, start_mean, tol):
-    (result,) = results
+def _martingale_judge(results, prediction, tol):
+    (result,), start_mean = results, prediction
     ones = np.ones(result.n)
     var_zbar = float(ones @ result.cov_final @ ones) / result.n**2
     se = math.sqrt(max(var_zbar, 0.0) / result.runs)
@@ -353,31 +354,32 @@ def _oracle_judge(results, prediction, tol):
     ]
 
 
-def _ode_tracking_plan(g, scheme, initial, horizon, runs, seed, start_time=1000):
+def _ode_tracking_plan(g, scheme, initial, horizon, runs, seed):
     """Fraction of seeded runs whose sup-norm distance from the noise-free
     companion path stays within `tol`, which must reach REQUIRED_FRACTION.
 
     The companion is the conditional-mean recursion, an Euler path of the
     limit ODE with the process's own step sizes; deviation is measured in
-    sup norm from `start_time` onward, so a shorter horizon is refused: it
-    would measure no step and pass.
+    sup norm from ODE_START_TIME onward, so a shorter horizon is refused: it
+    would measure no step and pass.  The prediction is that start.
     """
-    if horizon < start_time:
-        raise InvalidParamsError(f"suite ode-tracking needs horizon >= {start_time}, got {horizon}")
+    if horizon < ODE_START_TIME:
+        raise InvalidParamsError(
+            f"suite ode-tracking needs horizon >= {ODE_START_TIME}, got {horizon}")
     g.check_reinforced()
     ensemble = check_ensemble(g, scheme, initial, horizon, runs, seed, checkpoints=(),
-                              deviation_start=start_time)
+                              deviation_start=ODE_START_TIME)
     ensemble["reference_path"] = mean_field_path(g, scheme, initial, horizon)
-    return start_time, [ensemble]
+    return ODE_START_TIME, [ensemble]
 
 
-def _ode_tracking_judge(results, start_time, tol):
+def _ode_tracking_judge(results, prediction, tol):
     (result,) = results
     frac_ok = float(np.mean(result.sup_dev <= tol))
     report = {
         "suite": "ode-tracking",
         "fraction_within": frac_ok,
-        "start_time": start_time,
+        "start_time": prediction,
         "max_sup_deviation": float(result.sup_dev.max()),
         "runs": result.runs,
         "horizon": result.horizon,
@@ -451,8 +453,8 @@ def _heterogeneous_plan(g, scheme, initial, horizon, runs, seed):
     return exact, ensembles
 
 
-def _heterogeneous_judge(results, exact, tol):
-    two_node, star = results
+def _heterogeneous_judge(results, prediction, tol):
+    (two_node, star), exact = results, prediction
     report = {
         "suite": "heterogeneous",
         **exact,
@@ -483,8 +485,8 @@ def _graph(name: str, seed: int = 0, **params) -> Callable[[], DirectedGraph]:
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite: `plan(g, scheme, initial, horizon, runs, seed, **options)`
-    returns (prediction, a list of `run_ensemble` keyword sets), and
+    """A suite: `plan(g, scheme, initial, horizon, runs, seed)` returns
+    (prediction, a list of `run_ensemble` keyword sets), and
     `judge(results, prediction, tol)` returns (report, checks) from those
     ensembles' results in order.  `graph` builds the suite's graph (None
     when the plan builds its own), `rule` is its (a, b, m) and `initial`
@@ -505,10 +507,10 @@ class Suite:
     tol: float | None = None
 
     def run(self, g=None, scheme=None, initial=None, *, horizon=None, runs=None, seed=None,
-            tol=None, **options) -> dict:
+            tol=None) -> dict:
         """Plan, simulate each planned ensemble, judge, attach the verdict.  An
         argument left None takes the row's value, so a call with the CLI's
-        flags runs the CLI's experiment; `options` go to the plan."""
+        flags runs the CLI's experiment."""
         if tol is not None and self.tol is None:
             raise TypeError("this suite takes no tol")
         if self.graph is None:
@@ -520,34 +522,34 @@ class Suite:
             initial = self.initial(g.n) if initial is None else initial
         prediction, ensembles = self.plan(
             g, scheme, initial, self.horizon if horizon is None else horizon,
-            self.runs if runs is None else runs, self.seed if seed is None else seed, **options,
+            self.runs if runs is None else runs, self.seed if seed is None else seed,
         )
         results = [run_ensemble(**ensemble) for ensemble in ensembles]
         return _verdict(*self.judge(results, prediction, self.tol if tol is None else tol))
 
 
-_ONE_EACH = default_initial_state  # one ball of each colour per urn
 SUITES = {
     # plan, judge, default graph, rule, start state, horizon, runs, seed[, tol]
     "consensus": Suite(_consensus_plan, _consensus_judge, _graph("d_regular_random", 1, n=10, d=3),
-                       (1, 1, 4), _ONE_EACH, 100_000, 200, 2024, 0.02),
+                       (1, 1, 4), default_initial_state, 100_000, 200, 2024, 0.02),
     "clt": Suite(functools.partial(_clt_plan, theory.REGIME_SQRT_T), _clt_judge,
-                 _graph("complete_with_loops", n=2), (1, 1, 4), _ONE_EACH, 10_000, 5000, 11, 0.15),
+                 _graph("complete_with_loops", n=2), (1, 1, 4), default_initial_state,
+                 10_000, 5000, 11, 0.15),
     "clt-critical": Suite(functools.partial(_clt_plan, theory.REGIME_CRITICAL), _clt_judge,
-                          _graph("complete_with_loops", n=4), (3, 3, 4), _ONE_EACH,
+                          _graph("complete_with_loops", n=4), (3, 3, 4), default_initial_state,
                           100_000, 5000, 13, 0.20),
     # loopless: with self-loops all urns stay identical and the
     # cross-sectional variance is identically zero
     "polya-rate": Suite(_polya_rate_plan, _polya_rate_judge, _graph("complete", n=5),
-                        (1, 1, 1), _ONE_EACH, 100_000, 500, 19),
+                        (1, 1, 1), default_initial_state, 100_000, 500, 19),
     "martingale": Suite(_martingale_plan, _martingale_judge, _graph("cycle_directed", n=2),
                         (1, 1, 1), _alternating(3, 1), 10_000, 2000, 23),
     "oracle": Suite(_oracle_plan, _oracle_judge, _graph("cycle_directed", n=2),
-                    (1, 1, 1), _ONE_EACH, 1, 100_000, 29),
+                    (1, 1, 1), default_initial_state, 1, 100_000, 29),
     "ode-tracking": Suite(_ode_tracking_plan, _ode_tracking_judge, _graph("star_undirected", n=5),
                           (1, 1, 4), _alternating(9, 1), 100_000, 100, 31, 0.05),
     "subcritical": Suite(_subcritical_plan, _subcritical_judge, _graph("cycle_undirected", n=5),
-                         (0, 0, 1), _ONE_EACH, 100_000, 200, 17),
+                         (0, 0, 1), default_initial_state, 100_000, 200, 17),
     "heterogeneous": Suite(_heterogeneous_plan, _heterogeneous_judge, None,
                            None, None, 100_000, 64, 37, 0.02),
 }

@@ -129,16 +129,15 @@ def test_criterion_5_polya_variance_rates(capsys):
     # the cross-sectional variance is identically zero (no slope exists).
     k5 = verify.verify_polya_rate(
         generate_graph("complete", {"n": 5}),
-        horizon=100_000, runs=500, seed=501, slope_window=(-1.15, -0.85),
+        horizon=100_000, runs=500, seed=501,
     )
     c8 = verify.verify_polya_rate(
         generate_graph("cycle_undirected", {"n": 8}),
         horizon=100_000, runs=500, seed=502,
-        slope_window=(2 * math.cos(math.pi / 4) - 2 - 0.15, 2 * math.cos(math.pi / 4) - 2 + 0.15),
     )
     c6 = verify.verify_polya_rate(
         generate_graph("cycle_undirected", {"n": 6}),
-        horizon=100_000, runs=500, seed=503, slope_window=(-1.1, -0.75),
+        horizon=100_000, runs=500, seed=503,
     )
     elapsed = time.perf_counter() - start
     passed = k5["pass"] and c8["pass"] and c6["pass"] and elapsed < 600.0
@@ -229,7 +228,7 @@ def test_criterion_8_ode_tracking(capsys):
     initial = UrnState(np.array([9, 1, 9, 1, 5]), np.array([1, 9, 1, 9, 5]))
     report = verify.verify_ode_tracking(
         g, scheme, initial, horizon=100_000, runs=100, seed=801,
-        tol=0.05, start_time=1000,
+        tol=0.05,
     )
     announce(
         capsys,

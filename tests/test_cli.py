@@ -690,6 +690,16 @@ def _bad_input_argv(tmp_path, case):
         return predict + ["--hetero", missing]
     if case == "missing-config":
         return ["simulate", "--config", missing]
+    if case == "config-last":
+        return ["simulate", "--config"]
+    if case == "config-no-command":
+        config = tmp_path / "run.cfg"
+        config.write_text("horizon = 5\n")
+        return ["--config", str(config)]
+    if case.startswith("edges"):
+        edges = tmp_path / "bad.edges"
+        edges.write_text({"edges-no-header": "2\n", "edges-duplicate": "2 2\n1 2\n1 2\n"}[case])
+        return ["predict", "--graph", str(edges), "--polya"]
     if case == "binary-graph":
         binary = tmp_path / "binary.edges"
         binary.write_bytes(b"\xff\xfe 2 1\n")
@@ -709,8 +719,11 @@ def _bad_input_argv(tmp_path, case):
         "graph-bool-n": '{"n": true, "edges": [[1, 1]]}',
         "graph-float-edge": '{"n": 2, "edges": [[1.0, 2], [2, 1]]}',
         "graph-string-edge": '{"n": 2, "edges": [["1", 2], [2, 1]]}',
+        "graph-no-edges": '{"n": 2}',
+        "graph-three-vertex-edge": '{"n": 2, "edges": [[1, 2, 1]]}',
         "initial-float": '{"white": [1.9, 1], "black": [1, 1]}',
         "initial-bool": '{"white": [1, 1], "black": [true, 1]}',
+        "initial-no-black": '{"white": [1, 1]}',
     }[case]
     bad.write_text(text)
     if case.startswith("hetero"):
@@ -727,7 +740,8 @@ def _bad_input_argv(tmp_path, case):
         "missing-config", "binary-graph", "hetero-no-a", "hetero-no-b", "hetero-no-m", "hetero-float",
         "hetero-string", "hetero-not-records", "hetero-json", "initial-json", "graph-json",
         "graph-float-n", "graph-bool-n", "graph-float-edge", "graph-string-edge",
-        "initial-float", "initial-bool",
+        "initial-float", "initial-bool", "config-last", "config-no-command", "edges-no-header",
+        "edges-duplicate", "graph-no-edges", "graph-three-vertex-edge", "initial-no-black",
     ],
 )
 def test_bad_input_files_exit_2(tmp_path, capsys, case):
@@ -735,4 +749,6 @@ def test_bad_input_files_exit_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # with no command there is nothing to run: the one usage line
+    assert err.startswith("usage: " if case == "config-no-command" else "error: ")
+    assert err.count("\n") == 1

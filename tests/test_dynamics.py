@@ -144,6 +144,26 @@ class TestReinforcement:
             Reinforcement.of(self.GRAPH, (1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HeterogeneousScheme(()), "at least one matrix"),
+        (lambda: HeterogeneousScheme(((1, 1, 1),)), "ReplacementMatrix"),
+        (lambda: UrnState(np.array([1, 1]), np.array([1])), "equal length"),
+        (lambda: UrnState(np.array([1]), np.array([1]), time=-1), "time must be non-negative"),
+        (lambda: check_batch(two_cycle(), ReplacementMatrix(1, 1, 1), default_initial_state(2),
+                             -1, [0]), "horizon must be non-negative"),
+        (lambda: check_batch(two_cycle(), ReplacementMatrix(1, 1, 1), default_initial_state(2),
+                             3, [0], recording_times=[4]), r"\[0, horizon\]"),
+    ],
+    ids=["empty-scheme", "scheme-entry", "unequal-lengths", "negative-time",
+         "negative-horizon", "time-past-horizon"],
+)
+def test_constructors_and_batch_checks_refuse(build, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        build()
+
+
 def test_single_polya_urn_step():
     g = DirectedGraph(1, frozenset({(1, 1)}))
     scheme = ReplacementMatrix(1, 1, 1)

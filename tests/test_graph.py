@@ -124,6 +124,20 @@ def test_d_regular_pairing_attempts_are_bounded(monkeypatch):
         generate_graph("d_regular_random", {"n": 50, "d": 10}, seed=0)
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [("complete_with_loops", {"n": 0}, "n must be >= 1"),
+     ("complete", {"n": 1}, "needs n >= 2"),
+     ("cycle_directed", {"n": 0}, "n must be >= 1"),
+     ("cycle_undirected", {"n": 2}, "needs n >= 3"),
+     ("star_undirected", {"n": 1}, "needs n >= 2"),
+     ("erdos_renyi_min_indegree", {"n": 5, "p": 1.5}, r"p in \[0, 1\]")],
+)
+def test_family_refuses_sizes_it_cannot_build(family, params, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        generate_graph(family, params, seed=0)
+
+
 def test_unknown_family():
     with pytest.raises(InvalidParamsError):
         generate_graph("petersen", {"n": 10}, seed=0)

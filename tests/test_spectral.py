@@ -488,6 +488,12 @@ def test_invert_twice_is_identity():
     assert np.allclose(again, m, atol=1e-8 * np.linalg.norm(m))
 
 
+@pytest.mark.parametrize("solve", [spectral.lyapunov_solve, spectral.log_averaged_gram])
+def test_solvers_refuse_mismatched_shapes(solve):
+    with pytest.raises(InvalidParamsError, match="equal shape"):
+        solve(np.eye(2), np.eye(3))
+
+
 def test_invert_singular_raises_with_condition():
     with pytest.raises(SingularMatrixError) as exc:
         spectral.invert(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -417,6 +417,14 @@ class TestPolyaRateClass:
         with pytest.raises(NotRegularError):
             theory.polya_rate_class(generate_graph("cycle_directed", {"n": 4}).weighted_adjacency())
 
+    @pytest.mark.parametrize("a_tilde, message", [
+        ([[1.0]], "at least two vertices"),
+        ([[0.5, 0.5], [0.5, 0.2]], "not doubly stochastic"),  # symmetric, column sum 0.7
+    ])
+    def test_refuses_one_vertex_and_non_stochastic(self, a_tilde, message):
+        with pytest.raises(NotRegularError, match=message):
+            theory.polya_rate_class(np.array(a_tilde))
+
 
 class TestHeterogeneousLimit:
     def test_two_node_formula(self):
@@ -457,6 +465,8 @@ class TestHeterogeneousLimit:
         scheme = HeterogeneousScheme((ReplacementMatrix(1, 0, 2),) * 2)
         with pytest.raises(InvalidParamsError):
             theory.heterogeneous_limit(g, scheme)
+        with pytest.raises(InvalidParamsError, match="one entry per vertex"):
+            theory.heterogeneous_limit(g, scheme, frozen_fractions=[0.3])
 
     def test_polya_system_is_singular(self):
         g = generate_graph("complete_with_loops", {"n": 2})
@@ -493,6 +503,14 @@ class TestInfluenceThreshold:
 
     def test_unreachable(self):
         assert theory.influence_threshold(5, 0.4, 0.1, 0.9) is None
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0.5, 0.1, 0.3), "d must be >= 1"),
+        ((4, 0.5, -0.1, 0.3), r"r must lie in \[0, 1\]"),
+    ])
+    def test_refuses_empty_group_and_rates_outside_unit_interval(self, args, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            theory.influence_threshold(*args)
 
     def test_first_hit_property(self):
         # floats are read as the decimals they print as

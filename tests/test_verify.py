@@ -4,6 +4,7 @@ Statistical power lives in the acceptance tests; these runs use toy sizes
 and only check report shape, JSON round-tripping, and obvious verdicts.
 """
 
+import inspect
 import json
 import os
 import pickle
@@ -67,6 +68,16 @@ def test_clt_report():
     )
     _check_report(rep, "clt")
     assert rep["closed_form_sweep"]["max_rel_error"] <= 1e-8
+
+
+def test_clt_zero_noise_rule_reads_zero_error():
+    # alpha = beta = 1/2: every urn gains as many white as black balls, so
+    # Sigma = 0 and the relative error is read against a zero target
+    g = generate_graph("complete_with_loops", {"n": 2})
+    rep = verify.verify_clt(g, ReplacementMatrix(2, 2, 4), horizon=200, runs=20, seed=1)
+    assert rep["sigma_theory"] == [[0.0, 0.0], [0.0, 0.0]]
+    assert rep["frobenius_rel_error"] == 0.0 and rep["pass"]
+    assert verify._frobenius_rel_error(np.eye(2), np.zeros((2, 2))) == pytest.approx(2**0.5)
 
 
 def test_clt_critical_report():
@@ -258,6 +269,9 @@ def _suite_args(suite):
 @pytest.mark.parametrize("name", list(verify.SUITES))
 def test_suite_is_a_plan_and_a_pure_judge(monkeypatch, name):
     suite = verify.SUITES[name]
+    assert list(inspect.signature(suite.plan).parameters) == [
+        "g", "scheme", "initial", "horizon", "runs", "seed"]
+    assert list(inspect.signature(suite.judge).parameters) == ["results", "prediction", "tol"]
     horizon, runs = (2, 2000) if name == "oracle" else (2000, 16)
     args = _suite_args(suite)
 
@@ -289,6 +303,12 @@ def test_suite_refuses_arguments_it_would_ignore():
         verify.verify_heterogeneous(g, horizon=100, runs=4)
     with pytest.raises(TypeError, match="graph"):
         verify.verify_heterogeneous(initial=default_initial_state(2), horizon=100, runs=4)
+    # a row is the whole experiment: the slope window and the ode-tracking
+    # start are constants, not options
+    with pytest.raises(TypeError):
+        verify.SUITES["polya-rate"].run(slope_window=(-2, 0))
+    with pytest.raises(TypeError):
+        verify.SUITES["ode-tracking"].run(start_time=100)
     # a graph suite given no graph runs its row's
     row_graph = verify.verify_consensus(verify.SUITES["consensus"].graph(), horizon=100, runs=4)
     assert verify.verify_consensus(horizon=100, runs=4) == row_graph
@@ -469,7 +489,7 @@ def test_other_regimes_on_defective_graph_need_no_solve():
 
 def test_polya_rate_report():
     g = generate_graph("complete", {"n": 5})
-    rep = verify.verify_polya_rate(g, horizon=5000, runs=80, seed=5, slope_window=(-2.0, 0.0))
+    rep = verify.verify_polya_rate(g, horizon=5000, runs=80, seed=5)
     _check_report(rep, "polya-rate")
     assert rep["rate_class"]["kind"] == "t_inv"
 
@@ -496,7 +516,7 @@ def test_ode_tracking_report():
     initial = UrnState(np.array([9, 1, 9, 1, 5]), np.array([1, 9, 1, 9, 5]))
     rep = verify.verify_ode_tracking(
         g, ReplacementMatrix(1, 1, 4), initial, horizon=5000, runs=20, seed=8,
-        tol=0.2, start_time=100,
+        tol=0.2,
     )
     _check_report(rep, "ode-tracking")
     assert 0.0 <= rep["fraction_within"] <= 1.0
@@ -507,9 +527,7 @@ def test_ode_tracking_refuses_horizon_before_start_time():
     g = generate_graph("star_undirected", {"n": 5})
     with pytest.raises(InvalidParamsError, match="horizon >= 1000"):
         verify.verify_ode_tracking(g, ReplacementMatrix(1, 1, 4), horizon=500, runs=4)
-    rep = verify.verify_ode_tracking(
-        g, ReplacementMatrix(1, 1, 4), horizon=100, runs=4, seed=8, start_time=100
-    )
+    rep = verify.verify_ode_tracking(g, ReplacementMatrix(1, 1, 4), horizon=1000, runs=4, seed=8)
     assert rep["max_sup_deviation"] > 0.0
 
 
