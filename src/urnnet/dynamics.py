@@ -123,6 +123,8 @@ class Reinforcement:
             rules = scheme.matrices
         else:
             raise InvalidParamsError(f"unsupported scheme type {type(scheme).__name__}")
+        if max(r.m for r in rules) * max(1, int(g.in_degrees().max())) >= 2**63:  # a, b <= m
+            raise InvalidParamsError("m times an urn's in-degree must stay below 2**63 (int64)")
         a, b, m = rules = np.array([(r.a, r.b, r.m) for r in rules], dtype=np.int64).T
         adj = g.adjacency()
         return cls(a[:, None] * adj, (m - b)[:, None] * adj, m @ adj, rules)
@@ -141,6 +143,20 @@ def normalised_rule(g: DirectedGraph, scheme) -> tuple:
     return a / m, b / m, w
 
 
+def check_counts(white: np.ndarray, black: np.ndarray, time: int) -> tuple:
+    """(white, black) as int64, refusing non-integer or negative counts, empty urns, time < 0."""
+    if white.size and (white.dtype.kind not in "iu" or black.dtype.kind not in "iu"):
+        raise InvalidParamsError("ball counts must be integers")
+    w, b = white.astype(np.int64, copy=False), black.astype(np.int64, copy=False)
+    if w.size and (w | b).min() < 1:  # one reduction: a count's sign bit, or an empty urn
+        if min(w.min(), b.min()) < 0:
+            raise InvalidParamsError("ball counts must be non-negative")
+        raise InvalidParamsError("every urn needs at least one ball")
+    if time < 0:
+        raise InvalidParamsError("time must be non-negative")
+    return w, b
+
+
 @dataclass(frozen=True)
 class UrnState:
     """Ball counts of every urn at one time step."""
@@ -153,19 +169,16 @@ class UrnState:
         w, b = np.asarray(self.white), np.asarray(self.black)
         if w.shape != b.shape or w.ndim != 1:
             raise InvalidParamsError("white and black must be 1-d vectors of equal length")
-        if w.size and (w.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
-            raise InvalidParamsError("ball counts must be integers")
-        w, b = w.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        # one reduction for the oracle's many small states: w | b < 1 where a
-        # count is negative (its sign bit) or an urn is empty
-        if w.size and (w | b).min() < 1:
-            if min(w.min(), b.min()) < 0:
-                raise InvalidParamsError("ball counts must be non-negative")
-            raise InvalidParamsError("every urn needs at least one ball")
-        if self.time < 0:
-            raise InvalidParamsError("time must be non-negative")
+        w, b = check_counts(w, b, self.time)
         object.__setattr__(self, "white", w)
         object.__setattr__(self, "black", b)
+
+    @classmethod
+    def from_checked(cls, white: np.ndarray, black: np.ndarray, time: int) -> "UrnState":
+        """A state of int64 vectors that `check_counts` passed, not checked again."""
+        state = object.__new__(cls)
+        state.__dict__.update(white=white, black=black, time=time)
+        return state
 
     @property
     def n(self) -> int:
@@ -215,15 +228,16 @@ def philox_doubles(master_seed: int, run_indices: np.ndarray, counter: int) -> n
     for every run at once in uint64 arrays, which wrap mod 2**64 without a
     warning.  A round maps the words (x0, x1, x2, x3) to (hi(M1 x2) ^ x1 ^
     k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)), so both products run as
-    one (2, runs) expression, their high words from 32-bit halves.  A
-    double is (x >> 11) * 2**-53, as numpy draws it.
+    one (2, runs) expression, their high words from 32-bit halves; round 1,
+    whose words are (counter + 1, 0, 0, 0) in every run, is one product on
+    Python ints.  A double is (x >> 11) * 2**-53, as numpy draws it.
     """
-    key = np.empty((2, len(run_indices)), dtype=np.uint64)
-    key[0], key[1] = master_seed, run_indices
-    even, odd = np.zeros_like(key), np.zeros_like(key)  # words (x0, x2) and (x1, x3)
-    even[0] = counter + 1
+    even, odd = np.empty((2, 2, len(run_indices)), dtype=np.uint64)  # words (x0, x2), (x1, x3)
+    x2_high, x3 = divmod(int(_PHILOX_M[0, 0]) * (counter + 1), 2**64)  # round 1
+    even[0], even[1], odd[0], odd[1] = master_seed, run_indices ^ np.uint64(x2_high), 0, x3
+    key = np.stack((even[0], run_indices)) + _PHILOX_W  # (master_seed, r), bumped once
     m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
-    for _ in range(10):
+    for _ in range(9):
         lo, hi = even & 0xFFFFFFFF, even >> 32
         mid = hi * m_lo + (lo * m_lo >> 32)  # below 2**64, as is low_mid
         low_mid = lo * m_hi + (mid & 0xFFFFFFFF)
@@ -433,12 +447,13 @@ def simulate_runs(
     value) and no draw is skipped or repeated.  A block whose rows fit in
     one counter value (steps * n <= 4, as in the oracle's 1- and 2-step
     runs on 2 urns) is one Philox block per run, and `philox_doubles`
-    computes it for every run at once: about 0.08 ms a batch plus 0.18 us
-    a run (2-vCPU Xeon).  Every longer block re-keys the batch's one Philox
-    bit generator for every run: key (master_seed, run_index), counter at
-    the run's next unused draw.  The re-key state is one dict of plain
-    Python ints, built once per batch, so setting it converts no numpy
-    scalar: a re-key and a 4-double fill cost about 0.9 us a run.  Checkpoints
+    computes it for every run at once, on keys that a `range` gives as one
+    `np.arange`: about 0.11 ms a batch plus 0.22 us a run (2-vCPU Xeon).
+    Every longer block re-keys the batch's one Philox bit generator for
+    every run: key (master_seed, run_index), counter at the run's next
+    unused draw.  The re-key state is one dict of plain Python ints, built
+    once per batch, so setting it converts no numpy scalar: a re-key and a
+    4-double fill cost about 1.3 us a run.  Checkpoints
     accumulate sums of Z and of Z^T Z (its upper triangle) across the batch;
     snapshot times store exact white counts per run.  With a reference path
     (shape (horizon+1, n)), the running sup-norm deviation from it is
@@ -539,7 +554,9 @@ def simulate_runs(
 
     # the last block is the shortest: if its rows fit in one Philox block, so
     # may others, and the kernel draws those for every run at once
-    keys = np.array(run_indices, dtype=np.uint64) if (horizon - starts[-1]) * n <= 4 else None
+    keys = None if (horizon - starts[-1]) * n > 4 else (  # a range's keys convert no int
+        np.arange(run_indices.start, run_indices.stop, run_indices.step, dtype=np.uint64)
+        if isinstance(run_indices, range) else np.array(run_indices, dtype=np.uint64))
 
     def fill(k: int) -> np.ndarray:
         """Draw block k into its buffer: rows of at most 4 doubles by

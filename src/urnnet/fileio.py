@@ -54,10 +54,6 @@ def _load_json(path):
             raise InvalidParamsError(f"{path}: malformed JSON ({exc})") from exc
 
 
-def graph_to_json(g: DirectedGraph) -> dict:
-    return {"n": g.n_vertices, "edges": [[i, j] for i, j in g.sorted_edges()]}
-
-
 def _integers(values, what: str) -> list:
     """`values` as a list, refusing anything but JSON integers (booleans too),
     so that 2.7 or true is an error rather than a silently truncated 2 or 1."""
@@ -67,7 +63,19 @@ def _integers(values, what: str) -> list:
     return values
 
 
-def graph_from_json(payload: dict) -> DirectedGraph:
+def write_graph_json(g: DirectedGraph, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump({"n": g.n_vertices, "edges": [[i, j] for i, j in g.sorted_edges()]}, fh,
+                  sort_keys=True)
+        fh.write("\n")
+
+
+def read_graph(path) -> DirectedGraph:
+    """Dispatch on extension: .json uses the JSON mirror, anything else the
+    edge-list text format."""
+    if not str(path).endswith(".json"):
+        return read_edge_list(path)
+    payload = _load_json(path)
     try:
         n, edges = payload["n"], [tuple(e) for e in payload["edges"]]
     except (KeyError, TypeError) as exc:
@@ -78,30 +86,15 @@ def graph_from_json(payload: dict) -> DirectedGraph:
     return DirectedGraph(n_vertices=n, edges=frozenset(edges))
 
 
-def write_graph_json(g: DirectedGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(graph_to_json(g), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_graph(path) -> DirectedGraph:
-    """Dispatch on extension: .json uses the JSON mirror, anything else the
-    edge-list text format."""
-    if str(path).endswith(".json"):
-        return graph_from_json(_load_json(path))
-    return read_edge_list(path)
-
-
 def read_initial_state(path) -> UrnState:
     payload = _load_json(path)
     try:
-        white, black = (
-            np.array(_integers(payload[k], f"bad initial state JSON: {k}"), dtype=np.int64)
-            for k in ("white", "black")
-        )
+        white, black = (_integers(payload[k], f"bad initial state JSON: {k}") for k in ("white", "black"))
     except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"bad initial state JSON: {exc}") from exc
-    return UrnState(white=white, black=black, time=0)
+    if any(abs(v) >= 2**63 for v in white + black):
+        raise InvalidParamsError("bad initial state JSON: ball counts must lie below 2**63")
+    return UrnState(white=np.array(white, dtype=np.int64), black=np.array(black, dtype=np.int64))
 
 
 def read_hetero_scheme(path) -> HeterogeneousScheme:

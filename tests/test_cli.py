@@ -724,8 +724,15 @@ def _bad_input_argv(tmp_path, case):
         "initial-float": '{"white": [1.9, 1], "black": [1, 1]}',
         "initial-bool": '{"white": [1, 1], "black": [true, 1]}',
         "initial-no-black": '{"white": [1, 1]}',
+        # integers past int64, which numpy cannot hold
+        "initial-huge": '{"white": [100000000000000000000000000000, 1], "black": [1, 1]}',
+        "initial-huge-negative": '{"white": [1, 1], "black": [-100000000000000000000000000000, 1]}',
+        "hetero-huge-m": '[{"a": 1, "b": 1, "m": 100000000000000000000}, {"a": 1, "b": 1, "m": 2}]',
+        "simulate-hetero-huge-m": '[{"a": 1, "b": 1, "m": 2}, {"a": 1, "b": 1, "m": 100000000000000000000}]',
     }[case]
     bad.write_text(text)
+    if case == "simulate-hetero-huge-m":
+        return ["simulate", "--graph", str(graph), "--horizon", "5", "--hetero", str(bad)]
     if case.startswith("hetero"):
         return predict + ["--hetero", str(bad)]
     if case.startswith("initial"):
@@ -742,6 +749,7 @@ def _bad_input_argv(tmp_path, case):
         "graph-float-n", "graph-bool-n", "graph-float-edge", "graph-string-edge",
         "initial-float", "initial-bool", "config-last", "config-no-command", "edges-no-header",
         "edges-duplicate", "graph-no-edges", "graph-three-vertex-edge", "initial-no-black",
+        "initial-huge", "initial-huge-negative", "hetero-huge-m", "simulate-hetero-huge-m",
     ],
 )
 def test_bad_input_files_exit_2(tmp_path, capsys, case):
@@ -752,3 +760,25 @@ def test_bad_input_files_exit_2(tmp_path, capsys, case):
     # with no command there is nothing to run: the one usage line
     assert err.startswith("usage: " if case == "config-no-command" else "error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, family, m",
+    [
+        ("simulate", "cycle-directed", 10**20),
+        ("oracle", "cycle-directed", 10**20),
+        # below 2^63, but two in-edges bring an urn 2^63 balls a step
+        ("simulate", "complete-loops", 2**62),
+        ("oracle", "complete-loops", 2**62),
+    ],
+)
+def test_rule_past_int64_exit_2(tmp_path, capsys, command, family, m):
+    out = tmp_path / "out.csv"
+    rule = ["--a", str(m // 2), "--b", str(m // 2), "--m", str(m)]
+    argv = [command, "--family", family, "--n", "2", *rule, "--horizon", "1", "--out", str(out)]
+    assert run_cli(*(argv[:-2] if command == "oracle" else argv)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: m times an urn's in-degree must stay below 2**63 (int64)\n"
+    assert not out.exists()
+    # the homogeneous prediction reads alpha and beta only, and still answers
+    assert run_cli("predict", "--family", family, "--n", "2", *rule) == 0

@@ -11,11 +11,18 @@ exactly symmetric; the integer-weight enumerator must return the same
 exact law as a plain Fraction enumeration over every draw vector, in int64
 and in Python ints, and its record must hold the rows of its pairs; and
 the one-step conditional mean, on Fractions and on float64, must be that
-law's mean.
+law's mean; the oracle's judge, which counts runs on integer keys, must
+report what a `Counter` over the runs' tuples reports, bit for bit, on or
+off the law's support; and the law's states, built without the
+constructor's checks, must equal the checked ones.
 """
 
+import collections
+import contextlib
 import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -388,3 +395,82 @@ def test_one_step_mean_in_both_arithmetics(problem):
     path = mean_field_path(g, scheme, init, 1)
     assert np.array_equal(path[0], init.fractions())
     assert np.all(np.abs(path[1] - floats) <= 1e-15 * np.abs(floats))
+
+
+def reference_judge(law, result):
+    """The oracle's judge as it was before it counted runs on integer keys:
+    one `Counter` over every run's tuple of white counts."""
+    runs = result.runs
+    counts = collections.Counter(zip(*result.snapshots[result.horizon].T.tolist()))
+    exact_by_w = dict(zip(zip(*law.white.T.tolist()),
+                          (p / law.denominator for p in law.weights.tolist())))
+    support = set(exact_by_w) | set(counts)
+    tv = 0.5 * sum(abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support)
+    threshold = 3.0 * math.sqrt(len(exact_by_w) / runs)
+    return montecarlo.OracleReport(tv, threshold, len(exact_by_w), runs, tv <= threshold)
+
+
+def assert_judges_agree(law, rows, horizon):
+    result = SimpleNamespace(runs=len(rows), horizon=horizon, snapshots={horizon: rows})
+    on_support = set(map(tuple, rows.tolist())) <= set(map(tuple, law.white.tolist()))
+    # on the support the judge counts on integer keys: it has no Counter to call
+    with mock.patch.object(montecarlo, "collections", SimpleNamespace()) if on_support \
+            else contextlib.nullcontext():
+        fast = montecarlo.oracle_judge(law, result)
+    slow = reference_judge(law, result)
+    # both paths sum the same terms in the same order: the distance keeps its bits
+    assert float.hex(fast.tv_distance) == float.hex(slow.tv_distance)
+    assert fast == slow
+
+
+@st.composite
+def judged_rows(draw, law):
+    """Runs drawn from the law's rows, up to 3 of them with one count raised
+    by 1-3 or by 2^40, which mostly moves them off the support."""
+    picks = draw(st.lists(st.integers(0, len(law.white) - 1), min_size=1, max_size=300))
+    rows = law.white[picks].copy()
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, rows.shape[1] - 1))
+        rows[row, col] += draw(st.one_of(st.integers(1, 3), st.just(2**40)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=urn_problems(max_n=4), horizon=st.integers(1, 3), data=st.data())
+def test_judge_tally_equals_counter_reference(problem, horizon, data):
+    g, scheme, init = problem
+    law = montecarlo.exact_law(g, scheme, init, horizon)
+    assert_judges_agree(law, data.draw(judged_rows(law)), horizon)
+
+
+@pytest.mark.parametrize("case", ["cycle2", "python-int-keys"])
+def test_judge_tally_equals_counter_reference_on_simulated_runs(case):
+    # 2,000 simulated runs, then the same runs with one moved off the support
+    g, scheme, init = (
+        (generate_graph("cycle_directed", {"n": 2}), ReplacementMatrix(1, 1, 1),
+         dynamics.default_initial_state(2))
+        if case == "cycle2" else PYTHON_INT_CASES["radix"]
+    )
+    law, ensemble = montecarlo.oracle_plan(g, scheme, init, 2, 2000, 17)
+    if case == "python-int-keys":
+        # one radix digit per urn, over the law's own column ranges: past 2^63
+        radix = [int(c.max()) - int(c.min()) + 1 for c in law.white.T]
+        assert math.prod(radix) > 2**63
+    rows = run_ensemble(**ensemble).snapshots[2]
+    assert_judges_agree(law, rows, 2)
+    rows[7, 0] = law.white[:, 0].max() + 1
+    assert_judges_agree(law, rows, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=urn_problems(max_n=4), horizon=st.integers(0, 3))
+@example(problem=_ring(2, ReplacementMatrix(0, 1, 2), [0, 2], [1, 0]), horizon=2)
+def test_law_states_equal_checked_constructor(problem, horizon):
+    # the pairs' states skip the constructor's checks; start states may hold
+    # no white or no black ball, and the states must equal checked ones
+    g, scheme, init = problem
+    for state, _ in brute_force_distribution(g, scheme, init, horizon):
+        checked = UrnState(white=state.white, black=state.black, time=state.time)
+        assert type(state) is UrnState and state.time == checked.time == horizon
+        for got, want in ((state.white, checked.white), (state.black, checked.black)):
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)

@@ -110,6 +110,27 @@ class TestUrnState:
         with pytest.raises(InvalidParamsError):
             UrnState(white, black)
 
+    @pytest.mark.parametrize(
+        "white, black, time, message",
+        [
+            (np.array([1.5, 1]), np.array([1, 1]), 0, "ball counts must be integers"),
+            (np.array([1, 1]), np.array([True, True]), 0, "ball counts must be integers"),
+            (np.array([-1, 2]), np.array([2, 2]), 0, "ball counts must be non-negative"),
+            (np.array([2, 2]), np.array([2, -1]), 0, "ball counts must be non-negative"),
+            (np.array([0, 1]), np.array([0, 1]), 0, "every urn needs at least one ball"),
+            (np.array([1, 1]), np.array([1, 1]), -1, "time must be non-negative"),
+        ],
+    )
+    def test_check_counts_refuses_what_the_constructor_refuses(self, white, black, time, message):
+        # the constructor's one count check, also run on (states, n) arrays
+        # with the bad row among good ones
+        stacked = [np.stack([np.ones_like(v), v, np.ones_like(v)]) for v in (white, black)]
+        for build in (lambda: UrnState(white, black, time),
+                      lambda: dynamics.check_counts(white, black, time),
+                      lambda: dynamics.check_counts(*stacked, time)):
+            with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+                build()
+
     def test_accepts_integer_lists_and_arrays(self):
         s = UrnState([1, 2], np.array([3, 4], dtype=np.int32))
         assert s.white.dtype == s.black.dtype == np.int64
