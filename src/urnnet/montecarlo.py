@@ -21,7 +21,6 @@ computed in `urnnet.verify`, beside the judge that reads it.
 from __future__ import annotations
 
 import atexit
-import collections
 import functools
 import math
 import os
@@ -391,8 +390,6 @@ def oracle_plan(g: DirectedGraph, scheme, initial: UrnState, horizon: int, runs:
     law at `horizon` and the keywords of its ensemble, snapshotted there."""
     if horizon < 1:
         raise InvalidParamsError(f"oracle check needs horizon >= 1, got {horizon}")
-    if runs < 1:
-        raise InvalidParamsError(f"oracle check needs runs >= 1, got {runs}")
     ensemble = check_ensemble(g, scheme, initial, horizon, runs, master_seed, checkpoints=(),
                               snapshot_times=[horizon])
     return exact_law(g, scheme, initial, horizon), ensemble
@@ -400,10 +397,11 @@ def oracle_plan(g: DirectedGraph, scheme, initial: UrnState, horizon: int, runs:
 
 def oracle_judge(law: ExactLaw, result: EnsembleResult) -> OracleReport:
     """The oracle's second half: total-variation distance between the
-    result's white rows at its horizon and the law's rows.  With every run in
-    the law's support, runs are counted on integer keys by searching the
-    law's, which ascend, and tuples are built for its rows only; else one
-    `Counter` counts the runs' tuples."""
+    result's white rows at its horizon and the law's rows, exactly.  Runs
+    are counted on integer keys by searching the law's, which ascend.  With
+    c_k of the R runs on row k, of probability p_k / D, and `off` runs on no
+    row, TV = (sum_k |c_k D - p_k R| + off D) / (2 R D), summed in Python
+    ints and divided once: the exact distance, correctly rounded."""
     runs, rows = result.runs, result.snapshots[result.horizon]
     tables = (law.white, rows)
     # keys in one mixed radix, urn 1 most significant, digit i of radix high_i - low_i + 1 over
@@ -414,21 +412,14 @@ def oracle_judge(law: ExactLaw, result: EnsembleResult) -> OracleReport:
     dtype = np.int64 if sum(h * p for h, p in zip(high, place)) < 2**63 else object
     law_keys, run_keys = (t.astype(dtype, copy=False) @ np.array(place, dtype) for t in tables)
     at = np.searchsorted(law_keys[:-1], run_keys)  # a key past them all meets the last
-    if np.array_equal(law_keys[at], run_keys):
-        tally = np.bincount(at, minlength=len(law_keys))
-        seen = np.flatnonzero(tally)
-        counts = dict(zip(zip(*law.white[seen].T.tolist()), tally[seen].tolist()))
-    else:
-        counts = collections.Counter(zip(*rows.T.tolist()))
-    # int / int rounds once, as float(Fraction(weight, denominator)) does
-    exact_by_w = dict(zip(zip(*law.white.T.tolist()),
-                          (p / law.denominator for p in law.weights.tolist())))
-    # on the support, | adds no member to set(exact_by_w), whose order then depends on
-    # len(set(counts)) alone, which the tally keeps: TV sums in the Counter path's order
-    support = set(exact_by_w) | set(counts)
-    tv = 0.5 * sum(abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support)
-    threshold = 3.0 * math.sqrt(len(exact_by_w) / runs)
-    return OracleReport(tv, threshold, len(exact_by_w), runs, tv <= threshold)
+    hit = law_keys[at] == run_keys  # bool for object keys too
+    tally = np.bincount(at[hit], minlength=len(law_keys)).tolist()
+    d = law.denominator
+    off = runs - sum(tally)
+    gap = sum(abs(c * d - p * runs) for c, p in zip(tally, law.weights.tolist()))
+    tv = (gap + off * d) / (2 * runs * d)
+    threshold = 3.0 * math.sqrt(len(tally) / runs)
+    return OracleReport(tv, threshold, len(tally), runs, tv <= threshold)
 
 
 def oracle_check(g: DirectedGraph, scheme, initial: UrnState, horizon: int, runs: int,

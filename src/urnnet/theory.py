@@ -62,9 +62,10 @@ def _nonsingular(rho: float) -> float:
 def consensus_equilibrium(alpha: float, beta: float) -> float:
     """Common limit fraction c = (1 - beta) / (2 - alpha - beta).  Its
     denominator is rho for alpha + beta >= 1, so a Polya-type rule
-    (alpha = beta = 1) is refused as a singular H."""
+    (alpha = beta = 1) is refused as a singular H.  Both terms of
+    (1 - alpha) + (1 - beta) are exact, so rho keeps its digits near 1."""
     _check_params(alpha, beta)
-    return (1.0 - beta) / _nonsingular(2.0 - alpha - beta)
+    return (1.0 - beta) / _nonsingular((1.0 - alpha) + (1.0 - beta))
 
 
 def noise_variance_c(alpha: float, beta: float) -> float:
@@ -142,7 +143,8 @@ def fluctuations(alpha, beta, w: np.ndarray, regime: str | None = None) -> Fluct
         return spectral.schur_form(w).shifted(0.0, k.max()) if common else spectral.schur_form(b)
 
     form = None if common and k.max() >= 0.0 else schur_b()
-    rho = float(np.min(2.0 - alpha - beta) if form is None else 1.0 - form.eigenvalues.real.max())
+    rho = float(np.min((1.0 - alpha) + (1.0 - beta)) if form is None
+                else 1.0 - form.eigenvalues.real.max())
     _nonsingular(rho)
     if per_vertex:
         c = _solve_limit(b, q, np.zeros(len(w)), w.any(axis=0))

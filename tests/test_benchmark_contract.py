@@ -130,12 +130,13 @@ def test_predict_theory_solves_every_case(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_oracle_exact_one_step_means_pass_their_checks(tmp_path, seed):
-    # the exact conditional mean against the mean of the enumerated law,
-    # compared with == as the benchmark does
+    # every oracle-exact operation once, under its own check, which the
+    # benchmark would count against ops_ok_frac: the four oracle checks, the
+    # two exact conditional means (compared with ==) and the cycle5 law
     workloads = _load("workloads")
-    ops = [op for op in workloads.build("oracle-exact", seed, str(tmp_path))
-           if op.label.startswith("one-step mean")]
-    assert len(ops) == 2
+    ops = workloads.build("oracle-exact", seed, str(tmp_path))
+    labels = sorted(op.label.split(" ")[0] for op in ops)
+    assert labels == ["brute_force_distribution"] + ["one-step"] * 2 + ["oracle_check"] * 4
     for op in ops:
         op.check(op.run())
 

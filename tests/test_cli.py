@@ -654,10 +654,12 @@ def test_oracle_command(tmp_path, capsys):
 def test_oracle_zero_runs_exit_2(tmp_path, capsys):
     graph = tmp_path / "c2.edges"
     write_edge_list(DirectedGraph(2, frozenset({(1, 2), (2, 1)})), graph)
-    code = run_cli("oracle", "--graph", str(graph), "--polya", "--horizon", "2", "--runs", "0")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: oracle check needs") and "Traceback" not in err
+    # the refusal every suite makes, from `check_ensemble`
+    for argv in (("oracle", "--graph", str(graph), "--polya", "--horizon", "2"),
+                 ("verify", "--suite", "oracle")):
+        assert run_cli(*argv, "--runs", "0") == 2
+        err = capsys.readouterr().err
+        assert err == "error: runs must be >= 1\n" and "Traceback" not in err
 
 
 def test_usage_error_exit_2():

@@ -12,13 +12,12 @@ exact law as a plain Fraction enumeration over every draw vector, in int64
 and in Python ints, and its record must hold the rows of its pairs; and
 the one-step conditional mean, on Fractions and on float64, must be that
 law's mean; the oracle's judge, which counts runs on integer keys, must
-report what a `Counter` over the runs' tuples reports, bit for bit, on or
-off the law's support; and the law's states, built without the
-constructor's checks, must equal the checked ones.
+report the exact total-variation distance, a `Fraction` sum rounded once,
+bit for bit, on or off the law's support; and the law's states, built
+without the constructor's checks, must equal the checked ones.
 """
 
 import collections
-import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -397,30 +396,25 @@ def test_one_step_mean_in_both_arithmetics(problem):
     assert np.all(np.abs(path[1] - floats) <= 1e-15 * np.abs(floats))
 
 
-def reference_judge(law, result):
-    """The oracle's judge as it was before it counted runs on integer keys:
-    one `Counter` over every run's tuple of white counts."""
-    runs = result.runs
-    counts = collections.Counter(zip(*result.snapshots[result.horizon].T.tolist()))
-    exact_by_w = dict(zip(zip(*law.white.T.tolist()),
-                          (p / law.denominator for p in law.weights.tolist())))
-    support = set(exact_by_w) | set(counts)
-    tv = 0.5 * sum(abs(counts.get(w, 0) / runs - exact_by_w.get(w, 0.0)) for w in support)
-    threshold = 3.0 * math.sqrt(len(exact_by_w) / runs)
-    return montecarlo.OracleReport(tv, threshold, len(exact_by_w), runs, tv <= threshold)
+def exact_tv(law, rows):
+    """TV between the runs' empirical law and the exact law, summed in
+    Fractions over the union of the law's rows and the runs' rows, then
+    rounded once."""
+    runs, counts = len(rows), collections.Counter(map(tuple, rows.tolist()))
+    exact = {tuple(w): Fraction(p, law.denominator)
+             for w, p in zip(law.white.tolist(), law.weights.tolist())}
+    terms = (abs(Fraction(counts[w], runs) - exact.get(w, 0)) for w in exact.keys() | counts.keys())
+    return float(sum(terms, Fraction(0)) / 2)
 
 
-def assert_judges_agree(law, rows, horizon):
+def assert_judge_exact(law, rows, horizon):
     result = SimpleNamespace(runs=len(rows), horizon=horizon, snapshots={horizon: rows})
-    on_support = set(map(tuple, rows.tolist())) <= set(map(tuple, law.white.tolist()))
-    # on the support the judge counts on integer keys: it has no Counter to call
-    with mock.patch.object(montecarlo, "collections", SimpleNamespace()) if on_support \
-            else contextlib.nullcontext():
-        fast = montecarlo.oracle_judge(law, result)
-    slow = reference_judge(law, result)
-    # both paths sum the same terms in the same order: the distance keeps its bits
-    assert float.hex(fast.tv_distance) == float.hex(slow.tv_distance)
-    assert fast == slow
+    report = montecarlo.oracle_judge(law, result)
+    tv = exact_tv(law, rows)
+    assert float.hex(report.tv_distance) == float.hex(tv)
+    # support, threshold and verdict as before the distance was exact
+    threshold = 3.0 * math.sqrt(len(law.white) / len(rows))
+    assert report == montecarlo.OracleReport(tv, threshold, len(law.white), len(rows), tv <= threshold)
 
 
 @st.composite
@@ -440,7 +434,7 @@ def judged_rows(draw, law):
 def test_judge_tally_equals_counter_reference(problem, horizon, data):
     g, scheme, init = problem
     law = montecarlo.exact_law(g, scheme, init, horizon)
-    assert_judges_agree(law, data.draw(judged_rows(law)), horizon)
+    assert_judge_exact(law, data.draw(judged_rows(law)), horizon)
 
 
 @pytest.mark.parametrize("case", ["cycle2", "python-int-keys"])
@@ -457,9 +451,29 @@ def test_judge_tally_equals_counter_reference_on_simulated_runs(case):
         radix = [int(c.max()) - int(c.min()) + 1 for c in law.white.T]
         assert math.prod(radix) > 2**63
     rows = run_ensemble(**ensemble).snapshots[2]
-    assert_judges_agree(law, rows, 2)
+    assert_judge_exact(law, rows, 2)
     rows[7, 0] = law.white[:, 0].max() + 1
-    assert_judges_agree(law, rows, 2)
+    assert_judge_exact(law, rows, 2)
+
+
+@pytest.mark.parametrize("case", ["cycle10-59049-states", "cycle5-foreign-rule"])
+def test_judge_equals_exact_tv_on_a_large_law_and_off_its_support(case):
+    if case == "cycle10-59049-states":
+        g, horizon = generate_graph("cycle_undirected", {"n": 10}), 2
+        law, ensemble = montecarlo.oracle_plan(g, ReplacementMatrix(1, 2, 4),
+                                               dynamics.default_initial_state(10), horizon, 100_000, 23)
+        assert len(law.white) == 59_049
+    else:
+        # rule (2, 1, 4)'s runs against rule (1, 2, 4)'s law: urn i gains 8-12
+        # white balls in 4 steps under the first and 4-8 under the second
+        g, horizon, init = generate_graph("cycle_directed", {"n": 5}), 4, dynamics.default_initial_state(5)
+        law = montecarlo.exact_law(g, ReplacementMatrix(1, 2, 4), init, horizon)
+        _, ensemble = montecarlo.oracle_plan(g, ReplacementMatrix(2, 1, 4), init, horizon, 20_000, 29)
+    rows = run_ensemble(**ensemble).snapshots[horizon]
+    if case == "cycle5-foreign-rule":
+        support = set(map(tuple, law.white.tolist()))
+        assert sum(row in support for row in map(tuple, rows.tolist())) < len(rows) / 2
+    assert_judge_exact(law, rows, horizon)
 
 
 @settings(max_examples=40, deadline=None)

@@ -535,7 +535,7 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize(
         "runs, seed, match",
-        [(0, 1, "runs >= 1"), (10, -1, "master seed"), (10, 2**64, "master seed")],
+        [(0, 1, "runs must be"), (10, -1, "master seed"), (10, 2**64, "master seed")],
     )
     def test_bad_input_refused_before_enumerating(self, monkeypatch, runs, seed, match):
         def enumerate_law(*args):

@@ -101,8 +101,8 @@ class TestConsensus:
         with pytest.raises(SingularLimitSystemError):
             theory.consensus_equilibrium(1.0, 1.0)
         # rho = 8e-13 lies above SINGULAR_RHO_TOL: a rule with a unique limit,
-        # 1/2 up to the cancellation in 1 - beta and 2 - alpha - beta
-        assert theory.consensus_equilibrium(1 - 4e-13, 1 - 4e-13) == pytest.approx(0.5, abs=1e-3)
+        # exactly 1/2, as 1 - alpha and 1 - beta are exact and equal
+        assert theory.consensus_equilibrium(1 - 4e-13, 1 - 4e-13) == 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0, 1), beta=st.floats(0, 0.999))
@@ -180,7 +180,7 @@ class TestRho:
         calls = _factorisations(monkeypatch)
         fl = theory.fluctuations(alpha, beta, a_tilde, theory.REGIME_SUBCRITICAL)
         assert calls == []
-        assert fl.rho == 2.0 - alpha - beta
+        assert fl.rho == (1.0 - alpha) + (1.0 - beta)
 
     @pytest.mark.parametrize(
         "a_tilde",
